@@ -19,12 +19,14 @@ makes warm starting across checkpoints possible.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections import OrderedDict
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .metaformer import MetaFormer, ModelConfig
 
 MAGIC = b"MXLC"
@@ -51,26 +53,37 @@ def save_arrays(path: str, config_text: str, arrays: dict[str, np.ndarray]):
 
 
 def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
+    """Config text and named arrays. A truncated or malformed file or a
+    non-finite array is a DataError; every length is checked against the
+    bytes left in the file before it is read."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if n > size - fh.tell():
+                raise DataError(f"{path}: truncated checkpoint")
+            return fh.read(n)
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        if read(4) != MAGIC:
             raise DataError(f"{path}: not a mixerlab checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = unpack("<I")
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<Q", fh.read(8))
-        config_text = fh.read(cfg_len).decode("utf-8")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        arrays: OrderedDict[str, np.ndarray] = OrderedDict()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise DataError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+        try:
+            config_text = read(unpack("<Q")[0]).decode("utf-8")
+            arrays: OrderedDict[str, np.ndarray] = OrderedDict()
+            for _ in range(unpack("<Q")[0]):
+                name = read(unpack("<H")[0]).decode("utf-8")
+                shape = unpack(f"<{unpack('<B')[0]}I")
+                buf = read(8 * math.prod(shape))
+                arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+                if not np.isfinite(arrays[name]).all():
+                    raise DataError(f"{path}: array {name!r} has non-finite values")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: checkpoint text is not UTF-8") from None
         return config_text, arrays
 
 
@@ -80,7 +93,10 @@ def save_model(path: str, model: MetaFormer):
 
 def load_model(path: str, seed: int = 0) -> MetaFormer:
     config_text, arrays = load_arrays(path)
-    config = ModelConfig.from_ini(config_text)
+    try:
+        config = ModelConfig.from_ini(config_text)
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad model config: {exc}") from None
     model = MetaFormer(config, seed=seed)
     model.load_state(arrays)
     return model

@@ -1,23 +1,27 @@
 """Command-line surface: flops, params, train, eval, rank, infer.
 
 Every command is a pure function of (config file, seed, input files) and
-writes byte-identical outputs on re-runs. INI configs are validated
-strictly: unknown sections or keys are config errors. Exit codes: 0 ok,
-2 config error, 3 data error, 4 numeric abort.
+writes byte-identical outputs on re-runs. An INI config is read once,
+against one schema table per section: unknown sections or keys and values
+that do not parse are config errors, and every run writes
+``resolved_config.ini`` with every effective value, defaults included.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
+from typing import Any
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .charts import grouped_bar_svg
 from .complexity import KINDS, stage_sweep, sweep_to_csv
+from .config import BOOL, COUNT, FLOAT, FRACTION, HW, INT, TEXT, Key, choice
+from .config import field_values, format_section, owned_by, read_ini
 from .errors import (
     CapacityError,
     ConfigError,
@@ -39,7 +43,8 @@ from .evalrank import (
     write_case_scores_csv,
 )
 from .imageio import read_image_as_float, write_pgm, write_raw_f64
-from .metaformer import MetaFormer, ModelConfig, count_params, format_signature, parse_signature
+from .metaformer import MODEL_KEYS, MetaFormer, ModelConfig, count_params
+from .metaformer import format_signature, parse_signature
 from .tensor import Tensor
 from .trainer import (
     TrainConfig,
@@ -49,72 +54,110 @@ from .trainer import (
     train_classifier,
 )
 
-_MODEL_KEYS = {
-    "channels", "depths", "signature", "mlp_ratio", "head", "classes",
-    "decoder_dim", "input", "layerscale_init", "stochastic_depth",
+TRAIN_KEYS = owned_by(
+    TrainConfig,
+    Key("epochs", INT),
+    Key("batch_size", INT),
+    Key("lr", FLOAT),
+    Key("min_lr", FLOAT),
+    Key("weight_decay", FLOAT),
+    Key("warmup_epochs", INT),
+    Key("label_smoothing", FLOAT),
+    Key("class_weight_clamp", FLOAT),
+    Key("augment_sigma", FLOAT),
+    Key("grad_norm_alarm", FLOAT),
+) + (Key("max_steps", INT),)
+
+# params counts S12-layout models; of the [model] keys it takes only these
+PARAMS_KEYS = (Key("signatures", TEXT),) + tuple(
+    k for k in MODEL_KEYS if k.field in ("head", "num_classes", "input_hw")
+)
+
+SCHEMA = {
+    "model": MODEL_KEYS,
+    "train": TRAIN_KEYS,
+    "data": (
+        Key("kind", choice("synthetic", "image_dir"), "synthetic"),
+        Key("n", COUNT, 128),
+        Key("val_n", INT, 0),
+        Key("image_dir", TEXT),
+        Key("labels_csv", TEXT),
+    ),
+    "eval": (
+        Key("metric", choice("auc", "f1"), "auc"),
+        Key("scores_csv", TEXT),
+        Key("checkpoint", TEXT),
+        Key("dataset", TEXT, "dataset"),
+        Key("submission", TEXT, "model"),
+    ),
+    "rank": (
+        Key("mode", choice("wins", "scores"), "wins"),
+        Key("wins_csv", TEXT),
+        Key("scores_dir", TEXT),
+        Key("comparator", choice("bootstrap", "wilcoxon"), "bootstrap"),
+        Key("repeats", INT, 5000),
+        Key("alpha", FRACTION, 0.05),
+    ),
+    "infer": (
+        Key("checkpoint", TEXT),
+        Key("image", TEXT),
+        Key("patch", HW),
+        Key("overlap", FLOAT, 0.25),
+        Key("save_logits", BOOL, False),
+    ),
+    "flops": (Key("kernel", COUNT, 3),),
+    "params": PARAMS_KEYS,
+    "run": (Key("seed", INT, 0),),
 }
-_TRAIN_KEYS = {
-    "epochs", "batch_size", "lr", "min_lr", "weight_decay", "warmup_epochs",
-    "label_smoothing", "class_weight_clamp", "loss", "ignore_background",
-    "augment_sigma", "max_steps", "grad_norm_alarm",
-}
-_DATA_KEYS = {"kind", "n", "val_n", "image_dir", "labels_csv"}
-_EVAL_KEYS = {"metric", "scores_csv", "checkpoint", "dataset", "submission"}
-_RANK_KEYS = {"mode", "wins_csv", "scores_dir", "comparator", "repeats", "alpha"}
-_INFER_KEYS = {"checkpoint", "image", "patch", "overlap", "save_logits"}
-_FLOPS_KEYS = {"kernel"}
-_PARAMS_KEYS = {"signatures", "classes", "input", "head"}
-_RUN_KEYS = {"seed"}
 
-_ALLOWED_SECTIONS = {
-    "flops": {"model": _MODEL_KEYS, "flops": _FLOPS_KEYS, "run": _RUN_KEYS},
-    "params": {"params": _PARAMS_KEYS, "run": _RUN_KEYS},
-    "train": {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS, "run": _RUN_KEYS},
-    "eval": {"eval": _EVAL_KEYS, "data": _DATA_KEYS, "run": _RUN_KEYS},
-    "rank": {"rank": _RANK_KEYS, "run": _RUN_KEYS},
-    "infer": {"infer": _INFER_KEYS, "run": _RUN_KEYS},
+# the sections each command reads, in resolved_config.ini order
+_SECTIONS = {
+    "flops": ("model", "flops", "run"),
+    "params": ("params", "run"),
+    "train": ("model", "train", "data", "run"),
+    "eval": ("eval", "data", "run"),
+    "rank": ("rank", "run"),
+    "infer": ("infer", "run"),
 }
 
-
-def load_config(path: str, command: str) -> configparser.ConfigParser:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    allowed = _ALLOWED_SECTIONS[command]
-    for section in parser.sections():
-        if section not in allowed:
-            raise ConfigError(f"section [{section}] is not valid for `{command}`")
-        unknown = set(parser[section].keys()) - allowed[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    return parser
+Config = dict[str, dict[str, Any]]
 
 
-def resolved_ini(parser: configparser.ConfigParser, seed: int, threads: int) -> str:
+def load_config(path: str, command: str) -> Config:
+    """Typed values of every section ``command`` reads, defaults filled in."""
+    schema = {section: SCHEMA[section] for section in _SECTIONS[command]}
+    return read_ini(_read_text(path, ConfigError), schema)
+
+
+def resolved_ini(cfg: Config) -> str:
     """Deterministic dump of the fully resolved configuration."""
-    lines = []
-    sections = sorted(set(parser.sections()) | {"run"})
-    for section in sections:
-        lines.append(f"[{section}]")
-        items = dict(parser[section]) if parser.has_section(section) else {}
-        if section == "run":
-            items["seed"] = str(seed)
-            items["threads"] = str(threads)
-        for key in sorted(items):
-            lines.append(f"{key} = {items[key]}")
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(format_section(section, SCHEMA[section], values) for section, values in cfg.items())
 
 
-def model_config_from(parser: configparser.ConfigParser) -> ModelConfig:
-    text = "[model]\n"
-    if parser.has_section("model"):
-        text += "\n".join(f"{k} = {v}" for k, v in parser["model"].items())
-    return ModelConfig.from_ini(text)
+def _read_text(path: str, error: type[MixerlabError] = DataError) -> str:
+    """UTF-8 text of a file; a missing file or other bytes raise ``error``."""
+    if not os.path.isfile(path):
+        raise error(f"file not found: {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _csv_rows(path: str, header: str) -> list[list[str]]:
+    """The non-empty rows of a CSV file that starts with ``header``."""
+    lines = [line.strip() for line in _read_text(path).splitlines()]
+    if not lines or lines[0] != header:
+        raise DataError(f"{path} must start with {header!r}")
+    rows = [line.split(",") for line in lines[1:] if line]
+    if not rows:
+        raise DataError(f"{path}: no rows")
+    for row in rows:
+        if len(row) != header.count(",") + 1:
+            raise DataError(f"{path}: row {','.join(row)!r} does not match {header!r}")
+    return rows
 
 
 def _write(out_dir: str, name: str, content: str | bytes):
@@ -129,10 +172,9 @@ def _write(out_dir: str, name: str, content: str | bytes):
 # ---------------------------------------------------------------------------
 
 
-def cmd_flops(parser, out_dir: str, seed: int) -> int:
-    config = model_config_from(parser)
-    kernel = parser.getint("flops", "kernel", fallback=3)
-    reports = stage_sweep(config, kernel=kernel)
+def cmd_flops(cfg: Config, out_dir: str) -> int:
+    config = ModelConfig(**field_values(MODEL_KEYS, cfg["model"]))
+    reports = stage_sweep(config, kernel=cfg["flops"]["kernel"])
     _write(out_dir, "flops.csv", sweep_to_csv(reports))
     groups = [f"stage{i}" for i in range(4)]
     series = {
@@ -143,13 +185,11 @@ def cmd_flops(parser, out_dir: str, seed: int) -> int:
     return 0
 
 
-def cmd_params(parser, out_dir: str, seed: int) -> int:
-    if not parser.has_option("params", "signatures"):
+def cmd_params(cfg: Config, out_dir: str) -> int:
+    sec = cfg["params"]
+    if sec["signatures"] is None:
         raise ConfigError("[params] needs `signatures`")
-    entries = [e.strip() for e in parser.get("params", "signatures").split(";") if e.strip()]
-    classes = parser.getint("params", "classes", fallback=10)
-    head = parser.get("params", "head", fallback="classify")
-    h, _, w = parser.get("params", "input", fallback="224x224").partition("x")
+    entries = [e.strip() for e in sec["signatures"].split(";") if e.strip()]
     rows = ["signature,backbone_ex_mixers,mixers,pos_emb,head,total"]
     for entry in entries:
         try:
@@ -160,10 +200,8 @@ def cmd_params(parser, out_dir: str, seed: int) -> int:
             specs = tuple(specs[0] for _ in range(4))
         if len(specs) != 4:
             raise ConfigError(f"signature {entry!r} must name 1 or 4 mixers")
-        config = ModelConfig(
-            signature=specs, head=head, num_classes=classes, input_hw=(int(h), int(w))
-        )
-        counts = count_params(MetaFormer(config, seed=seed))
+        config = ModelConfig(signature=specs, **field_values(PARAMS_KEYS, sec))
+        counts = count_params(MetaFormer(config, seed=cfg["run"]["seed"]))
         sig_label = format_signature(specs).replace(",", "|")
         rows.append(
             f"{sig_label},{counts['backbone_ex_mixers']},{counts['mixers']},"
@@ -173,71 +211,45 @@ def cmd_params(parser, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _load_dataset(parser, config: ModelConfig, seed: int):
-    kind = parser.get("data", "kind", fallback="synthetic")
-    if kind == "synthetic":
-        n = parser.getint("data", "n", fallback=128)
-        images, labels = make_two_class_blobs(n, hw=config.input_hw, seed=seed)
-        val_n = parser.getint("data", "val_n", fallback=0)
+def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
+    if data["kind"] == "synthetic":
+        images, labels = make_two_class_blobs(data["n"], hw=config.input_hw, seed=seed)
         val = None
-        if val_n > 0:
-            val = make_two_class_blobs(val_n, hw=config.input_hw, seed=seed + 1)
+        if data["val_n"] > 0:
+            val = make_two_class_blobs(data["val_n"], hw=config.input_hw, seed=seed + 1)
         return images, labels, val
-    if kind == "image_dir":
-        image_dir = parser.get("data", "image_dir", fallback=None)
-        labels_csv = parser.get("data", "labels_csv", fallback=None)
-        if not image_dir or not labels_csv:
-            raise ConfigError("[data] kind=image_dir needs image_dir and labels_csv")
-        if not os.path.exists(labels_csv):
-            raise DataError(f"labels csv not found: {labels_csv}")
-        images, labels = [], []
-        with open(labels_csv) as fh:
-            header = fh.readline().strip()
-            if header != "path,label":
-                raise DataError(f"labels csv must start with 'path,label', got {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rel, _, label = line.partition(",")
-                full = os.path.join(image_dir, rel)
-                if not os.path.exists(full):
-                    raise DataError(f"image not found: {full}")
-                images.append(read_image_as_float(full))
-                labels.append(int(label))
-        if not images:
-            raise DataError(f"{labels_csv}: no rows")
-        return np.stack(images), np.asarray(labels), None
-    raise ConfigError(f"unknown data kind {kind!r}")
+    image_dir, labels_csv = data["image_dir"], data["labels_csv"]
+    if not image_dir or not labels_csv:
+        raise ConfigError("[data] kind=image_dir needs image_dir and labels_csv")
+    rows = _csv_rows(labels_csv, "path,label")
+    try:
+        labels = np.array([int(label) for _, label in rows])
+    except ValueError:
+        raise DataError(f"{labels_csv}: labels must be integers") from None
+    if ((labels < 0) | (labels >= config.num_classes)).any():
+        raise DataError(f"{labels_csv}: labels must be in [0, {config.num_classes})")
+    images = []
+    for rel, _ in rows:
+        full = os.path.join(image_dir, rel)
+        if not os.path.isfile(full):
+            raise DataError(f"image not found: {full}")
+        images.append(read_image_as_float(full))
+    if len({im.shape for im in images}) > 1:
+        raise DataError(f"{image_dir}: images differ in size")
+    return np.stack(images), labels, None
 
 
-def cmd_train(parser, out_dir: str, seed: int) -> int:
-    config = model_config_from(parser)
-    tr = parser["train"] if parser.has_section("train") else {}
-    tc = TrainConfig(
-        epochs=int(tr.get("epochs", 10)),
-        batch_size=int(tr.get("batch_size", 16)),
-        lr=float(tr.get("lr", 1e-3)),
-        min_lr=float(tr.get("min_lr", 1e-5)),
-        weight_decay=float(tr.get("weight_decay", 0.1)),
-        warmup_epochs=int(tr.get("warmup_epochs", 5)),
-        label_smoothing=float(tr.get("label_smoothing", 0.1)),
-        class_weight_clamp=float(tr.get("class_weight_clamp", 10.0)),
-        seed=seed,
-        loss=tr.get("loss", "ce"),
-        augment_sigma=float(tr.get("augment_sigma", 0.0)),
-        grad_norm_alarm=(
-            float(tr["grad_norm_alarm"]) if "grad_norm_alarm" in tr else None
-        ),
-    )
-    max_steps = int(tr["max_steps"]) if "max_steps" in tr else None
-    images, labels, val = _load_dataset(parser, config, seed)
+def cmd_train(cfg: Config, out_dir: str) -> int:
+    seed = cfg["run"]["seed"]
+    config = ModelConfig(**field_values(MODEL_KEYS, cfg["model"]))
+    tc = TrainConfig(seed=seed, **field_values(TRAIN_KEYS, cfg["train"]))
+    images, labels, val = _load_dataset(cfg["data"], config, seed)
     model = MetaFormer(config, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = train_classifier(
             model, images, labels, tc, val=val,
-            log_path=os.path.join(out_dir, "train_log.csv"), max_steps=max_steps,
+            log_path=os.path.join(out_dir, "train_log.csv"), max_steps=cfg["train"]["max_steps"],
         )
     except NumericsError:
         report = grad_norm_monitor(model)
@@ -256,32 +268,26 @@ def cmd_train(parser, out_dir: str, seed: int) -> int:
     return 0
 
 
-def cmd_eval(parser, out_dir: str, seed: int) -> int:
-    sec = parser["eval"] if parser.has_section("eval") else {}
-    metric = sec.get("metric", "auc")
-    if metric not in ("auc", "f1"):
-        raise ConfigError(f"unknown metric {metric!r}")
-    dataset = sec.get("dataset", "dataset")
-    submission = sec.get("submission", "model")
-
-    if "scores_csv" in sec:
-        path = sec["scores_csv"]
-        if not os.path.exists(path):
-            raise DataError(f"scores csv not found: {path}")
-        with open(path) as fh:
-            cs = read_case_scores_csv(fh.read(), submission, dataset)
+def cmd_eval(cfg: Config, out_dir: str) -> int:
+    sec = cfg["eval"]
+    if sec["scores_csv"] is not None:
+        text = _read_text(sec["scores_csv"])
+        cs = read_case_scores_csv(text, sec["submission"], sec["dataset"])
+        if cs.scores is None:
+            raise DataError(f"{sec['scores_csv']}: eval needs label and score columns")
     else:
-        if "checkpoint" not in sec:
+        if sec["checkpoint"] is None:
             raise ConfigError("[eval] needs either scores_csv or checkpoint")
-        if not os.path.exists(sec["checkpoint"]):
+        if not os.path.isfile(sec["checkpoint"]):
             raise DataError(f"checkpoint not found: {sec['checkpoint']}")
         model = ckpt.load_model(sec["checkpoint"])
-        images, labels, _ = _load_dataset(parser, model.config, seed)
+        images, labels, _ = _load_dataset(cfg["data"], model.config, cfg["run"]["seed"])
         scores = predict_scores(model, images)
         ids = [f"case_{i:05d}" for i in range(len(labels))]
-        cs = CaseScores(submission, dataset, ids, labels=labels, scores=scores)
+        cs = CaseScores(sec["submission"], sec["dataset"], ids, labels=labels, scores=scores)
         _write(out_dir, "case_scores.csv", write_case_scores_csv(cs))
 
+    metric = sec["metric"]
     if metric == "auc":
         value = auc_macro(cs.scores, cs.labels)
     else:
@@ -291,49 +297,31 @@ def cmd_eval(parser, out_dir: str, seed: int) -> int:
 
 
 def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
-    if not os.path.exists(path):
-        raise DataError(f"wins csv not found: {path}")
     per_dataset: dict[str, dict[str, int]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "submission,dataset,wins":
-            raise DataError(f"wins csv must start with 'submission,dataset,wins', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sub, ds, wins = line.split(",")
+    try:
+        for sub, ds, wins in _csv_rows(path, "submission,dataset,wins"):
             per_dataset.setdefault(ds, {})[sub] = int(wins)
-    if not per_dataset:
-        raise DataError(f"{path}: no rows")
+    except ValueError:
+        raise DataError(f"{path}: wins must be integers") from None
     return per_dataset
 
 
-def cmd_rank(parser, out_dir: str, seed: int) -> int:
-    sec = parser["rank"] if parser.has_section("rank") else {}
-    mode = sec.get("mode", "wins")
-    if mode == "wins":
-        if "wins_csv" not in sec:
+def cmd_rank(cfg: Config, out_dir: str) -> int:
+    sec = cfg["rank"]
+    if sec["mode"] == "wins":
+        if sec["wins_csv"] is None:
             raise ConfigError("[rank] mode=wins needs wins_csv")
         wins_per_dataset = _read_wins_csv(sec["wins_csv"])
-    elif mode == "scores":
-        if "scores_dir" not in sec:
-            raise ConfigError("[rank] mode=scores needs scores_dir")
+    else:
         scores_dir = sec["scores_dir"]
+        if scores_dir is None:
+            raise ConfigError("[rank] mode=scores needs scores_dir")
         if not os.path.isdir(scores_dir):
             raise DataError(f"scores dir not found: {scores_dir}")
-        comparator = sec.get("comparator", "bootstrap")
-        kwargs = {}
+        comparator = sec["comparator"]
+        kwargs = {"alpha": sec["alpha"]}
         if comparator == "bootstrap":
-            kwargs = {
-                "repeats": int(sec.get("repeats", 5000)),
-                "alpha": float(sec.get("alpha", 0.05)),
-                "seed": seed,
-            }
-        elif comparator == "wilcoxon":
-            kwargs = {"alpha": float(sec.get("alpha", 0.05))}
-        else:
-            raise ConfigError(f"unknown comparator {comparator!r}")
+            kwargs.update(repeats=sec["repeats"], seed=cfg["run"]["seed"])
         grouped: dict[str, list[CaseScores]] = {}
         for name in sorted(os.listdir(scores_dir)):
             if not name.endswith(".csv"):
@@ -342,16 +330,14 @@ def cmd_rank(parser, out_dir: str, seed: int) -> int:
             ds, sep, sub = stem.partition("__")
             if not sep:
                 raise DataError(f"scores file {name!r} must be named <dataset>__<submission>.csv")
-            with open(os.path.join(scores_dir, name)) as fh:
-                grouped.setdefault(ds, []).append(read_case_scores_csv(fh.read(), sub, ds))
+            text = _read_text(os.path.join(scores_dir, name))
+            grouped.setdefault(ds, []).append(read_case_scores_csv(text, sub, ds))
         if not grouped:
             raise DataError(f"{scores_dir}: no score files")
         wins_per_dataset = {
             ds: pairwise_wins(subs, comparator=comparator, **kwargs)
             for ds, subs in grouped.items()
         }
-    else:
-        raise ConfigError(f"unknown rank mode {mode!r}")
 
     datasets = sorted(wins_per_dataset)
     all_subs = sorted({s for wins in wins_per_dataset.values() for s in wins})
@@ -368,38 +354,33 @@ def cmd_rank(parser, out_dir: str, seed: int) -> int:
     return 0
 
 
-def cmd_infer(parser, out_dir: str, seed: int) -> int:
-    sec = parser["infer"] if parser.has_section("infer") else {}
+def cmd_infer(cfg: Config, out_dir: str) -> int:
+    sec = cfg["infer"]
     for key in ("checkpoint", "image"):
-        if key not in sec:
+        if sec[key] is None:
             raise ConfigError(f"[infer] needs {key}")
-        if not os.path.exists(sec[key]):
+        if not os.path.isfile(sec[key]):
             raise DataError(f"{key} not found: {sec[key]}")
     model = ckpt.load_model(sec["checkpoint"])
     if model.config.head != "segment":
         raise ConfigError("infer needs a segmentation checkpoint")
     image = read_image_as_float(sec["image"])
-    if "patch" in sec:
-        h, _, w = sec["patch"].partition("x")
-        patch_hw = (int(h), int(w))
-    else:
-        patch_hw = model.config.input_hw
+    patch_hw = sec["patch"] or model.config.input_hw
     if patch_hw != model.config.input_hw:
         raise ConfigError(
             f"patch {patch_hw} does not match the checkpoint input {model.config.input_hw}"
         )
     if image.shape[1] < patch_hw[0] or image.shape[2] < patch_hw[1]:
         raise DataError(f"image {image.shape[1:]} smaller than patch {patch_hw}")
-    overlap = float(sec.get("overlap", 0.25))
 
     def predict(patch: np.ndarray) -> np.ndarray:
         return model.forward_segment(Tensor(patch[None])).data[0]
 
-    logits = sliding_window_infer(predict, image, patch_hw, overlap=overlap)
+    logits = sliding_window_infer(predict, image, patch_hw, overlap=sec["overlap"])
     mask = logits.argmax(axis=0).astype(np.uint8)
     os.makedirs(out_dir, exist_ok=True)
     write_pgm(os.path.join(out_dir, "mask.pgm"), mask)
-    if sec.get("save_logits", "false").lower() in ("1", "true", "yes"):
+    if sec["save_logits"]:
         write_raw_f64(os.path.join(out_dir, "logits.f64"), logits)
     return 0
 
@@ -425,20 +406,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--seed", type=int, default=None, help="overrides [run] seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="cap for op-internal parallelism (current ops are single-threaded)",
-        )
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config, args.command)
-        seed = args.seed
-        if seed is None:
-            seed = cfg.getint("run", "seed", fallback=0)
-        _write(args.out, "resolved_config.ini", resolved_ini(cfg, seed, args.threads))
-        return _COMMANDS[args.command](cfg, args.out, seed)
+        if args.seed is not None:
+            cfg["run"]["seed"] = args.seed
+        _write(args.out, "resolved_config.ini", resolved_ini(cfg))
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -454,26 +454,30 @@ def write_case_scores_csv(cs: CaseScores) -> str:
 
 
 def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores:
+    """Parse ``case_id,dsc`` or ``case_id,label,score_0,...`` rows; a
+    malformed row or a non-finite value is a DataError."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     if not lines:
         raise DataError("empty case-scores CSV")
     header = lines[0].split(",")
-    if header[:2] == ["case_id", "dsc"]:
-        ids, vals = [], []
-        for ln in lines[1:]:
-            cid, _, v = ln.partition(",")
-            ids.append(cid)
-            vals.append(float(v))
-        return CaseScores(submission, dataset, ids, dsc=np.asarray(vals))
-    if header[:2] != ["case_id", "label"] or not all(h.startswith("score_") for h in header[2:]):
+    if header != ["case_id", "dsc"] and (
+        header[:2] != ["case_id", "label"] or not all(h.startswith("score_") for h in header[2:])
+    ):
         raise DataError(f"unrecognized case-scores header: {header}")
-    ids, labels, rows = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        ids.append(parts[0])
-        labels.append(int(parts[1]))
-        rows.append([float(v) for v in parts[2:]])
-    return CaseScores(submission, dataset, ids, labels=np.asarray(labels), scores=np.asarray(rows))
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise DataError(f"every case-scores row needs {len(header)} fields")
+    ids = [row[0] for row in rows]
+    try:
+        values = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(len(rows), len(header) - 1)
+        labels = np.array([int(row[1]) for row in rows]) if header[1] == "label" else None
+    except ValueError as exc:
+        raise DataError(f"case-scores CSV: {exc}") from None
+    if not np.isfinite(values).all():
+        raise DataError("case-scores CSV has a non-finite value")
+    if labels is None:
+        return CaseScores(submission, dataset, ids, dsc=values[:, 0])
+    return CaseScores(submission, dataset, ids, labels=labels, scores=values[:, 1:])
 
 
 def rank_table_csv(

@@ -27,7 +27,10 @@ def _read_pnm_header(data: bytes, magic: bytes):
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise DataError(f"{magic.decode()} header field {token!r} is not a number")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if maxval != 255:

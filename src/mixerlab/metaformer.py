@@ -15,17 +15,10 @@ from typing import Optional
 
 import numpy as np
 
+from .config import FLOAT, HW, INT, INTS, TEXT, Key, ValueType
+from .config import field_values, format_section, owned_by, read_ini
 from .errors import ConfigError, ShapeError
-from .mixers import (
-    MixerSpec,
-    NeighborhoodMask,
-    apply_mixer,
-    build_neighborhood_mask,
-    init_mixer_params,
-    mix_global_attn,
-    mix_local_attn,
-    warm_start_remap,
-)
+from .mixers import MixerSpec, NeighborhoodMask, apply_mixer, init_mixer_params, warm_start_remap
 from .tensor import (
     Tensor,
     add,
@@ -89,6 +82,8 @@ class ModelConfig:
             raise ConfigError("num_classes must be >= 2")
         if self.mlp_ratio < 1:
             raise ConfigError("mlp_ratio must be >= 1")
+        if min(self.stage_channels + self.input_hw) < 1 or self.decoder_dim < 1 or min(self.stage_depths) < 0:
+            raise ConfigError("channels, input size and decoder_dim must be positive, depths non-negative")
         for c, spec in zip(self.stage_channels, self.signature):
             if spec.is_attention:
                 spec.heads(c)  # raises if the head split does not work out
@@ -108,48 +103,30 @@ class ModelConfig:
         return out
 
     def to_ini(self) -> str:
-        lines = [
-            "[model]",
-            "channels = " + ",".join(str(c) for c in self.stage_channels),
-            "depths = " + ",".join(str(d) for d in self.stage_depths),
-            "signature = " + format_signature(self.signature),
-            f"mlp_ratio = {self.mlp_ratio}",
-            f"head = {self.head}",
-            f"classes = {self.num_classes}",
-            f"decoder_dim = {self.decoder_dim}",
-            f"input = {self.input_hw[0]}x{self.input_hw[1]}",
-            f"layerscale_init = {self.layerscale_init!r}",
-            f"stochastic_depth = {self.stochastic_depth_max!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        return format_section("model", MODEL_KEYS, {k.name: getattr(self, k.field) for k in MODEL_KEYS})
 
     @staticmethod
     def from_ini(text: str) -> "ModelConfig":
-        import configparser
+        values = read_ini(text, {"model": MODEL_KEYS})["model"]
+        return ModelConfig(**field_values(MODEL_KEYS, values))
 
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        sec = parser["model"]
-        known = {
-            "channels", "depths", "signature", "mlp_ratio", "head", "classes",
-            "decoder_dim", "input", "layerscale_init", "stochastic_depth",
-        }
-        unknown = set(sec.keys()) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        h, _, w = sec.get("input", "224x224").partition("x")
-        return ModelConfig(
-            stage_channels=tuple(int(v) for v in sec.get("channels", "64,128,320,512").split(",")),
-            stage_depths=tuple(int(v) for v in sec.get("depths", "2,2,6,2").split(",")),
-            signature=parse_signature(sec.get("signature", "pooling:3,pooling:3,pooling:3,pooling:3")),
-            mlp_ratio=sec.getint("mlp_ratio", 4),
-            head=sec.get("head", "classify"),
-            num_classes=sec.getint("classes", 10),
-            decoder_dim=sec.getint("decoder_dim", 256),
-            input_hw=(int(h), int(w)),
-            layerscale_init=sec.getfloat("layerscale_init", 1e-5),
-            stochastic_depth_max=sec.getfloat("stochastic_depth", 0.1),
-        )
+
+SIGNATURE = ValueType(parse_signature, format_signature)
+
+# the [model] section, also the config text stored in checkpoints
+MODEL_KEYS = owned_by(
+    ModelConfig,
+    Key("channels", INTS, field="stage_channels"),
+    Key("depths", INTS, field="stage_depths"),
+    Key("signature", SIGNATURE),
+    Key("mlp_ratio", INT),
+    Key("head", TEXT),
+    Key("classes", INT, field="num_classes"),
+    Key("decoder_dim", INT),
+    Key("input", HW, field="input_hw"),
+    Key("layerscale_init", FLOAT),
+    Key("stochastic_depth", FLOAT, field="stochastic_depth_max"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +241,16 @@ class Block:
         self.mlp = ChannelMlp.create(c, mlp_ratio, rng)
         self.ls2 = Tensor(np.full(c, layerscale_init), requires_grad=True)
         self.droppath_p = droppath_p
-        self._mask_cache: dict[tuple[int, int], NeighborhoodMask] = {}
-
-    def _mix(self, x: Tensor) -> Tensor:
-        spec = self.spec
-        if spec.kind == "global_attn":
-            params = replace(self.mixer_params, pos_emb=self.pos_emb)
-            return mix_global_attn(x, params, spec.heads_divisor)
-        if spec.kind == "local_attn":
-            hw = (x.shape[2], x.shape[3])
-            mask = self._mask_cache.get(hw)
-            if mask is None:
-                mask = build_neighborhood_mask(hw[0], hw[1], spec.kernel)
-                self._mask_cache[hw] = mask
-            return mix_local_attn(x, self.mixer_params, mask, spec.heads_divisor)
-        return apply_mixer(spec, self.mixer_params, x)
+        # neighborhood masks by spatial size, built once per size
+        self._masks: dict[tuple[int, int], NeighborhoodMask] = {}
 
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         c = self.channels
+        params = self.mixer_params
+        if self.pos_emb is not None:
+            params = replace(params, pos_emb=self.pos_emb)
         scale1 = reshape(self.ls1, (1, c, 1, 1))
-        branch = mul(self._mix(self.norm1(x)), scale1)
+        branch = mul(apply_mixer(self.spec, params, self.norm1(x), masks=self._masks), scale1)
         x = add(x, _drop_path(branch, self.droppath_p, training, rng))
         scale2 = reshape(self.ls2, (1, c, 1, 1))
         branch = mul(self.mlp(self.norm2(x)), scale2)

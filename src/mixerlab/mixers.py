@@ -206,22 +206,29 @@ def mix_grouped_conv(x: Tensor, params: ConvMixerParams, kernel: int) -> Tensor:
     return conv2d(x, params.kernel, stride=1, padding=(kernel - 1) // 2, groups=c)
 
 
+def _budgeted_heads(x: Tensor, heads_divisor: int, score_budget: int) -> int:
+    """Head count for x, refusing attention over budget before anything
+    N x N is allocated."""
+    b, c, h, w = x.shape
+    m, n = head_count(c, heads_divisor), h * w
+    if b * m * n * n > score_budget:
+        raise CapacityError(
+            f"attention score matrix of {b}x{m}x{n}x{n} elements exceeds the budget of {score_budget}"
+        )
+    return m
+
+
 def _attention(
     x: Tensor,
     params: AttentionParams,
     heads: int,
     additive_mask: Optional[np.ndarray],
-    score_budget: int,
     return_attn: bool,
 ):
     b, c, h, w = x.shape
     n = h * w
     m = heads
     d = c // m
-    if b * m * n * n > score_budget:
-        raise CapacityError(
-            f"attention score matrix of {b}x{m}x{n}x{n} elements exceeds the budget of {score_budget}"
-        )
     tokens = reshape(transpose(x, (0, 2, 3, 1)), (b, n, c))
     q = linear(tokens, params.wq)
     k = linear(tokens, params.wk)
@@ -264,7 +271,7 @@ def mix_global_attn(
                 f"positional embedding shape {params.pos_emb.shape} does not match input {(c, h, w)}"
             )
         x = add(x, reshape(params.pos_emb, (1, c, h, w)))
-    return _attention(x, params, head_count(c, heads_divisor), None, score_budget, return_attn)
+    return _attention(x, params, _budgeted_heads(x, heads_divisor, score_budget), None, return_attn)
 
 
 def mix_local_attn(
@@ -283,17 +290,21 @@ def mix_local_attn(
     b, c, h, w = x.shape
     if (mask.height, mask.width) != (h, w):
         raise ShapeError(f"mask built for {mask.height}x{mask.width}, input is {h}x{w}")
-    return _attention(x, params, head_count(c, heads_divisor), mask.to_additive(), score_budget, return_attn)
+    heads = _budgeted_heads(x, heads_divisor, score_budget)
+    return _attention(x, params, heads, mask.to_additive(), return_attn)
 
 
 def apply_mixer(
     spec: MixerSpec,
     params,
     x: Tensor,
-    mask: Optional[NeighborhoodMask] = None,
+    masks: Optional[dict[tuple[int, int], NeighborhoodMask]] = None,
     score_budget: int = DEFAULT_SCORE_BUDGET,
 ) -> Tensor:
-    """Dispatch to the mixer named by spec.kind."""
+    """Dispatch to the mixer named by spec.kind.
+
+    ``masks`` caches local-attention masks by (H, W) for a caller that keeps it.
+    """
     if spec.kind == "identity":
         return mix_identity(x)
     if spec.kind == "pooling":
@@ -303,9 +314,12 @@ def apply_mixer(
     if spec.kind == "grouped_conv":
         return mix_grouped_conv(x, params, spec.kernel)
     if spec.kind == "local_attn":
-        if mask is None:
-            mask = build_neighborhood_mask(x.shape[2], x.shape[3], spec.kernel)
-        return mix_local_attn(x, params, mask, spec.heads_divisor, score_budget)
+        _budgeted_heads(x, spec.heads_divisor, score_budget)
+        hw = (x.shape[2], x.shape[3])
+        masks = {} if masks is None else masks
+        if hw not in masks:
+            masks[hw] = build_neighborhood_mask(hw[0], hw[1], spec.kernel)
+        return mix_local_attn(x, params, masks[hw], spec.heads_divisor, score_budget)
     if spec.kind == "global_attn":
         return mix_global_attn(x, params, spec.heads_divisor, score_budget)
     raise ConfigError(f"unknown mixer kind {spec.kind!r}")

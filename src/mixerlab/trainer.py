@@ -11,8 +11,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError
+from .evalrank import f1_macro
 from .metaformer import MetaFormer
-from .tensor import Tape, Tensor, log_softmax, mul, softmax, tsum
+from .tensor import Tape, Tensor, log_softmax, mul, reshape, softmax, transpose, tsum
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -30,8 +31,6 @@ class TrainConfig:
     label_smoothing: float = 0.1
     class_weight_clamp: float = 10.0
     seed: int = 0
-    loss: str = "ce"  # ce | ce_plus_dice
-    ignore_background: bool = False
     augment_sigma: float = 0.0  # 0 disables affine augmentation
     grad_norm_alarm: Optional[float] = None
 
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ConfigError("label smoothing must be in [0, 1)")
         if self.class_weight_clamp < 1.0:
             raise ConfigError("class weight clamp must be >= 1")
-        if self.loss not in ("ce", "ce_plus_dice"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
 
@@ -87,8 +84,6 @@ def ce_loss(
     target equals ignore_index are excluded. Result is the weighted mean
     over contributing elements.
     """
-    from .tensor import transpose, reshape
-
     targets = np.asarray(targets)
     if logits.ndim == 4:
         k = logits.shape[1]
@@ -383,12 +378,6 @@ def grad_norm_monitor(model: MetaFormer, threshold: Optional[float] = None) -> G
 # ---------------------------------------------------------------------------
 
 
-def f1_from_predictions(pred: np.ndarray, true: np.ndarray) -> float:
-    from .evalrank import f1_macro
-
-    return f1_macro(pred, true)
-
-
 @dataclass
 class TrainResult:
     history: list[dict]
@@ -464,7 +453,7 @@ def train_classifier(
                 }
                 is_epoch_end = start + cfg.batch_size >= n
                 if is_epoch_end and val is not None:
-                    vf1 = f1_from_predictions(predict_labels(model, val[0]), np.asarray(val[1]))
+                    vf1 = f1_macro(predict_labels(model, val[0]), np.asarray(val[1]))
                     row["val_f1"] = vf1
                     if best_f1 is None or vf1 > best_f1:
                         best_f1 = vf1

@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 from mixerlab.tensor import Tape
+
+# every run draws the same examples, and no failure database is kept
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:

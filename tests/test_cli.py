@@ -1,13 +1,17 @@
 """Command-line surface: outputs, determinism, exit codes, round trips."""
 
+import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ranking_fixtures as fx
-from mixerlab.checkpoint import save_model
-from mixerlab.cli import main
+from mixerlab.checkpoint import load_model, save_model
+from mixerlab.cli import SCHEMA, load_config, main, resolved_ini
 from mixerlab.imageio import read_pgm, write_ppm
 from mixerlab.metaformer import MetaFormer, ModelConfig
 from mixerlab.mixers import MixerSpec
@@ -331,11 +335,6 @@ class TestExitCodesAndConfig:
         cfg.write_text(f"[rank]\nmode = wins\nwins_csv = {tmp_path / 'none.csv'}\n")
         assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
 
-    def test_bad_threads_is_2(self, tmp_path):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[model]\n")
-        assert run_cli("flops", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "0") == 2
-
     def test_resolved_config_round_trips(self, tmp_path):
         import configparser
 
@@ -349,9 +348,173 @@ class TestExitCodesAndConfig:
         assert parsed.get("model", "input") == "768x768"
         assert parsed.get("flops", "kernel") == "7"
         assert parsed.get("run", "seed") == "3"
-        assert parsed.get("run", "threads") == "1"
-        # emitting again from the parsed structure is byte-identical
-        from mixerlab.cli import resolved_ini
-
-        again = resolved_ini(parsed, 3, 1)
+        # emitting again from the reloaded dump is byte-identical
+        again = resolved_ini(load_config(str(out / "resolved_config.ini"), "flops"))
         assert again == text
+
+
+BAD_CONFIGS = {
+    "model_input": ("flops", b"[model]\ninput = 32\n", "model.input"),
+    "flops_kernel": ("flops", b"[flops]\nkernel = x\n", "flops.kernel"),
+    "model_signature": ("flops", b"[model]\nsignature = conv:x\n", "model.signature"),
+    "train_epochs": ("train", b"[train]\nepochs = ten\n", "train.epochs"),
+    "rank_repeats": ("rank", b"[rank]\nrepeats = abc\n", "rank.repeats"),
+    "utf16_bom": ("flops", b"\xff\xfe[\x00m\x00", "UTF-8"),
+    "train_loss": ("train", b"[train]\nloss = ce\n", "loss"),
+    "train_ignore_background": ("train", b"[train]\nignore_background = true\n", "ignore_background"),
+}
+
+
+def _checkpoint_with_config_bytes(cfg: bytes) -> bytes:
+    return b"MXLC" + struct.pack("<IQ", 1, len(cfg)) + cfg + struct.pack("<Q", 0)
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, case):
+        command, content, named = BAD_CONFIGS[case]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(content)
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
+        assert named in err
+
+    def test_resolved_config_lists_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[rank]\nwins_csv = w.csv\n")
+        run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        text = (tmp_path / "o" / "resolved_config.ini").read_text()
+        assert text == (
+            "[rank]\nmode = wins\nwins_csv = w.csv\ncomparator = bootstrap\n"
+            "repeats = 5000\nalpha = 0.05\n\n[run]\nseed = 0\n"
+        )
+
+    def infer_files(self, tmp_path):
+        _, ckpt_path = TestInferCommand().seg_checkpoint(tmp_path)
+        _, img_path = TestInferCommand().write_image(tmp_path, (32, 32))
+        return ckpt_path, img_path
+
+    @pytest.mark.parametrize("which", ["truncated_header", "config_not_utf8", "nan_weights"])
+    def test_bad_checkpoint_is_data_error(self, tmp_path, capsys, which):
+        ckpt_path, img_path = self.infer_files(tmp_path)
+        if which == "truncated_header":
+            ckpt_path.write_bytes(b"MXLC\x01\x00")
+        elif which == "config_not_utf8":
+            ckpt_path.write_bytes(_checkpoint_with_config_bytes(b"[model]\n\xff\xfe"))
+        else:
+            model = load_model(str(ckpt_path))
+            model.named_parameters()["stage1.block0.mlp.fc2.bias"].data[3] = np.nan
+            save_model(str(ckpt_path), model)
+        cfg = tmp_path / "infer.ini"
+        cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
+        assert run_cli("infer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        if which == "nan_weights":
+            assert "stage1.block0.mlp.fc2.bias" in err
+
+    def test_bad_ppm_header_is_data_error(self, tmp_path):
+        ckpt_path, img_path = self.infer_files(tmp_path)
+        img_path.write_bytes(b"P6\nab 3")
+        cfg = tmp_path / "infer.ini"
+        cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
+        assert run_cli("infer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+
+    def test_bad_case_scores_row_is_data_error(self, tmp_path):
+        scores_csv = tmp_path / "scores.csv"
+        scores_csv.write_text("case_id,label,score_0,score_1\nc0,0,0.5,0.5\nc1,x,0.5\n")
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\nscores_csv = {scores_csv}\n")
+        assert run_cli("eval", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+
+    def test_bad_wins_row_is_data_error(self, tmp_path):
+        wins_csv = tmp_path / "wins.csv"
+        wins_csv.write_text("submission,dataset,wins\na,b\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nwins_csv = {wins_csv}\n")
+        assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+
+
+def _mutations(valid: bytes):
+    """Random bytes, a truncation of ``valid``, or ``valid`` with one byte replaced."""
+    return st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, len(valid)).map(lambda i: valid[:i]),
+        st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+            lambda t: valid[: t[0]] + bytes([t[1]]) + valid[t[0] + 1 :]
+        ),
+    )
+
+
+_NAMES = sorted({k.name for keys in SCHEMA.values() for k in keys} | {"threads", "loss"})
+_SECTIONS = sorted(SCHEMA) + ["DEFAULT", "mystery"]
+_VALUE = st.text(alphabet="0123456789x,.:;-_ abcdeilmnopstuw\t\n%", max_size=14)
+_INI = st.lists(
+    st.tuples(st.sampled_from(_SECTIONS), st.lists(st.tuples(st.sampled_from(_NAMES), _VALUE), max_size=4)),
+    max_size=3,
+).map(lambda secs: "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv) for s, kv in secs))
+
+VALID_SCORES = b"case_id,label,score_0,score_1\nc0,0,0.9,0.1\nc1,1,0.2,0.8\nc2,1,0.4,0.6\n"
+VALID_WINS = b"submission,dataset,wins\na,ds,2\nb,ds,1\nc,ds,0\n"
+
+
+class TestBoundaryFuzz:
+    """``main`` ends in a documented exit code and never raises, whatever
+    the bytes of its config, checkpoint, image or CSV input."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        _, ckpt_path = TestInferCommand().seg_checkpoint(root)
+        _, img_path = TestInferCommand().write_image(root, (32, 32))
+        return root, ckpt_path.read_bytes(), img_path.read_bytes()
+
+    def run_main(self, root, command, config: bytes, inputs: dict[str, bytes]) -> int:
+        for name, content in inputs.items():
+            (root / name).write_bytes(content)
+        (root / "cfg.ini").write_bytes(config)
+        (root / "out" / "resolved_config.ini").unlink(missing_ok=True)
+        cwd = os.getcwd()
+        os.chdir(root)  # any relative path a fuzzed config names stays inside root
+        try:
+            return main([command, "--config", "cfg.ini", "--out", "out"])
+        finally:
+            os.chdir(cwd)
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["flops", "eval", "rank", "infer"]),
+           config=st.one_of(st.binary(max_size=64), _INI.map(str.encode)))
+    def test_config_bytes(self, files, command, config):
+        root, _, _ = files
+        assert self.run_main(root, command, config, {}) in (0, 2, 3, 4)
+        resolved = root / "out" / "resolved_config.ini"
+        if resolved.exists():  # the config parsed: its dump reloads to the same dump
+            assert resolved_ini(load_config(str(resolved), command)) == resolved.read_text()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint_bytes(self, files, data):
+        root, ckpt_bytes, img_bytes = files
+        ckpt = data.draw(_mutations(ckpt_bytes))
+        config = b"[infer]\ncheckpoint = c.mxlc\nimage = i.ppm\n"
+        code = self.run_main(root, "infer", config, {"c.mxlc": ckpt, "i.ppm": img_bytes})
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ppm_bytes(self, files, data):
+        root, ckpt_bytes, img_bytes = files
+        img = data.draw(_mutations(img_bytes[:40]).map(lambda head: head + img_bytes[40:]))
+        config = b"[infer]\ncheckpoint = c.mxlc\nimage = i.ppm\n"
+        code = self.run_main(root, "infer", config, {"c.mxlc": ckpt_bytes, "i.ppm": img})
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scores=_mutations(VALID_SCORES), wins=_mutations(VALID_WINS))
+    def test_csv_bytes(self, files, scores, wins):
+        root, _, _ = files
+        inputs = {"s.csv": scores, "w.csv": wins}
+        assert self.run_main(root, "eval", b"[eval]\nscores_csv = s.csv\n", inputs) in (0, 2, 3, 4)
+        assert self.run_main(root, "rank", b"[rank]\nwins_csv = w.csv\n", inputs) in (0, 2, 3, 4)

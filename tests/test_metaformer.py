@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fd_grad, rel_err
 from mixerlab.checkpoint import load_arrays, load_model, save_model
-from mixerlab.errors import ConfigError, ShapeError
+from mixerlab.errors import CapacityError, ConfigError, ShapeError
 from mixerlab.metaformer import (
     Block,
     MetaFormer,
@@ -88,6 +88,35 @@ class TestBlock:
             block = Block(16, MixerSpec(kind, 3), 4, 0.5, 0.0, (4, 4), rng, pos_emb=pos)
             x = Tensor(rng.standard_normal((2, 16, 4, 4)))
             assert block.forward(x).shape == x.shape
+
+    def test_local_attn_mask_built_once_per_size(self, monkeypatch):
+        import mixerlab.mixers as mixers
+
+        built = []
+        real = mixers.build_neighborhood_mask
+
+        def counting(h, w, k):
+            built.append((h, w))
+            return real(h, w, k)
+
+        monkeypatch.setattr(mixers, "build_neighborhood_mask", counting)
+        rng = np.random.default_rng(5)
+        block = Block(16, MixerSpec("local_attn", 3), 4, 0.5, 0.0, (4, 4), rng)
+        for hw in ((4, 4), (4, 4), (6, 6), (4, 4)):
+            block.forward(Tensor(rng.standard_normal((1, 16) + hw)))
+        assert built == [(4, 4), (6, 6)]
+
+    def test_local_attn_refused_before_mask_is_built(self, monkeypatch):
+        import mixerlab.mixers as mixers
+
+        built = []
+        monkeypatch.setattr(mixers, "build_neighborhood_mask", lambda *a: built.append(a))
+        rng = np.random.default_rng(6)
+        # 96x96: one head over N = 9216 positions exceeds the default 2**26 budget
+        block = Block(16, MixerSpec("local_attn", 3), 4, 0.5, 0.0, (96, 96), rng)
+        with pytest.raises(CapacityError):
+            block.forward(Tensor(rng.standard_normal((1, 16, 96, 96))))
+        assert built == []
 
     def test_block_gradcheck_pooling(self):
         # full criterion (all six mixers at C=16, 6x6) runs in the acceptance suite

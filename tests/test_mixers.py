@@ -1,6 +1,8 @@
 """Token mixers: contracts, parameter counts, the neighborhood mask, and
 attention against a direct two-loop oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,27 @@ class TestLocalAttention:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
         # masked entries carry exactly zero weight
         assert attn[0, 0][~mask.allowed].max() == 0.0
+
+    def test_refusal_allocates_nothing_n_squared(self):
+        # the bool mask alone is N^2 bytes and its additive form 8 N^2
+        c, h, w = 16, 48, 48
+        n = h * w
+        params = make_attn_params(c, seed=43)
+        x = Tensor(np.random.default_rng(44).standard_normal((1, c, h, w)))
+        mask = build_neighborhood_mask(h, w, 3)
+        calls = (
+            lambda: apply_mixer(MixerSpec("local_attn", 3), params, x, score_budget=1000),
+            lambda: mix_local_attn(x, params, mask, score_budget=1000),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n
 
 
 class TestWarmStartRemap:

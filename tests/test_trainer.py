@@ -387,8 +387,6 @@ class TestTrainingLoop:
             TrainConfig(label_smoothing=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(class_weight_clamp=0.5)
-        with pytest.raises(ConfigError):
-            TrainConfig(loss="hinge")
 
 
 class TestPrediction:
