@@ -91,12 +91,12 @@ def save_model(path: str, model: MetaFormer):
     save_arrays(path, model.config.to_ini(), model.state())
 
 
-def load_model(path: str, seed: int = 0) -> MetaFormer:
+def load_model(path: str) -> MetaFormer:
     config_text, arrays = load_arrays(path)
     try:
         config = ModelConfig.from_ini(config_text)
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config: {exc}") from None
-    model = MetaFormer(config, seed=seed)
+    model = MetaFormer(config)
     model.load_state(arrays)
     return model

@@ -5,7 +5,8 @@ writes byte-identical outputs on re-runs. An INI config is read once,
 against one schema table per section: unknown sections or keys and values
 that do not parse are config errors, and every run writes
 ``resolved_config.ini`` with every effective value, defaults included.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
+Exit codes: 0 ok, 2 config error, 3 data error (including a file that
+cannot be read or written), 4 numeric abort.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .charts import grouped_bar_svg
 from .complexity import KINDS, stage_sweep, sweep_to_csv
-from .config import BOOL, COUNT, FLOAT, FRACTION, HW, INT, TEXT, Key, choice
+from .config import BOOL, COUNT, FLOAT, FRACTION, INT, TEXT, Key, choice
 from .config import field_values, format_section, owned_by, read_ini
 from .errors import (
     CapacityError,
@@ -101,7 +102,6 @@ SCHEMA = {
     "infer": (
         Key("checkpoint", TEXT),
         Key("image", TEXT),
-        Key("patch", HW),
         Key("overlap", FLOAT, 0.25),
         Key("save_logits", BOOL, False),
     ),
@@ -365,11 +365,7 @@ def cmd_infer(cfg: Config, out_dir: str) -> int:
     if model.config.head != "segment":
         raise ConfigError("infer needs a segmentation checkpoint")
     image = read_image_as_float(sec["image"])
-    patch_hw = sec["patch"] or model.config.input_hw
-    if patch_hw != model.config.input_hw:
-        raise ConfigError(
-            f"patch {patch_hw} does not match the checkpoint input {model.config.input_hw}"
-        )
+    patch_hw = model.config.input_hw
     if image.shape[1] < patch_hw[0] or image.shape[2] < patch_hw[1]:
         raise DataError(f"image {image.shape[1:]} smaller than patch {patch_hw}")
 
@@ -418,6 +414,10 @@ def main(argv=None) -> int:
         return 2
     except (DataError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 3
     except (NumericsError, CapacityError) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)

@@ -35,6 +35,8 @@ MIXER_KINDS = ("identity", "pooling", "conv", "grouped_conv", "local_attn", "glo
 # memory on huge inputs, but as an explicit error
 DEFAULT_SCORE_BUDGET = 2**26
 
+HEADS_DIVISOR = 16
+
 
 @dataclass(frozen=True)
 class MixerSpec:
@@ -42,15 +44,12 @@ class MixerSpec:
 
     kind: str
     kernel: int = 3
-    heads_divisor: int = 16
 
     def __post_init__(self):
         if self.kind not in MIXER_KINDS:
             raise ConfigError(f"unknown mixer kind {self.kind!r}; choose from {MIXER_KINDS}")
         if self.uses_kernel and (self.kernel < 3 or self.kernel % 2 == 0):
             raise ConfigError(f"kernel must be odd and >= 3, got {self.kernel}")
-        if self.heads_divisor < 1:
-            raise ConfigError("heads_divisor must be positive")
 
     @property
     def uses_kernel(self) -> bool:
@@ -61,7 +60,7 @@ class MixerSpec:
         return self.kind in ("local_attn", "global_attn")
 
     def heads(self, channels: int) -> int:
-        return head_count(channels, self.heads_divisor)
+        return head_count(channels)
 
     def param_count(self, channels: int) -> int:
         """Trainable parameters the mixer itself adds (positional embedding excluded)."""
@@ -74,13 +73,13 @@ class MixerSpec:
         return 0
 
 
-def head_count(channels: int, heads_divisor: int = 16) -> int:
-    """Head count M = C // heads_divisor, floored at one head.
+def head_count(channels: int) -> int:
+    """Head count M = C // HEADS_DIVISOR, floored at one head.
 
     C must then be divisible by M so heads split evenly; the S12 stage
     widths (64..512) give M = 4/8/20/32.
     """
-    m = max(1, channels // heads_divisor)
+    m = max(1, channels // HEADS_DIVISOR)
     if channels % m:
         raise ConfigError(f"C={channels} not divisible by head count M={m}")
     return m
@@ -206,11 +205,11 @@ def mix_grouped_conv(x: Tensor, params: ConvMixerParams, kernel: int) -> Tensor:
     return conv2d(x, params.kernel, stride=1, padding=(kernel - 1) // 2, groups=c)
 
 
-def _budgeted_heads(x: Tensor, heads_divisor: int, score_budget: int) -> int:
+def _budgeted_heads(x: Tensor, score_budget: int) -> int:
     """Head count for x, refusing attention over budget before anything
     N x N is allocated."""
     b, c, h, w = x.shape
-    m, n = head_count(c, heads_divisor), h * w
+    m, n = head_count(c), h * w
     if b * m * n * n > score_budget:
         raise CapacityError(
             f"attention score matrix of {b}x{m}x{n}x{n} elements exceeds the budget of {score_budget}"
@@ -255,7 +254,6 @@ def _attention(
 def mix_global_attn(
     x: Tensor,
     params: AttentionParams,
-    heads_divisor: int = 16,
     score_budget: int = DEFAULT_SCORE_BUDGET,
     return_attn: bool = False,
 ):
@@ -271,14 +269,13 @@ def mix_global_attn(
                 f"positional embedding shape {params.pos_emb.shape} does not match input {(c, h, w)}"
             )
         x = add(x, reshape(params.pos_emb, (1, c, h, w)))
-    return _attention(x, params, _budgeted_heads(x, heads_divisor, score_budget), None, return_attn)
+    return _attention(x, params, _budgeted_heads(x, score_budget), None, return_attn)
 
 
 def mix_local_attn(
     x: Tensor,
     params: AttentionParams,
     mask: NeighborhoodMask,
-    heads_divisor: int = 16,
     score_budget: int = DEFAULT_SCORE_BUDGET,
     return_attn: bool = False,
 ):
@@ -290,7 +287,7 @@ def mix_local_attn(
     b, c, h, w = x.shape
     if (mask.height, mask.width) != (h, w):
         raise ShapeError(f"mask built for {mask.height}x{mask.width}, input is {h}x{w}")
-    heads = _budgeted_heads(x, heads_divisor, score_budget)
+    heads = _budgeted_heads(x, score_budget)
     return _attention(x, params, heads, mask.to_additive(), return_attn)
 
 
@@ -314,14 +311,14 @@ def apply_mixer(
     if spec.kind == "grouped_conv":
         return mix_grouped_conv(x, params, spec.kernel)
     if spec.kind == "local_attn":
-        _budgeted_heads(x, spec.heads_divisor, score_budget)
+        _budgeted_heads(x, score_budget)
         hw = (x.shape[2], x.shape[3])
         masks = {} if masks is None else masks
         if hw not in masks:
             masks[hw] = build_neighborhood_mask(hw[0], hw[1], spec.kernel)
-        return mix_local_attn(x, params, masks[hw], spec.heads_divisor, score_budget)
+        return mix_local_attn(x, params, masks[hw], score_budget)
     if spec.kind == "global_attn":
-        return mix_global_attn(x, params, spec.heads_divisor, score_budget)
+        return mix_global_attn(x, params, score_budget)
     raise ConfigError(f"unknown mixer kind {spec.kind!r}")
 
 

@@ -111,7 +111,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[Tensor, Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -124,12 +124,12 @@ class Tape:
         _state.tape = None
         return False
 
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable):
+    def record(self, out: Tensor, backward_fn: Callable):
         if self._consumed:
             raise ConfigError("tape already consumed by backward; record on a fresh tape")
         out.requires_grad = True
         out._tape = self
-        self._records.append((out, inputs, backward_fn))
+        self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor):
         """Populate ``grad`` on every requires_grad leaf reachable from loss."""
@@ -141,34 +141,23 @@ class Tape:
             raise ConfigError("loss was not recorded on this tape")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-        for out, inputs, backward_fn in reversed(self._records):
-            g = grads.pop(id(out), None)
+        # Tensor hashes by identity. Every record's output is popped on its
+        # own visit, after all its consumers (recorded later) have added to
+        # it, so what is left at the end belongs to leaves of this tape.
+        grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
+        for out, backward_fn in reversed(self._records):
+            g = grads.pop(out, None)
             if g is None:
                 continue
             for t, gt in backward_fn(g):
                 if t is None or not t.requires_grad:
                     continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + gt
+                if t in grads:
+                    grads[t] = grads[t] + gt
                 else:
-                    grads[key] = np.array(gt, dtype=np.float64, copy=True)
-        # deliver to leaves (tensors that were never produced by this tape)
-        produced = {id(out) for out, _, _ in self._records}
-        seen: set[int] = set()
-        for _, inputs, _ in self._records:
-            for t in inputs:
-                key = id(t)
-                if t is None or key in produced or key in seen:
-                    continue
-                seen.add(key)
-                if t.requires_grad and key in grads:
-                    g = grads[key]
-                    if t.grad is None:
-                        t.grad = g
-                    else:
-                        t.grad = t.grad + g
+                    grads[t] = np.array(gt, dtype=np.float64, copy=True)
+        for t, g in grads.items():
+            t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor):
@@ -187,31 +176,28 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _finite_or_raise(arr: np.ndarray, op: str):
-    if not np.isfinite(arr).all():
-        raise NumericsError(f"non-finite values produced by {op}")
+def _op(name: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn: Callable) -> Tensor:
+    """The exit of every op: freeze ``data`` as the output and record it.
 
-
-def _make_out(data: np.ndarray, op: str) -> Tensor:
+    Non-finite data raises NumericsError naming the op. The output owns a
+    C-contiguous array, and is recorded on the active tape when one of
+    ``inputs`` (None entries are skipped) requires grad.
+    """
     arr = np.asarray(data, dtype=np.float64)
-    _finite_or_raise(arr, op)
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"non-finite values produced by {name}")
     if arr.base is not None or not arr.flags.c_contiguous or not arr.flags.owndata:
         arr = np.array(arr, dtype=np.float64, order="C")
+    arr.flags.writeable = False
     out = Tensor.__new__(Tensor)
     out.data = arr
-    out.data.flags.writeable = False
     out.requires_grad = False
     out.grad = None
     out._tape = None
-    return out
-
-
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
     tape = _active_tape()
-    if tape is None:
-        return
-    if any(t is not None and t.requires_grad for t in inputs):
-        tape.record(out, tuple(inputs), backward_fn)
+    if tape is not None and any(t is not None and t.requires_grad for t in inputs):
+        tape.record(out, backward_fn)
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -231,29 +217,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make_out(a.data + b.data, "add")
 
     def bwd(g):
         return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op("add", a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make_out(a.data - b.data, "sub")
 
     def bwd(g):
         return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op("sub", a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = _make_out(a.data * b.data, "mul")
 
     def bwd(g):
         return [
@@ -261,14 +242,13 @@ def mul(a, b) -> Tensor:
             (b, _unbroadcast(g * a.data, b.shape)),
         ]
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op("mul", a.data * b.data, (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _make_out(a.data / b.data, "div")
+        y = a.data / b.data
 
     def bwd(g):
         return [
@@ -276,53 +256,44 @@ def div(a, b) -> Tensor:
             (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
         ]
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op("div", y, (a, b), bwd)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    out = _make_out(-a.data, "neg")
-    _record(out, (a,), lambda g: [(a, -g)])
-    return out
+    return _op("neg", -a.data, (a,), lambda g: [(a, -g)])
 
 
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = _make_out(a.data**p, "power")
+        y = a.data**p
 
     def bwd(g):
         return [(a, g * p * a.data ** (p - 1.0))]
 
-    _record(out, (a,), bwd)
-    return out
+    return _op("power", y, (a,), bwd)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         y = np.exp(a.data)
-    out = _make_out(y, "exp")
-    _record(out, (a,), lambda g: [(a, g * y)])
-    return out
+    return _op("exp", y, (a,), lambda g: [(a, g * y)])
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _make_out(np.log(a.data), "log")
-    _record(out, (a,), lambda g: [(a, g / a.data)])
-    return out
+        y = np.log(a.data)
+    return _op("log", y, (a,), lambda g: [(a, g / a.data)])
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore"):
         y = np.sqrt(a.data)
-    out = _make_out(y, "sqrt")
-    _record(out, (a,), lambda g: [(a, g * 0.5 / y)])
-    return out
+    return _op("sqrt", y, (a,), lambda g: [(a, g * 0.5 / y)])
 
 
 def gelu(a) -> Tensor:
@@ -330,14 +301,12 @@ def gelu(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    out = _make_out(x * cdf, "gelu")
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
         return [(a, g * (cdf + x * pdf))]
 
-    _record(out, (a,), bwd)
-    return out
+    return _op("gelu", x * cdf, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +316,18 @@ def gelu(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = _make_out(a.data.reshape(shape), "reshape")
-    _record(out, (a,), lambda g: [(a, g.reshape(a.shape))])
-    return out
+    return _op("reshape", a.data.reshape(shape), (a,), lambda g: [(a, g.reshape(a.shape))])
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    out = _make_out(np.transpose(a.data, axes), "transpose")
     inv = tuple(np.argsort(axes))
-    _record(out, (a,), lambda g: [(a, np.transpose(g, inv))])
-    return out
+    return _op("transpose", np.transpose(a.data, axes), (a,), lambda g: [(a, np.transpose(g, inv))])
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = _make_out(np.concatenate([t.data for t in tensors], axis=axis), "concat")
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -375,13 +339,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             pieces.append((t, g[tuple(idx)]))
         return pieces
 
-    _record(out, tuple(tensors), bwd)
-    return out
+    return _op("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = _make_out(a.data.sum(axis=axis, keepdims=keepdims), "sum")
 
     def bwd(g):
         if axis is None:
@@ -391,8 +353,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             gx = np.expand_dims(gx, axis)
         return [(a, np.broadcast_to(gx, a.shape).copy())]
 
-    _record(out, (a,), bwd)
-    return out
+    return _op("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -415,7 +376,6 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} vs {b.shape}")
-    out = _make_out(a.data @ b.data, "matmul")
 
     def bwd(g):
         return [
@@ -423,8 +383,7 @@ def matmul(a, b) -> Tensor:
             (b, np.swapaxes(a.data, -1, -2) @ g),
         ]
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op("matmul", a.data @ b.data, (a, b), bwd)
 
 
 def _stacked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -452,7 +411,6 @@ def linear(x, weight, bias=None) -> Tensor:
         if bias.shape != (cout,):
             raise ShapeError(f"linear bias shape {bias.shape} != ({cout},)")
         y = y + bias.data
-    out = _make_out(y, "linear")
 
     def bwd(g):
         gs = g.reshape(bsz, m, cout)
@@ -464,8 +422,7 @@ def linear(x, weight, bias=None) -> Tensor:
             grads.append((bias, g.reshape(-1, cout).sum(axis=0)))
         return grads
 
-    _record(out, (x, weight) + ((bias,) if bias is not None else ()), bwd)
-    return out
+    return _op("linear", y, (x, weight, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +440,19 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
     x = _as_tensor(x)
     s = x.data if additive_mask is None else x.data + _mask_data(additive_mask)
     m = np.max(s, axis=axis, keepdims=True)
-    if not np.isfinite(m).all():
+    if np.isneginf(m).any():
         raise ConfigError("softmax slice is fully masked (no valid key)")
-    e = np.exp(s - m)
+    # a NaN or +inf in s makes y non-finite, which _op reports
+    with np.errstate(invalid="ignore"):
+        e = np.exp(s - m)
     denom = e.sum(axis=axis, keepdims=True)
     y = e / denom
-    out = _make_out(y, "softmax")
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return [(x, y * (g - dot))]
 
-    _record(out, (x,), bwd)
-    return out
+    return _op("softmax", y, (x,), bwd)
 
 
 def _mask_data(mask) -> np.ndarray:
@@ -509,13 +466,11 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     m = np.max(x.data, axis=axis, keepdims=True)
     lse = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
     y = x.data - lse
-    out = _make_out(y, "log_softmax")
 
     def bwd(g):
         return [(x, g - np.exp(y) * g.sum(axis=axis, keepdims=True))]
 
-    _record(out, (x,), bwd)
-    return out
+    return _op("log_softmax", y, (x,), bwd)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
@@ -536,7 +491,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = _make_out(xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape), "layer_norm")
+    y = xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape)
 
     def bwd(g):
         gsum_axes = tuple(i for i in range(x.ndim) if i != 1)
@@ -550,8 +505,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
             (beta, g.sum(axis=gsum_axes)),
         ]
 
-    _record(out, (x, gamma, beta), bwd)
-    return out
+    return _op("layer_norm", y, (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +519,24 @@ def _out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int
     if ho < 1 or wo < 1:
         raise ShapeError(f"window {k}x{k} does not fit input {h}x{w} with padding {padding}")
     return ho, wo
+
+
+def _pad(a: np.ndarray, padding: int) -> np.ndarray:
+    """Copy of (B, C, H, W) ``a`` with ``padding`` zero cells around H and W."""
+    bsz, c, h, w = a.shape
+    out = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    out[:, :, padding : padding + h, padding : padding + w] = a
+    return out
+
+
+def _taps(k: int, stride: int, ho: int, wo: int):
+    """Each tap (ky, kx) of a K x K window with the row and column slices of
+    the padded input it reads for the ho x wo output positions."""
+    for ky in range(k):
+        for kx in range(k):
+            rows = slice(ky, ky + (ho - 1) * stride + 1, stride)
+            cols = slice(kx, kx + (wo - 1) * stride + 1, stride)
+            yield ky, kx, rows, cols
 
 
 def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -595,42 +567,30 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
         raise ShapeError(f"kernel expects Cin/groups={cg}, input has Cin/groups={cin // groups}")
     og = cout // groups
     ho, wo = _out_hw(h, w, k, stride, padding)
-
-    xp = np.zeros((bsz, cin, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    xp[:, :, padding : padding + h, padding : padding + w] = x.data
-    xg = xp.reshape(bsz, groups, cg, h + 2 * padding, w + 2 * padding)
-    wg = kernel.data.reshape(groups, og, cg, k, k)
-
     n = ho * wo
-
-    def taps():
-        """Per kernel tap: its indices, its input slices and its (B, G, Cin/G, N) window."""
-        for ky in range(k):
-            for kx in range(k):
-                sl_h = slice(ky, ky + (ho - 1) * stride + 1, stride)
-                sl_w = slice(kx, kx + (wo - 1) * stride + 1, stride)
-                yield ky, kx, sl_h, sl_w, xg[:, :, :, sl_h, sl_w].reshape(bsz, groups, cg, n)
+    xg = _pad(x.data, padding).reshape(bsz, groups, cg, h + 2 * padding, w + 2 * padding)
+    wg = kernel.data.reshape(groups, og, cg, k, k)
 
     # one (Cout/G x Cin/G) . (Cin/G x N) product per sample, group and tap
     y = np.zeros((bsz, groups, og, n), dtype=np.float64)
-    for ky, kx, _, _, win in taps():
-        y += _stacked_product(wg[:, :, :, ky, kx], win)
+    for ky, kx, rows, cols in _taps(k, stride, ho, wo):
+        y += _stacked_product(wg[:, :, :, ky, kx], xg[:, :, :, rows, cols].reshape(bsz, groups, cg, n))
     y = y.reshape(bsz, cout, ho, wo)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
         y = y + bias.data.reshape(1, cout, 1, 1)
-    out = _make_out(y, "conv2d")
 
     def bwd(g):
         gg = g.reshape(bsz, groups, og, n)
         dw = np.zeros_like(wg)
         gxp = np.zeros_like(xg)
-        for ky, kx, sl_h, sl_w, win in taps():
+        for ky, kx, rows, cols in _taps(k, stride, ho, wo):
+            win = xg[:, :, :, rows, cols].reshape(bsz, groups, cg, n)
             dw[:, :, :, ky, kx] = (gg @ win.swapaxes(-1, -2)).sum(axis=0)
             gx_tap = _stacked_product(wg[:, :, :, ky, kx].swapaxes(-1, -2), gg)
-            gxp[:, :, :, sl_h, sl_w] += gx_tap.reshape(bsz, groups, cg, ho, wo)
+            gxp[:, :, :, rows, cols] += gx_tap.reshape(bsz, groups, cg, ho, wo)
         gx = gxp.reshape(bsz, cin, h + 2 * padding, w + 2 * padding)[
             :, :, padding : padding + h, padding : padding + w
         ]
@@ -639,8 +599,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
             grads.append((bias, gg.sum(axis=(0, 3)).reshape(cout)))
         return grads
 
-    _record(out, (x, kernel) + ((bias,) if bias is not None else ()), bwd)
-    return out
+    return _op("conv2d", y, (x, kernel, bias), bwd)
 
 
 def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
@@ -658,26 +617,22 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
         raise ConfigError("avg_pool2d needs stride >= 1 and padding >= 0")
     bsz, c, h, w = x.shape
     ho, wo = _out_hw(h, w, k, stride, padding)
-    xp = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    xp[:, :, padding : padding + h, padding : padding + w] = x.data
+    xp = _pad(x.data, padding)
 
+    # strided views summed in place: no tap window is copied
     acc = np.zeros((bsz, c, ho, wo), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            acc += xp[:, :, ky : ky + (ho - 1) * stride + 1 : stride, kx : kx + (wo - 1) * stride + 1 : stride]
+    for _, _, rows, cols in _taps(k, stride, ho, wo):
+        acc += xp[:, :, rows, cols]
     scale = 1.0 / (k * k)
-    out = _make_out(acc * scale, "avg_pool2d")
 
     def bwd(g):
         gxp = np.zeros_like(xp)
         gs = g * scale
-        for ky in range(k):
-            for kx in range(k):
-                gxp[:, :, ky : ky + (ho - 1) * stride + 1 : stride, kx : kx + (wo - 1) * stride + 1 : stride] += gs
+        for _, _, rows, cols in _taps(k, stride, ho, wo):
+            gxp[:, :, rows, cols] += gs
         return [(x, gxp[:, :, padding : padding + h, padding : padding + w])]
 
-    _record(out, (x,), bwd)
-    return out
+    return _op("avg_pool2d", acc * scale, (x,), bwd)
 
 
 def global_avg_pool(x) -> Tensor:
@@ -686,13 +641,11 @@ def global_avg_pool(x) -> Tensor:
     if x.ndim != 4:
         raise ShapeError("global_avg_pool expects (B, C, H, W)")
     _, _, h, w = x.shape
-    out = _make_out(x.data.mean(axis=(2, 3)), "global_avg_pool")
 
     def bwd(g):
         return [(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy())]
 
-    _record(out, (x,), bwd)
-    return out
+    return _op("global_avg_pool", x.data.mean(axis=(2, 3)), (x,), bwd)
 
 
 def _resize_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -714,9 +667,8 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
         raise ConfigError("bilinear_resize output size must be >= 1")
     bsz, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
-        out = _make_out(x.data, "bilinear_resize")
-        _record(out, (x,), lambda g: [(x, g)])
-        return out
+        # a copy, so the output never shares (and freezes) the input's array
+        return _op("bilinear_resize", x.data.copy(), (x,), lambda g: [(x, g)])
 
     y0, y1, fy = _resize_axis(h, out_h)
     x0, x1, fx = _resize_axis(w, out_w)
@@ -729,7 +681,6 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
         + d[:, :, y1[:, None], x0[None, :]] * (wy1 * wx0)
         + d[:, :, y1[:, None], x1[None, :]] * (wy1 * wx1)
     )
-    out = _make_out(y, "bilinear_resize")
 
     def bwd(g):
         gx = np.zeros_like(d)
@@ -739,5 +690,4 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
         np.add.at(gx, (slice(None), slice(None), y1[:, None], x1[None, :]), g * (wy1 * wx1))
         return [(x, gx)]
 
-    _record(out, (x,), bwd)
-    return out
+    return _op("bilinear_resize", y, (x,), bwd)

@@ -475,21 +475,20 @@ def train_classifier(
     return TrainResult(history, acc, best_f1, best_state)
 
 
-def predict_labels(model: MetaFormer, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def _logits(model: MetaFormer, images: np.ndarray, batch_size: int) -> np.ndarray:
+    """Classification logits of ``images``, ``batch_size`` images per forward pass."""
     out = []
     for start in range(0, images.shape[0], batch_size):
-        logits = model.forward_classify(Tensor(images[start : start + batch_size]))
-        out.append(logits.data.argmax(axis=1))
+        out.append(model.forward_classify(Tensor(images[start : start + batch_size])).data)
     return np.concatenate(out)
+
+
+def predict_labels(model: MetaFormer, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    return _logits(model, images, batch_size).argmax(axis=1)
 
 
 def predict_scores(model: MetaFormer, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    out = []
-    for start in range(0, images.shape[0], batch_size):
-        logits = model.forward_classify(Tensor(images[start : start + batch_size]))
-        e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        out.append(e / e.sum(axis=1, keepdims=True))
-    return np.concatenate(out)
+    return softmax(Tensor(_logits(model, images, batch_size)), axis=1).data
 
 
 def make_two_class_blobs(n: int, hw: tuple[int, int] = (32, 32), seed: int = 0):

@@ -335,6 +335,16 @@ class TestExitCodesAndConfig:
         cfg.write_text(f"[rank]\nmode = wins\nwins_csv = {tmp_path / 'none.csv'}\n")
         assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
 
+    def test_out_naming_a_file_is_one_line_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[flops]\nkernel = 3\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert run_cli("flops", "--config", str(cfg), "--out", str(afile)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {afile}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_resolved_config_round_trips(self, tmp_path):
         import configparser
 
@@ -362,6 +372,7 @@ BAD_CONFIGS = {
     "utf16_bom": ("flops", b"\xff\xfe[\x00m\x00", "UTF-8"),
     "train_loss": ("train", b"[train]\nloss = ce\n", "loss"),
     "train_ignore_background": ("train", b"[train]\nignore_background = true\n", "ignore_background"),
+    "infer_patch": ("infer", b"[infer]\npatch = 32x32\n", "patch"),
 }
 
 

@@ -1,10 +1,13 @@
 """Tensor engine: forward semantics against independent oracles, gradients
 against central finite differences, and the tape contract."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err, tape_grads
+from mixerlab import tensor
 from mixerlab.errors import ConfigError, NumericsError, ShapeError
 from mixerlab.tensor import (
     Tape,
@@ -15,15 +18,23 @@ from mixerlab.tensor import (
     bilinear_resize,
     concat,
     conv2d,
+    div,
+    exp,
     gelu,
     global_avg_pool,
     layer_norm,
     linear,
+    log,
     log_softmax,
     matmul,
     mul,
+    neg,
+    power,
     reshape,
     softmax,
+    sqrt,
+    sub,
+    tmean,
     transpose,
     tsum,
 )
@@ -544,6 +555,28 @@ class TestBackward:
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
+    def test_leaf_accumulates_across_tapes(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(x, 3.0))
+        tape.backward(loss)
+        with Tape() as tape:
+            loss = tsum(mul(x, x))
+        tape.backward(loss)  # no zero_grad in between
+        np.testing.assert_array_equal(x.grad, [3.0 + 2.0, 3.0 + 4.0])
+
+    def test_output_of_consumed_tape_is_a_leaf(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as first:
+            y = mul(x, 3.0)
+            loss = tsum(y)
+        first.backward(loss)
+        with Tape() as second:
+            loss = tsum(mul(y, y))
+        second.backward(loss)
+        np.testing.assert_array_equal(y.grad, [6.0, 12.0])
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])  # the second tape stops at y
+
     def test_shared_subexpression(self):
         rng = np.random.default_rng(17)
         xv = rng.standard_normal(4)
@@ -576,6 +609,75 @@ class TestNumericsPolicy:
         y = add(Tensor([1.0]), Tensor([2.0]))
         with pytest.raises(ValueError):
             y.data[0] = 5.0
+
+
+# every public op: (op name a NumericsError carries, op over input tensors, input shapes)
+OP_CASES = {
+    "add": ("add", add, [(2, 3), (3,)]),
+    "sub": ("sub", sub, [(2, 3), (2, 3)]),
+    "mul": ("mul", mul, [(2, 3), (2, 1)]),
+    "div": ("div", div, [(2, 3), (2, 3)]),
+    "neg": ("neg", neg, [(2, 3)]),
+    "power": ("power", lambda a: power(a, 2.0), [(2, 3)]),
+    "exp": ("exp", exp, [(2, 3)]),
+    "log": ("log", log, [(2, 3)]),
+    "sqrt": ("sqrt", sqrt, [(2, 3)]),
+    "gelu": ("gelu", gelu, [(2, 3)]),
+    "reshape": ("reshape", lambda a: reshape(a, (3, 2)), [(2, 3)]),
+    "transpose": ("transpose", lambda a: transpose(a, (1, 0)), [(2, 3)]),
+    "concat": ("concat", lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "tsum": ("sum", lambda a: tsum(a, axis=1), [(2, 3)]),
+    "tmean": ("sum", tmean, [(2, 3)]),
+    "matmul": ("matmul", matmul, [(2, 3, 4), (2, 4, 2)]),
+    "linear": ("linear", linear, [(2, 5, 3), (4, 3), (4,)]),
+    "softmax": ("softmax", softmax, [(2, 3)]),
+    "log_softmax": ("log_softmax", log_softmax, [(2, 3)]),
+    "layer_norm": ("layer_norm", layer_norm, [(2, 3, 4, 4), (3,), (3,)]),
+    "conv2d": (
+        "conv2d",
+        lambda x, w, b: conv2d(x, w, b, stride=2, padding=1, groups=2),
+        [(2, 4, 5, 5), (6, 2, 3, 3), (6,)],
+    ),
+    "avg_pool2d": ("avg_pool2d", lambda x: avg_pool2d(x, 3, stride=2, padding=1), [(2, 2, 5, 5)]),
+    "global_avg_pool": ("global_avg_pool", global_avg_pool, [(2, 2, 5, 5)]),
+    "bilinear_resize": ("bilinear_resize", lambda x: bilinear_resize(x, 7, 3), [(2, 2, 5, 5)]),
+    "bilinear_resize:same_size": ("bilinear_resize", lambda x: bilinear_resize(x, 5, 5), [(2, 2, 5, 5)]),
+}
+
+
+def op_inputs(shapes, grad_at=None):
+    rng = np.random.default_rng(21)
+    return [Tensor(rng.uniform(0.5, 1.5, s), requires_grad=i == grad_at) for i, s in enumerate(shapes)]
+
+
+class TestOpContract:
+    def test_cases_cover_every_public_op(self):
+        public = {
+            name
+            for name, fn in vars(tensor).items()
+            if inspect.isfunction(fn) and fn.__module__ == tensor.__name__ and not name.startswith("_")
+        }
+        assert public - {"backward"} == {case.split(":")[0] for case in OP_CASES}
+
+    @pytest.mark.parametrize("case", sorted(OP_CASES))
+    def test_contract(self, case):
+        name, op, shapes = OP_CASES[case]
+        # the output is frozen, C-contiguous and owns an array no input shares
+        inputs = op_inputs(shapes)
+        out = op(*inputs)
+        assert not out.data.flags.writeable
+        assert out.data.flags.c_contiguous and out.data.flags.owndata
+        assert not any(np.shares_memory(out.data, t.data) for t in inputs)
+        # recorded iff some input requires grad
+        for grad_at in [None] + list(range(len(shapes))):
+            with Tape() as tape:
+                out = op(*op_inputs(shapes, grad_at))
+            assert (out._tape is tape) == out.requires_grad == (grad_at is not None)
+        # a non-finite result raises NumericsError naming the op
+        inputs = op_inputs(shapes)
+        inputs[0].data.flat[0] = np.nan
+        with pytest.raises(NumericsError, match=f"produced by {name}$"):
+            op(*inputs)
 
 
 class TestDeterminism:
