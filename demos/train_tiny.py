@@ -1,7 +1,7 @@
 """Train a tiny four-stage model end to end on a synthetic separable
 two-class set, once per token mixer, and watch every variant classify.
 
-Run: python demos/train_tiny.py   (about a minute)
+Run: python demos/train_tiny.py   (about 20 seconds)
 """
 
 from mixerlab.metaformer import MetaFormer, ModelConfig

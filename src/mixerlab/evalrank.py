@@ -146,6 +146,61 @@ class BootstrapResult:
     used_repeats: int
 
 
+def _resample_indices(labels: np.ndarray, repeats: int, seed: int) -> np.ndarray:
+    """(R', n) case indices: resample r < repeats drawn from
+    ``default_rng(seed ^ r)``, less those whose labels collapse to one class."""
+    if repeats < 100:
+        raise ConfigError("bootstrap needs at least 100 repeats")
+    n = labels.shape[0]
+    idx = np.stack([np.random.default_rng(seed ^ r).integers(0, n, size=n) for r in range(repeats)])
+    idx = idx[(labels[idx] != labels[idx[:, :1]]).any(axis=1)]
+    if idx.shape[0] == 0:
+        raise DataError("every bootstrap resample was degenerate")
+    return idx
+
+
+def _auc_vector(scores: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row r is ``auc_macro(scores[idx[r]], labels[idx[r]])`` bit for bit: the
+    half-integer rank sums are exact, and each row's kept classes are
+    averaged by ``np.mean`` as a 1-D array, like auc_macro's list."""
+    drawn, n = labels[idx], idx.shape[1]
+    aucs = np.empty((idx.shape[0], scores.shape[1]))
+    kept = np.empty(aucs.shape, dtype=bool)
+    for cls in range(scores.shape[1]):
+        pos = drawn == cls
+        npos = pos.sum(axis=1)
+        kept[:, cls] = npos > 0  # a resample keeps two classes, so npos < n
+        u = np.where(pos, rankdata(scores[idx, cls], axis=1), 0.0).sum(axis=1)
+        aucs[:, cls] = (u - npos * (npos + 1) / 2.0) / np.maximum(npos * (n - npos), 1)
+    return np.array([np.mean(row[keep]) for row, keep in zip(aucs, kept)])
+
+
+def _bootstrap_pairs(
+    subs: Sequence[CaseScores], repeats: int = 5000, alpha: float = 0.05, seed: int = 0
+) -> Callable[[int, int], BootstrapResult]:
+    """Check every submission once, compute each one's macro AUCs over one
+    shared set of resamples, and return the CI of AUC(i) - AUC(j) by (i, j)."""
+    first = subs[0]
+    for sub in subs:
+        name = f"submission {sub.submission!r} on {sub.dataset!r}"
+        if sub.labels is None or sub.scores is None or sub.scores.ndim != 2:
+            raise DataError(f"{name}: bootstrap comparison needs labels and (n, k) scores")
+        if not np.isin(sub.labels, np.arange(sub.scores.shape[1])).all():
+            raise DataError(f"{name}: labels must be in [0, {sub.scores.shape[1]})")
+        if not np.array_equal(sub.labels, first.labels):
+            raise DataError(f"{name} disagrees with {first.submission!r} on case labels")
+    idx = _resample_indices(first.labels, repeats, seed)
+    aucs = [_auc_vector(sub.scores, first.labels, idx) for sub in subs]
+
+    def pair(i: int, j: int) -> BootstrapResult:
+        diffs = aucs[i] - aucs[j]
+        lo = float(np.percentile(diffs, 100 * alpha / 2))
+        hi = float(np.percentile(diffs, 100 * (1 - alpha / 2)))
+        return BootstrapResult(A_WINS if lo > 0 else B_WINS if hi < 0 else TIE, lo, hi, diffs.size)
+
+    return pair
+
+
 def bootstrap_auc_win(
     a: CaseScores,
     b: CaseScores,
@@ -158,41 +213,13 @@ def bootstrap_auc_win(
     Resample r draws its case indices from a generator seeded with
     ``seed ^ r``, so repeats are reproducible and order-independent. A wins
     when the whole two-sided CI sits above zero, B when below; resamples
-    that collapse to a single class are skipped.
+    that collapse to a single class are skipped. The indices do not depend
+    on the pair, so this is the two-submission case of ``pairwise_wins``,
+    which shares them and computes each submission's AUCs once.
     """
-    if repeats < 100:
-        raise ConfigError("bootstrap needs at least 100 repeats")
     if not a.same_cases(b):
         raise DataError("submissions must share the identical case list and order")
-    if a.labels is None or b.labels is None or a.scores is None or b.scores is None:
-        raise DataError("bootstrap comparison needs labels and scores")
-    if not np.array_equal(a.labels, b.labels):
-        raise DataError("submissions disagree on case labels")
-    n = len(a.case_ids)
-    diffs = []
-    for r in range(repeats):
-        rng = np.random.default_rng(seed ^ r)
-        idx = rng.integers(0, n, size=n)
-        labels = a.labels[idx]
-        if np.unique(labels).size < 2:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            da = auc_macro(a.scores[idx], labels)
-            db = auc_macro(b.scores[idx], labels)
-        diffs.append(da - db)
-    if not diffs:
-        raise DataError("every bootstrap resample was degenerate")
-    arr = np.asarray(diffs)
-    lo = float(np.percentile(arr, 100 * alpha / 2))
-    hi = float(np.percentile(arr, 100 * (1 - alpha / 2)))
-    if lo > 0:
-        verdict = A_WINS
-    elif hi < 0:
-        verdict = B_WINS
-    else:
-        verdict = TIE
-    return BootstrapResult(verdict, lo, hi, len(diffs))
+    return _bootstrap_pairs([a, b], repeats, alpha, seed)(0, 1)
 
 
 @dataclass
@@ -208,7 +235,7 @@ def _wilcoxon_exact_tail(doubled_ranks: list[int], w2: int) -> tuple[float, floa
     """P(W+ <= w) and P(W+ >= w) over all 2^n sign assignments, exact.
 
     Works on ranks doubled into integers so tie-averaged half ranks stay
-    exact; counts fit comfortably in int64 for n <= 25.
+    exact; the counts sum to 2^n, which fits in int64 for n <= 62.
     """
     total = sum(doubled_ranks)
     counts = np.zeros(total + 1, dtype=np.int64)
@@ -232,10 +259,12 @@ def wilcoxon_signed_rank(
 ) -> WilcoxonResult:
     """Paired signed-rank test on per-case values (zero differences dropped).
 
-    Exact sign-assignment distribution up to ``exact_limit`` cases, normal
-    approximation with tie correction beyond. The verdict combines
+    Exact sign-assignment distribution up to ``exact_limit`` <= 62 cases,
+    normal approximation with tie correction beyond. The verdict combines
     significance with the direction of the rank sums.
     """
+    if exact_limit > 62:
+        raise ConfigError("wilcoxon exact_limit above 62 overflows the exact counts")
     a = np.asarray(a_values, dtype=np.float64)
     b = np.asarray(b_values, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
@@ -287,7 +316,9 @@ def pairwise_wins(
     comparator: str = "bootstrap",
     **kwargs,
 ) -> dict[str, int]:
-    """Round-robin significant-win counts over one dataset."""
+    """Round-robin significant-win counts over one dataset. The bootstrap
+    gives each pair ``bootstrap_auc_win``'s verdict, but its resample indices
+    are shared by every pair, so S submissions cost S vectors of AUCs."""
     if len(submissions) < 2:
         raise ConfigError("need at least two submissions to compare")
     first = submissions[0]
@@ -297,17 +328,19 @@ def pairwise_wins(
                 f"case lists differ between {first.submission!r} and {sub.submission!r}"
             )
     if callable(comparator):
-        compare: Callable = comparator
+        compare: Callable = lambda i, j: comparator(submissions[i], submissions[j])
     elif comparator == "bootstrap":
-        compare = lambda x, y: bootstrap_auc_win(x, y, **kwargs).verdict
+        pair = _bootstrap_pairs(submissions, **kwargs)
+        compare = lambda i, j: pair(i, j).verdict
     elif comparator == "wilcoxon":
-        compare = lambda x, y: wilcoxon_signed_rank(x.dsc, y.dsc, **kwargs).verdict
+        dsc = [sub.dsc for sub in submissions]
+        compare = lambda i, j: wilcoxon_signed_rank(dsc[i], dsc[j], **kwargs).verdict
     else:
         raise ConfigError(f"unknown comparator {comparator!r}")
     wins = {sub.submission: 0 for sub in submissions}
     for i in range(len(submissions)):
         for j in range(i + 1, len(submissions)):
-            verdict = compare(submissions[i], submissions[j])
+            verdict = compare(i, j)
             if verdict == A_WINS:
                 wins[submissions[i].submission] += 1
             elif verdict == B_WINS:

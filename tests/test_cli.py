@@ -219,6 +219,29 @@ class TestRankCommand:
         lines = (out / "rank_table.csv").read_text().strip().split("\n")
         assert lines[1].startswith("good,2,")
 
+    @pytest.mark.parametrize("odd_file", ["dsc_only", "other_labels", "label_out_of_range"])
+    def test_bootstrap_input_error_names_the_submission(self, tmp_path, capsys, odd_file):
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        rng = np.random.default_rng(1)
+        labels = np.arange(12) % 2
+        odd_labels = labels + 1 if odd_file == "label_out_of_range" else 1 - labels
+        for sub, file_labels in (("alpha", labels), ("beta", labels), ("odd", odd_labels)):
+            rows = ["case_id,label,score_0,score_1"]
+            for i, (label, (s0, s1)) in enumerate(zip(file_labels, rng.random((12, 2)))):
+                rows.append(f"c{i},{label},{float(s0)!r},{float(s1)!r}")
+            if sub == "odd" and odd_file == "dsc_only":
+                rows = ["case_id,dsc"] + [f"c{i},0.5" for i in range(12)]
+            (scores_dir / f"cls__{sub}.csv").write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(
+            f"[rank]\nmode = scores\nscores_dir = {scores_dir}\n"
+            "comparator = bootstrap\nrepeats = 100\n"
+        )
+        assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: submission 'odd' ") and err.count("\n") == 1
+
 
 class TestInferCommand:
     def seg_checkpoint(self, tmp_path, seed=3):

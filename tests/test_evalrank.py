@@ -2,11 +2,13 @@
 published ranking fixtures, and sliding-window blending."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import ranking_fixtures as fx
 from mixerlab.errors import ConfigError, DataError
@@ -71,6 +73,28 @@ def wilcoxon_enumeration_oracle(diffs, two_sided=True):
     if two_sided:
         return min(1.0, 2.0 * min(p_le, p_ge))
     return p_ge if w_obs >= ranks.sum() / 2 else p_le
+
+
+def bootstrap_oracle(a, b, repeats=5000, alpha=0.05, seed=0):
+    """One resample at a time: draw from ``default_rng(seed ^ r)``, skip a
+    resample whose labels collapse to one class, take two ``auc_macro``
+    calls, then the percentile CI of the differences."""
+    n = len(a.case_ids)
+    diffs = []
+    for r in range(repeats):
+        idx = np.random.default_rng(seed ^ r).integers(0, n, size=n)
+        labels = a.labels[idx]
+        if np.unique(labels).size < 2:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            diffs.append(auc_macro(a.scores[idx], labels) - auc_macro(b.scores[idx], labels))
+    if not diffs:
+        raise DataError("every bootstrap resample was degenerate")
+    lo = float(np.percentile(diffs, 100 * alpha / 2))
+    hi = float(np.percentile(diffs, 100 * (1 - alpha / 2)))
+    verdict = A_WINS if lo > 0 else B_WINS if hi < 0 else TIE
+    return verdict, lo, hi, len(diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +230,87 @@ class TestBootstrap:
             bootstrap_auc_win(a, b, repeats=200)
 
 
+def random_submissions(rng, count, k=None):
+    """``count`` submissions on one seeded draw of n in [6, 60] cases and k
+    in {2, 3, 4} classes. Labels come from a random subset of at least two
+    classes with skewed weights, so some classes are absent and small
+    resamples collapse to one class; scores of growing skill are rounded
+    to one or two decimals, so ranks tie."""
+    n = int(rng.integers(6, 61))
+    k = int(rng.integers(2, 5)) if k is None else k
+    present = rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False)
+    labels = rng.choice(present, size=n, p=rng.dirichlet(np.full(present.size, 0.5)))
+    labels[:2] = present[:2]
+    ids = [f"case{i}" for i in range(n)]
+    decimals = int(rng.integers(1, 3))
+    return [
+        CaseScores(f"s{i}", "toy", ids, labels=labels,
+                   scores=(skill * np.eye(k)[labels] + rng.random((n, k))).round(decimals))
+        for i, skill in enumerate(rng.permutation(np.linspace(0.0, 1.5, count)))
+    ]
+
+
+class TestBootstrapMatchesOracle:
+    def test_pair_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        collapsed = absent = 0
+        for case in range(50):
+            a, b = random_submissions(rng, 2)
+            seed, alpha = int(rng.integers(0, 2**16)), float(rng.choice([0.05, 0.1, 0.3]))
+            want = bootstrap_oracle(a, b, repeats=100, alpha=alpha, seed=seed)
+            res = bootstrap_auc_win(a, b, repeats=100, alpha=alpha, seed=seed)
+            assert (res.verdict, res.ci_low, res.ci_high, res.used_repeats) == want, case
+            collapsed += want[3] < 100
+            absent += np.unique(a.labels).size < a.scores.shape[1]
+        assert collapsed and absent  # the draws reach both skip rules
+
+    def test_ten_classes_bit_for_bit(self):
+        # from eight kept classes on, numpy's mean no longer sums in order
+        rng = np.random.default_rng(25)
+        labels = np.arange(60) % 10
+        ids = [f"case{i}" for i in range(60)]
+        a, b = (CaseScores(name, "toy", ids, labels=labels, scores=rng.random((60, 10)).round(2))
+                for name in "ab")
+        res = bootstrap_auc_win(a, b, repeats=100, seed=3)
+        want = bootstrap_oracle(a, b, repeats=100, seed=3)
+        assert (res.verdict, res.ci_low, res.ci_high, res.used_repeats) == want
+
+    def test_all_resamples_degenerate(self):
+        a, b = random_submissions(np.random.default_rng(23), 2)
+        a.labels = b.labels = np.zeros_like(a.labels)
+        for compare in (bootstrap_oracle, bootstrap_auc_win):
+            with pytest.raises(DataError, match="degenerate"):
+                compare(a, b, repeats=100)
+
+    def test_tournament_equals_oracle_pair_by_pair(self):
+        rng = np.random.default_rng(21)
+        decided = 0
+        for case in range(6):
+            subs = random_submissions(rng, int(rng.integers(4, 6)))
+            seed = int(rng.integers(0, 2**16))
+            want = {sub.submission: 0 for sub in subs}
+            for x, y in itertools.combinations(subs, 2):
+                verdict = bootstrap_oracle(x, y, repeats=100, seed=seed)[0]
+                if verdict != TIE:
+                    want[(x if verdict == A_WINS else y).submission] += 1
+            assert pairwise_wins(subs, repeats=100, seed=seed) == want, case
+            decided += sum(want.values())
+        assert decided  # not every pair tied
+
+    @pytest.mark.parametrize("repeats", [100, 400])
+    def test_tournament_ranks_each_class_column_once(self, monkeypatch, repeats):
+        calls = []
+
+        def counting_rankdata(*args, **kwargs):
+            calls.append(1)
+            return rankdata(*args, **kwargs)
+
+        monkeypatch.setattr("mixerlab.evalrank.rankdata", counting_rankdata)
+        subs = random_submissions(np.random.default_rng(22), 5, k=3)
+        pairwise_wins(subs, repeats=repeats, seed=1)
+        assert len(calls) == 5 * 3
+
+
 # ---------------------------------------------------------------------------
 # wilcoxon signed-rank
 # ---------------------------------------------------------------------------
@@ -256,6 +361,18 @@ class TestWilcoxon:
     def test_all_zero_differences_tie(self):
         res = wilcoxon_signed_rank([1.0, 1.0], [1.0, 1.0])
         assert res.verdict == TIE and res.n_effective == 0
+
+    def test_exact_limit_capped_where_counts_fit_int64(self):
+        from scipy.stats import wilcoxon as scipy_wilcoxon
+
+        rng = np.random.default_rng(10)
+        a = rng.random(62)
+        b = a - rng.normal(0.05, 0.1, 62)
+        res = wilcoxon_signed_rank(a, b, exact_limit=62)
+        ref = scipy_wilcoxon(a, b, method="exact")
+        assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-12)
+        with pytest.raises(ConfigError):
+            wilcoxon_signed_rank(a, b, exact_limit=63)
 
 
 # ---------------------------------------------------------------------------
