@@ -21,8 +21,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .charts import grouped_bar_svg
 from .complexity import KINDS, stage_sweep, sweep_to_csv
-from .config import BOOL, COUNT, FLOAT, FRACTION, INT, TEXT, Key, choice
-from .config import field_values, format_section, owned_by, read_ini
+from .config import BOOL, COUNT, FLOAT, FRACTION, INT, SEED, TEXT, Key, choice
+from .config import field_values, format_section, owned_by, parse_value, read_ini
 from .errors import (
     CapacityError,
     ConfigError,
@@ -66,7 +66,6 @@ TRAIN_KEYS = owned_by(
     Key("label_smoothing", FLOAT),
     Key("class_weight_clamp", FLOAT),
     Key("augment_sigma", FLOAT),
-    Key("grad_norm_alarm", FLOAT),
 ) + (Key("max_steps", INT),)
 
 # params counts S12-layout models; of the [model] keys it takes only these
@@ -107,7 +106,7 @@ SCHEMA = {
     ),
     "flops": (Key("kernel", COUNT, 3),),
     "params": PARAMS_KEYS,
-    "run": (Key("seed", INT, 0),),
+    "run": (Key("seed", SEED, 0),),
 }
 
 # the sections each command reads, in resolved_config.ini order
@@ -400,13 +399,13 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--seed", type=int, default=None, help="overrides [run] seed")
+        p.add_argument("--seed", default=None, help="overrides [run] seed")
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
-            cfg["run"]["seed"] = args.seed
+            cfg["run"]["seed"] = parse_value(SEED, args.seed, "--seed")
         _write(args.out, "resolved_config.ini", resolved_ini(cfg))
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

@@ -1,4 +1,4 @@
-"""Static cost accounting for the six mixers, plus an empirical MAC counter.
+"""Static cost accounting for the six mixers, plus an executed MAC count.
 
 The FLOPs and parameter expressions are evaluated verbatim as published
 (identity NC^2; pooling NK^2C + NC^2; grouped conv 2NK^2C + NC^2; local
@@ -7,6 +7,10 @@ attention 5NC^2 + N^2C + N + 2N^2 -- and C^2 / C^2 / K^2C+C^2 / 5C^2 /
 K^2C^2+C^2 / 5C^2 parameters), one multiply-accumulate counting as the
 written factor 2. The NC^2 channel-MLP share undercounts a ratio-4 MLP;
 we reproduce the published accounting rather than re-deriving it.
+
+``empirical_mac_count`` checks the kernel-mixer terms against the
+multiply-accumulates that the library's own ``conv2d`` and ``avg_pool2d``
+execute when the mixer runs.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .metaformer import ModelConfig
+from .mixers import MixerSpec, apply_mixer, init_mixer_params
+from .tensor import Tensor, _executed_macs
 
 KINDS = ("identity", "pooling", "grouped_conv", "local_attn", "conv", "global_attn")
 KERNEL_KINDS = ("pooling", "grouped_conv", "local_attn", "conv")
@@ -120,65 +126,27 @@ def sweep_to_csv(reports: list[CostReport]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# instrumented multiply-accumulate counting
+# executed multiply-accumulate counting
 # ---------------------------------------------------------------------------
 
 
-def empirical_mac_count(kind: str, c: int, h: int, w: int, k: Optional[int] = None,
-                        padding: str = "wrap", seed: int = 0) -> int:
-    """Run an instrumented shape-preserving mixer forward and count MACs.
+def empirical_mac_count(kind: str, c: int, h: int, w: int, k: Optional[int] = None) -> int:
+    """Multiply-accumulates one shape-preserving mixer forward executes.
 
-    Only taps that touch a real input pixel count; with ``padding="wrap"``
-    every tap is real, so the count matches the formula mixer term exactly
-    (divided by the written factor 2 for the convolutions). ``padding="zero"``
-    leaves out the border taps that fall outside the image.
+    The mixer runs once through ``apply_mixer`` on a (1, C, H, W) zero
+    input, and the count is what its ``conv2d`` and ``avg_pool2d`` calls
+    report: output size x Cin/groups x K^2 for a convolution, output size x
+    K^2 for pooling. The zero-padded ops execute every tap, border taps
+    included, so the count matches the formula mixer term exactly (divided
+    by the written factor 2 for the convolutions). Identity executes no op
+    and counts 0.
 
-    Defined for identity, pooling, conv and grouped_conv; attention kinds
-    have no K x K tap structure to instrument this way.
+    Defined for identity, pooling, conv and grouped_conv; the attention
+    kinds run linear and matmul ops, which are not counted.
     """
-    if kind == "identity":
-        return 0
-    if kind not in ("pooling", "conv", "grouped_conv"):
+    if kind in ("local_attn", "global_attn"):
         raise ConfigError(f"empirical MAC counting is defined for kernel mixers, not {kind!r}")
-    if k is None or k % 2 == 0:
-        raise ConfigError("kernel mixers need an odd K")
-    if padding not in ("wrap", "zero"):
-        raise ConfigError(f"padding must be wrap or zero, got {padding!r}")
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((c, h, w))
-    if kind == "pooling":
-        weights = np.full((c, 1, k, k), 1.0 / (k * k))
-        cin_per_out = 1
-        grouped = True
-    elif kind == "grouped_conv":
-        weights = rng.standard_normal((c, 1, k, k))
-        cin_per_out = 1
-        grouped = True
-    else:
-        weights = rng.standard_normal((c, c, k, k))
-        cin_per_out = c
-        grouped = False
-
-    half = (k - 1) // 2
-    macs = 0
-    out = np.zeros((c, h, w))
-    for co in range(c):
-        for oy in range(h):
-            for ox in range(w):
-                acc = 0.0
-                for ci in range(cin_per_out):
-                    src = co if grouped else ci
-                    for ky in range(k):
-                        for kx in range(k):
-                            iy = oy + ky - half
-                            ix = ox + kx - half
-                            if padding == "wrap":
-                                iy %= h
-                                ix %= w
-                            elif not (0 <= iy < h and 0 <= ix < w):
-                                continue
-                            acc += x[src, iy, ix] * weights[co, ci, ky, kx]
-                            macs += 1
-                out[co, oy, ox] = acc
-    return macs
+    _check_kind(kind, k)
+    spec = MixerSpec(kind, k)
+    params = init_mixer_params(spec, c, (h, w), np.random.default_rng(0))
+    return _executed_macs(lambda: apply_mixer(spec, params, Tensor(np.zeros((1, c, h, w)))))

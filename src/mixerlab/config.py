@@ -44,6 +44,7 @@ def choice(*options: str) -> ValueType:
 
 INT = ValueType(int)
 COUNT = ValueType(_checked(int, lambda v: v >= 1, "a positive integer"))
+SEED = ValueType(_checked(int, lambda v: v >= 0, "a non-negative integer"))
 FLOAT = ValueType(_checked(float, math.isfinite, "finite"), repr)
 FRACTION = ValueType(_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), repr)
 TEXT = ValueType(str, lambda v: v.replace("\n", "\n  "))  # indent continuation lines
@@ -99,11 +100,17 @@ def read_ini(text: str, schema: dict[str, tuple[Key, ...]]) -> dict[str, dict[st
             if key.name not in items:
                 values[key.name] = key.default
                 continue
-            try:
-                values[key.name] = key.type.parse(items[key.name])
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{section}.{key.name} = {items[key.name]!r}: {exc}") from None
+            values[key.name] = parse_value(key.type, items[key.name], f"{section}.{key.name}")
     return out
+
+
+def parse_value(value_type: ValueType, text: str, where: str) -> Any:
+    """``text`` typed by ``value_type``; text that does not parse raises a
+    ConfigError naming ``where``."""
+    try:
+        return value_type.parse(text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where} = {text!r}: {exc}") from None
 
 
 def format_section(section: str, keys: tuple[Key, ...], values: dict[str, Any]) -> str:

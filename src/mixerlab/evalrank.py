@@ -333,6 +333,10 @@ def pairwise_wins(
         pair = _bootstrap_pairs(submissions, **kwargs)
         compare = lambda i, j: pair(i, j).verdict
     elif comparator == "wilcoxon":
+        for sub in submissions:
+            if sub.dsc is None:
+                name = f"submission {sub.submission!r} on {sub.dataset!r}"
+                raise DataError(f"{name}: wilcoxon comparison needs per-case dsc values")
         dsc = [sub.dsc for sub in submissions]
         compare = lambda i, j: wilcoxon_signed_rank(dsc[i], dsc[j], **kwargs).verdict
     else:

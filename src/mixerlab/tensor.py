@@ -7,7 +7,9 @@ raises NumericsError on the spot instead of propagating poison values.
 
 Recording: ops append to the thread-local active ``Tape`` (entered via
 ``with Tape():``) whenever an input participates in differentiation.
-Without an active tape, ops just compute.
+Without an active tape, ops just compute. ``conv2d`` and ``avg_pool2d``
+also add the multiply-accumulates they execute to a thread-local count
+while one is open.
 """
 
 from __future__ import annotations
@@ -29,6 +31,22 @@ _state = threading.local()
 
 def _active_tape() -> Optional["Tape"]:
     return getattr(_state, "tape", None)
+
+
+def _executed_macs(run: Callable[[], object]) -> int:
+    """Multiply-accumulates that conv2d and avg_pool2d execute on this thread
+    during ``run()``. The count is off again afterwards, also after a raise."""
+    _state.macs = 0
+    try:
+        run()
+        return _state.macs
+    finally:
+        _state.macs = None
+
+
+def _count_macs(n: int):
+    if getattr(_state, "macs", None) is not None:
+        _state.macs += n
 
 
 class Tensor:
@@ -576,6 +594,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
     for ky, kx, rows, cols in _taps(k, stride, ho, wo):
         y += _stacked_product(wg[:, :, :, ky, kx], xg[:, :, :, rows, cols].reshape(bsz, groups, cg, n))
     y = y.reshape(bsz, cout, ho, wo)
+    _count_macs(y.size * cg * k * k)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
@@ -624,6 +643,7 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
     for _, _, rows, cols in _taps(k, stride, ho, wo):
         acc += xp[:, :, rows, cols]
     scale = 1.0 / (k * k)
+    _count_macs(acc.size * k * k)
 
     def bwd(g):
         gxp = np.zeros_like(xp)

@@ -32,7 +32,6 @@ class TrainConfig:
     class_weight_clamp: float = 10.0
     seed: int = 0
     augment_sigma: float = 0.0  # 0 disables affine augmentation
-    grad_norm_alarm: Optional[float] = None
 
     def __post_init__(self):
         if not (self.lr > self.min_lr > 0):
@@ -442,7 +441,7 @@ def train_classifier(
                     logits = model.forward_classify(Tensor(xb), training=True, rng=rng)
                     loss = ce_loss(logits, yb, weights, cfg.label_smoothing)
                 tape.backward(loss)
-                report = grad_norm_monitor(model, cfg.grad_norm_alarm)
+                report = grad_norm_monitor(model)
                 opt.step(lr=lr_t)
                 row = {
                     "step": step,

@@ -168,7 +168,7 @@ def test_criterion_3_formula_validation():
         for c, k, h, w in grid:
             n = h * w
             for kind, factor in (("pooling", 1), ("grouped_conv", 2), ("conv", 2)):
-                macs = empirical_mac_count(kind, c, h, w, k, padding="wrap")
+                macs = empirical_mac_count(kind, c, h, w, k)
                 assert macs * factor == flops_mixer_term(kind, c, n, k), (kind, c, k, h, w)
         # attention-term ratio is exactly N/K^2 in integer arithmetic
         for c in (64, 512):

@@ -219,6 +219,17 @@ class TestRankCommand:
         lines = (out / "rank_table.csv").read_text().strip().split("\n")
         assert lines[1].startswith("good,2,")
 
+    def test_wilcoxon_input_error_names_the_submission(self, tmp_path, capsys):
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        (scores_dir / "seg__alpha.csv").write_text("case_id,dsc\nc0,0.5\nc1,0.7\n")
+        (scores_dir / "seg__odd.csv").write_text("case_id,label,score_0,score_1\nc0,0,0.4,0.6\nc1,1,0.3,0.7\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = scores\nscores_dir = {scores_dir}\ncomparator = wilcoxon\n")
+        assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: submission 'odd' on 'seg': ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("odd_file", ["dsc_only", "other_labels", "label_out_of_range"])
     def test_bootstrap_input_error_names_the_submission(self, tmp_path, capsys, odd_file):
         scores_dir = tmp_path / "scores"
@@ -386,6 +397,7 @@ class TestExitCodesAndConfig:
         assert again == text
 
 
+# case: (command, config bytes, text the message must contain, extra arguments...)
 BAD_CONFIGS = {
     "model_input": ("flops", b"[model]\ninput = 32\n", "model.input"),
     "flops_kernel": ("flops", b"[flops]\nkernel = x\n", "flops.kernel"),
@@ -396,6 +408,13 @@ BAD_CONFIGS = {
     "train_loss": ("train", b"[train]\nloss = ce\n", "loss"),
     "train_ignore_background": ("train", b"[train]\nignore_background = true\n", "ignore_background"),
     "infer_patch": ("infer", b"[infer]\npatch = 32x32\n", "patch"),
+    # `kind = image_dir` with no paths makes code that accepts the key stop before training
+    "train_grad_norm_alarm": ("train", b"[train]\ngrad_norm_alarm = 5\n[data]\nkind = image_dir\n", "grad_norm_alarm"),
+    "run_seed": ("train", b"[run]\nseed = -1\n", "run.seed"),
+    "train_seed_flag": ("train", b"", "--seed", "--seed", "-1"),
+    "params_seed_flag": ("params", b"", "--seed", "--seed", "-2"),
+    "rank_seed_flag": ("rank", b"", "--seed", "--seed", "-1"),
+    "eval_seed_flag": ("eval", b"", "--seed", "--seed", "-3"),
 }
 
 
@@ -406,10 +425,10 @@ def _checkpoint_with_config_bytes(cfg: bytes) -> bytes:
 class TestInputBoundary:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_is_one_line_config_error(self, tmp_path, capsys, case):
-        command, content, named = BAD_CONFIGS[case]
+        command, content, named, *extra = BAD_CONFIGS[case]
         cfg = tmp_path / "cfg.ini"
         cfg.write_bytes(content)
-        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert err.count("\n") == 1

@@ -1,5 +1,9 @@
-"""Cost formulas, the stage sweep, and formula/empirical MAC agreement."""
+"""Cost formulas, the stage sweep, and formula/executed MAC agreement."""
 
+import threading
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +21,22 @@ from mixerlab.complexity import (
 from mixerlab.errors import ConfigError
 from mixerlab.metaformer import MetaFormer, ModelConfig, count_params
 from mixerlab.mixers import MixerSpec
+from mixerlab.tensor import Tensor, _executed_macs, _state, avg_pool2d, conv2d
+
+
+def loop_mac_count(kind, c, h, w, k):
+    """Reference count: one MAC per output channel, output pixel, input
+    channel and tap of a shape-preserving K x K window mixer."""
+    cin_per_out = c if kind == "conv" else 1
+    macs = 0
+    for co in range(c):
+        for oy in range(h):
+            for ox in range(w):
+                for ci in range(cin_per_out):
+                    for ky in range(k):
+                        for kx in range(k):
+                            macs += 1
+    return macs
 
 
 class TestFlopsFormula:
@@ -141,11 +161,66 @@ class TestEmpiricalMacs:
         factor = 2 if kind in ("grouped_conv", "conv") else 1
         assert macs * factor == term
 
-    def test_zero_padding_counts_fewer(self):
-        wrap = empirical_mac_count("grouped_conv", 2, 5, 5, 3)
-        zero = empirical_mac_count("grouped_conv", 2, 5, 5, 3, padding="zero")
-        assert zero < wrap
+    @pytest.mark.parametrize("kind", ["pooling", "grouped_conv", "conv"])
+    def test_executed_count_matches_loop_oracle(self, kind):
+        grids = ((4, 4), (5, 6), (7, 7), (8, 8), (7, 9))
+        for c in (1, 2, 3, 4):
+            for k in (3, 5, 7):
+                for h, w in grids:
+                    if k <= min(h, w):
+                        want = loop_mac_count(kind, c, h, w, k)
+                        assert empirical_mac_count(kind, c, h, w, k) == want, (c, k, h, w)
+
+    def test_paper_scale_conv_is_fast(self):
+        start = time.perf_counter()
+        assert empirical_mac_count("conv", 64, 14, 14, 3) == 7_225_344
+        assert time.perf_counter() - start < 0.5
 
     def test_attention_not_defined(self):
         with pytest.raises(ConfigError):
             empirical_mac_count("global_attn", 16, 4, 4)
+        with pytest.raises(ConfigError):
+            empirical_mac_count("local_attn", 16, 4, 4, 3)
+
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_missing_or_even_kernel_rejected(self, k):
+        for kind in ("pooling", "grouped_conv", "conv"):
+            with pytest.raises(ConfigError):
+                empirical_mac_count(kind, 2, 4, 4, k)
+
+
+class TestMacCounter:
+    def test_ops_report_output_size_times_window(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 4, 7, 7)))
+        kernel = Tensor(rng.standard_normal((6, 2, 3, 3)))
+        # output (2, 6, 4, 4), Cin/G = 2, K^2 = 9
+        assert _executed_macs(lambda: conv2d(x, kernel, stride=2, padding=1, groups=2)) == 2 * 6 * 16 * 2 * 9
+        # output (2, 4, 3, 3), K^2 = 25
+        assert _executed_macs(lambda: avg_pool2d(x, 5, stride=2, padding=1)) == 2 * 4 * 9 * 25
+
+    def test_off_outside_a_count_and_after_a_raise(self):
+        x = Tensor(np.ones((1, 2, 4, 4)))
+        avg_pool2d(x, 3)
+        assert getattr(_state, "macs", None) is None
+        assert empirical_mac_count("pooling", 2, 4, 4, 3) == 2 * 16 * 9
+        assert _state.macs is None
+
+        def raising():
+            avg_pool2d(x, 3)
+            raise RuntimeError("inside the count")
+
+        with pytest.raises(RuntimeError):
+            _executed_macs(raising)
+        assert _state.macs is None
+
+    def test_other_threads_are_not_counted(self):
+        x = Tensor(np.ones((1, 2, 4, 4)))
+
+        def pool_on_another_thread():
+            t = threading.Thread(target=avg_pool2d, args=(x, 3))
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+
+        assert _executed_macs(pool_on_another_thread) == 0
