@@ -1,19 +1,14 @@
 """Walk through the static cost model: evaluate the per-mixer FLOPs and
 parameter expressions across the four stages of a 768x768 input, then
-check the kernel-mixer terms against the MACs the mixers execute. Exits 1
-if any term and count disagree.
+check the kernel-mixer terms against the MACs the mixers execute (the
+sweep's macs column). Exits 1 if any term and count disagree.
 
 Run: python demos/complexity_sweep.py
 """
 
 import sys
 
-from mixerlab.complexity import (
-    empirical_mac_count,
-    flops_mixer_term,
-    stage_sweep,
-    sweep_to_csv,
-)
+from mixerlab.complexity import flops_mixer_term, stage_sweep, sweep_to_csv
 from mixerlab.metaformer import ModelConfig
 
 config = ModelConfig(input_hw=(768, 768))
@@ -27,16 +22,18 @@ stage0 = {r.kind: r.flops for r in reports if r.stage == 0}
 for kind, flops in sorted(stage0.items(), key=lambda kv: kv[1]):
     print(f"  {kind:>13}: {flops:>16,} FLOPs")
 
-print("\nexecuted MAC counts match the formula terms:")
+print("\nexecuted MAC counts (the csv's macs column) match the formula terms:")
 mismatched = []
-for kind, factor in (("pooling", 1), ("grouped_conv", 2), ("conv", 2)):
-    c, h, w, k = 4, 8, 8, 3
-    macs = empirical_mac_count(kind, c, h, w, k)
-    term = flops_mixer_term(kind, c, h * w, k)
-    status = "==" if macs * factor == term else "!="
-    if status == "!=":
-        mismatched.append(kind)
-    print(f"  {kind:>13}: {macs:>6} MACs x {factor} {status} {term} (formula mixer term)")
+for kind, factor in (("identity", 1), ("pooling", 1), ("grouped_conv", 2), ("conv", 2)):
+    for r in reports:
+        if r.kind != kind or r.empirical_macs is None:
+            continue
+        term = flops_mixer_term(kind, r.channels, r.positions, r.kernel)
+        status = "==" if r.empirical_macs * factor == term else "!="
+        if status == "!=":
+            mismatched.append(f"{kind} (stage {r.stage})")
+        print(f"  stage {r.stage} {kind:>13}: {r.empirical_macs:>13,} MACs x {factor} {status} {term:,}"
+              " (formula mixer term)")
 
 print("\nquadratic vs. local scaling at fixed channels:")
 c, k = 512, 7

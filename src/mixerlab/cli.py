@@ -21,7 +21,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .charts import grouped_bar_svg
 from .complexity import KINDS, stage_sweep, sweep_to_csv
-from .config import BOOL, COUNT, FLOAT, FRACTION, INT, SEED, TEXT, Key, choice
+from .config import BOOL, COUNT, FLOAT, FRACTION, INT, KERNEL, SEED, TEXT, Key, choice
 from .config import field_values, format_section, owned_by, parse_value, read_ini
 from .errors import (
     CapacityError,
@@ -104,7 +104,7 @@ SCHEMA = {
         Key("overlap", FLOAT, 0.25),
         Key("save_logits", BOOL, False),
     ),
-    "flops": (Key("kernel", COUNT, 3),),
+    "flops": (Key("kernel", KERNEL, 3),),
     "params": PARAMS_KEYS,
     "run": (Key("seed", SEED, 0),),
 }

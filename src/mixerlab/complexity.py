@@ -94,13 +94,17 @@ def stage_sweep(config: ModelConfig, input_hw: Optional[tuple[int, int]] = None,
     """Cost reports for all 4 stages x all 6 mixer kinds.
 
     ``kernel`` is used for every kernel-based kind; identity and global
-    attention ignore it.
+    attention ignore it. ``empirical_macs`` is ``empirical_mac_count`` where it
+    is defined and its run is small (a formula mixer term of at most 2**32
+    FLOPs over at most 2**24 input and weight elements), else None.
     """
     reports = []
     for stage, ((h, w), c) in enumerate(zip(config.stage_hw(input_hw), config.stage_channels)):
         n = h * w
         for kind in KINDS:
             k = kernel if kind in KERNEL_KINDS else None
+            counted = (kind not in ("local_attn", "global_attn") and flops_mixer_term(kind, c, n, k) <= 2**32
+                       and c * n + param_mixer_term(kind, c, k) <= 2**24)
             reports.append(
                 CostReport(
                     stage=stage,
@@ -110,6 +114,7 @@ def stage_sweep(config: ModelConfig, input_hw: Optional[tuple[int, int]] = None,
                     kernel=k,
                     flops=flops_formula(kind, c, n, k),
                     params=param_formula(kind, c, k),
+                    empirical_macs=empirical_mac_count(kind, c, h, w, k) if counted else None,
                 )
             )
     return reports

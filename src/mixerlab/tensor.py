@@ -7,7 +7,9 @@ raises NumericsError on the spot instead of propagating poison values.
 
 Recording: ops append to the thread-local active ``Tape`` (entered via
 ``with Tape():``) whenever an input participates in differentiation.
-Without an active tape, ops just compute. ``conv2d`` and ``avg_pool2d``
+Without an active tape, ops just compute. A consumed or aborted tape
+releases every record and detaches its outputs, so reference counting,
+not the cyclic GC, frees a pass's activations. ``conv2d`` and ``avg_pool2d``
 also add the multiply-accumulates they execute to a thread-local count
 while one is open.
 """
@@ -57,7 +59,7 @@ class Tensor:
     can update parameters in place between recorded passes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, order="C")
@@ -79,9 +81,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -126,6 +125,9 @@ class Tape:
     visits nodes in reverse topological order. A tape can be consumed by
     ``backward`` exactly once; re-recording requires a fresh tape. Tapes
     are not shareable across threads (the active tape is thread-local).
+    ``backward`` releases each record as it visits it, and leaving the
+    ``with`` block on an exception releases them all; either way each
+    released output is detached (its ``_tape`` is None).
     """
 
     def __init__(self):
@@ -140,6 +142,10 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb):
         _state.tape = None
+        if exc_type is not None:  # an aborted forward frees what it recorded
+            for out, _ in self._records:
+                out._tape = None
+            self._records.clear()
         return False
 
     def record(self, out: Tensor, backward_fn: Callable):
@@ -159,21 +165,21 @@ class Tape:
             raise ConfigError("loss was not recorded on this tape")
         self._consumed = True
 
-        # Tensor hashes by identity. Every record's output is popped on its
-        # own visit, after all its consumers (recorded later) have added to
-        # it, so what is left at the end belongs to leaves of this tape.
+        # Tensor hashes by identity. Each record, and its output's gradient,
+        # is popped on its own visit, after all its consumers (recorded later)
+        # have added to it: what grads holds at the end belongs to leaves, and
+        # each activation and closure is freed as soon as the walk passes it.
         grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
-        for out, backward_fn in reversed(self._records):
+        while self._records:
+            out, backward_fn = self._records.pop()
+            out._tape = None
             g = grads.pop(out, None)
             if g is None:
                 continue
             for t, gt in backward_fn(g):
                 if t is None or not t.requires_grad:
                     continue
-                if t in grads:
-                    grads[t] = grads[t] + gt
-                else:
-                    grads[t] = np.array(gt, dtype=np.float64, copy=True)
+                grads[t] = grads[t] + gt if t in grads else np.array(gt, dtype=np.float64, copy=True)
         for t, g in grads.items():
             t.grad = g if t.grad is None else t.grad + g
 
@@ -512,6 +518,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     y = xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape)
 
     def bwd(g):
+        xhat = (x.data - mu) * inv  # recomputed, as xc * inv, rather than kept
         gsum_axes = tuple(i for i in range(x.ndim) if i != 1)
         gy = g * gamma.data.reshape(bshape)
         mean_gy = gy.mean(axis=1, keepdims=True)
@@ -586,7 +593,8 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
     og = cout // groups
     ho, wo = _out_hw(h, w, k, stride, padding)
     n = ho * wo
-    xg = _pad(x.data, padding).reshape(bsz, groups, cg, h + 2 * padding, w + 2 * padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xg = _pad(x.data, padding).reshape(bsz, groups, cg, hp, wp)
     wg = kernel.data.reshape(groups, og, cg, k, k)
 
     # one (Cout/G x Cin/G) . (Cin/G x N) product per sample, group and tap
@@ -602,6 +610,8 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
         y = y + bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
+        # pad again rather than keep a padded copy of x alive until backward
+        xg = _pad(x.data, padding).reshape(bsz, groups, cg, hp, wp)
         gg = g.reshape(bsz, groups, og, n)
         dw = np.zeros_like(wg)
         gxp = np.zeros_like(xg)
@@ -610,9 +620,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
             dw[:, :, :, ky, kx] = (gg @ win.swapaxes(-1, -2)).sum(axis=0)
             gx_tap = _stacked_product(wg[:, :, :, ky, kx].swapaxes(-1, -2), gg)
             gxp[:, :, :, rows, cols] += gx_tap.reshape(bsz, groups, cg, ho, wo)
-        gx = gxp.reshape(bsz, cin, h + 2 * padding, w + 2 * padding)[
-            :, :, padding : padding + h, padding : padding + w
-        ]
+        gx = gxp.reshape(bsz, cin, hp, wp)[:, :, padding : padding + h, padding : padding + w]
         grads = [(x, gx), (kernel, dw.reshape(cout, cg, k, k))]
         if bias is not None:
             grads.append((bias, gg.sum(axis=(0, 3)).reshape(cout)))
@@ -646,7 +654,7 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
     _count_macs(acc.size * k * k)
 
     def bwd(g):
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding))  # the shape, not the copy, of xp
         gs = g * scale
         for _, _, rows, cols in _taps(k, stride, ho, wo):
             gxp[:, :, rows, cols] += gs

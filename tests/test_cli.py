@@ -401,6 +401,9 @@ class TestExitCodesAndConfig:
 BAD_CONFIGS = {
     "model_input": ("flops", b"[model]\ninput = 32\n", "model.input"),
     "flops_kernel": ("flops", b"[flops]\nkernel = x\n", "flops.kernel"),
+    # every mixer refuses an even kernel or one below 3
+    "flops_kernel_even": ("flops", b"[flops]\nkernel = 4\n", "flops.kernel = '4': must be an odd integer >= 3"),
+    "flops_kernel_one": ("flops", b"[flops]\nkernel = 1\n", "flops.kernel = '1'"),
     "model_signature": ("flops", b"[model]\nsignature = conv:x\n", "model.signature"),
     "train_epochs": ("train", b"[train]\nepochs = ten\n", "train.epochs"),
     "rank_repeats": ("rank", b"[rank]\nrepeats = abc\n", "rank.repeats"),

@@ -138,6 +138,29 @@ class TestStageSweep:
         assert lines[0] == "stage,mixer,K,C,N,flops,params,macs"
         assert len(lines) == 25
 
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_filled_macs_match_formula_terms(self, kernel):
+        factor = {"identity": 1, "pooling": 1, "grouped_conv": 2, "conv": 2}
+        reports = stage_sweep(ModelConfig(input_hw=(96, 128)), kernel=kernel)
+        filled = [r for r in reports if r.empirical_macs is not None]
+        assert len(filled) == 16 and {r.kind for r in filled} == set(factor)
+        for r in filled:
+            term = flops_mixer_term(r.kind, r.channels, r.positions, r.kernel)
+            assert r.empirical_macs * factor[r.kind] == term, r
+        macs_cells = [line.rsplit(",", 1)[1] for line in sweep_to_csv(reports).split("\n")[1:-1]]
+        assert macs_cells == ["" if r.empirical_macs is None else str(r.empirical_macs) for r in reports]
+
+    def test_large_mixer_runs_are_not_counted(self):
+        def uncounted(reports):
+            attention = ("local_attn", "global_attn")
+            return [(r.stage, r.kind) for r in reports if r.empirical_macs is None and r.kind not in attention]
+
+        # at 768x768 with K = 5 every conv term is above 2**32 FLOPs
+        reports = stage_sweep(ModelConfig(input_hw=(768, 768)), kernel=5)
+        assert uncounted(reports) == [(stage, "conv") for stage in range(4)]
+        # at K = 9, stage 3's 512 x 512 x 81 conv weights are above 2**24 elements
+        assert uncounted(stage_sweep(ModelConfig(), kernel=9)) == [(3, "conv")]
+
 
 class TestEmpiricalMacs:
     def test_grouped_conv_wrap_hand_case(self):

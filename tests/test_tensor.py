@@ -1,7 +1,9 @@
 """Tensor engine: forward semantics against independent oracles, gradients
 against central finite differences, and the tape contract."""
 
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import fd_grad, rel_err, tape_grads
 from mixerlab import tensor
 from mixerlab.errors import ConfigError, NumericsError, ShapeError
+from mixerlab.metaformer import MetaFormer, ModelConfig, parse_signature
 from mixerlab.tensor import (
     Tape,
     Tensor,
@@ -38,6 +41,7 @@ from mixerlab.tensor import (
     transpose,
     tsum,
 )
+from mixerlab.trainer import ce_loss
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +85,24 @@ def linear_oracle(x, w, b):
                 acc += flat[r, i] * w[o, i]
             out[r, o] = acc + (b[o] if b is not None else 0.0)
     return out.reshape(x.shape[:-1] + (cout,))
+
+
+def backward_oracle(tape, loss):
+    """The reverse walk as it was before records were released: visit every
+    record in reverse and keep them all, so the tape's outputs and closures
+    stay alive after it."""
+    tape._consumed = True
+    grads = {loss: np.ones((), dtype=np.float64)}
+    for out, backward_fn in reversed(tape._records):
+        g = grads.pop(out, None)
+        if g is None:
+            continue
+        for t, gt in backward_fn(g):
+            if t is None or not t.requires_grad:
+                continue
+            grads[t] = grads[t] + gt if t in grads else np.array(gt, dtype=np.float64, copy=True)
+    for t, g in grads.items():
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def assert_rows_match_single_runs(op, x):
@@ -589,6 +611,88 @@ class TestBackward:
         x = Tensor(xv, True)
         got = tape_grads(lambda ts: tsum(mul(mul(ts[0], 2.0), mul(ts[0], 2.0))), [x])
         assert rel_err(got[0], want[0]) < 1e-6
+
+
+# two four-stage signatures that between them place all six mixer kinds
+RELEASE_SIGNATURES = ("identity,pooling:3,grouped_conv:3,conv:3", "pooling:3,local_attn:3,global_attn,conv:3")
+
+
+class WatchedTape(Tape):
+    """A tape that keeps a weak reference to every output and backward
+    closure it records."""
+
+    def __init__(self):
+        super().__init__()
+        self.refs = []
+
+    def record(self, out, backward_fn):
+        super().record(out, backward_fn)
+        self.refs += [weakref.ref(out), weakref.ref(backward_fn)]
+
+
+def tiny_multi_mixer(signature):
+    config = ModelConfig(signature=parse_signature(signature), stage_channels=(16, 16, 32, 32),
+                         stage_depths=(1, 1, 1, 1), input_hw=(32, 32), num_classes=3)
+    return MetaFormer(config, seed=3)
+
+
+def tiny_logits(model):
+    """A training-mode forward (drop path on) of two fixed images."""
+    images = Tensor(np.random.default_rng(5).uniform(0.0, 1.0, (2, 3, 32, 32)))
+    return model.forward_classify(images, training=True, rng=np.random.default_rng(6))
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees memory while the test runs."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+class TestTapeRelease:
+    @pytest.mark.parametrize("signature", RELEASE_SIGNATURES)
+    def test_consumed_tape_frees_every_record(self, signature, no_cyclic_gc):
+        model = tiny_multi_mixer(signature)
+        with WatchedTape() as tape:
+            loss = ce_loss(tiny_logits(model), np.array([0, 2]), None, smoothing=0.1)
+        tape.backward(loss)
+        assert loss._tape is None
+        del loss
+        assert tape._records == []
+        assert len(tape.refs) > 100
+        assert all(ref() is None for ref in tape.refs)
+
+    @pytest.mark.parametrize("signature", RELEASE_SIGNATURES)
+    def test_aborted_forward_frees_every_record(self, signature, no_cyclic_gc):
+        model = tiny_multi_mixer(signature)
+        try:
+            with WatchedTape() as tape:
+                log(neg(exp(tiny_logits(model))))  # log of negative values: NumericsError
+        except NumericsError:
+            pass
+        else:
+            pytest.fail("the forward did not raise")
+        assert tape._records == []
+        assert len(tape.refs) > 100
+        assert all(ref() is None for ref in tape.refs)
+
+    @pytest.mark.parametrize("signature", RELEASE_SIGNATURES)
+    def test_backward_equals_oracle_bit_for_bit(self, signature):
+        model = tiny_multi_mixer(signature)
+
+        def gradients(walk):
+            model.zero_grad()
+            with Tape() as tape:
+                loss = ce_loss(tiny_logits(model), np.array([0, 2]), None, smoothing=0.1)
+            walk(tape, loss)
+            return {name: None if p.grad is None else p.grad.tobytes()
+                    for name, p in model.named_parameters().items()}
+
+        want = gradients(backward_oracle)
+        assert sum(g is not None for g in want.values()) > 20
+        assert gradients(Tape.backward) == want
 
 
 class TestNumericsPolicy:
