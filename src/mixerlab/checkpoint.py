@@ -14,7 +14,9 @@ Layout (all integers little-endian):
 
 Array names are the model's stable parameter names (for example
 ``stage2.block4.mlp.fc1.weight`` or ``stage3.pos_emb``), which is what
-makes warm starting across checkpoints possible.
+makes warm starting across checkpoints possible. They are the names under
+which ``MetaFormer`` creates each parameter, and ``load_model`` builds the
+model from the arrays directly, with no random draw.
 """
 
 from __future__ import annotations
@@ -97,6 +99,4 @@ def load_model(path: str) -> MetaFormer:
         config = ModelConfig.from_ini(config_text)
     except ConfigError as exc:
         raise DataError(f"{path}: bad model config: {exc}") from None
-    model = MetaFormer(config)
-    model.load_state(arrays)
-    return model
+    return MetaFormer(config, arrays=arrays)

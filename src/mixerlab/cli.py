@@ -21,7 +21,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .charts import grouped_bar_svg
 from .complexity import KINDS, stage_sweep, sweep_to_csv
-from .config import BOOL, COUNT, FLOAT, FRACTION, INT, KERNEL, SEED, TEXT, Key, choice
+from .config import BOOL, COUNT, FLOAT, FRACTION, INT, KERNEL, NONNEG, TEXT, Key, choice
 from .config import field_values, format_section, owned_by, parse_value, read_ini
 from .errors import (
     CapacityError,
@@ -62,11 +62,11 @@ TRAIN_KEYS = owned_by(
     Key("lr", FLOAT),
     Key("min_lr", FLOAT),
     Key("weight_decay", FLOAT),
-    Key("warmup_epochs", INT),
+    Key("warmup_epochs", NONNEG),
     Key("label_smoothing", FLOAT),
     Key("class_weight_clamp", FLOAT),
     Key("augment_sigma", FLOAT),
-) + (Key("max_steps", INT),)
+) + (Key("max_steps", COUNT),)
 
 # params counts S12-layout models; of the [model] keys it takes only these
 PARAMS_KEYS = (Key("signatures", TEXT),) + tuple(
@@ -79,7 +79,7 @@ SCHEMA = {
     "data": (
         Key("kind", choice("synthetic", "image_dir"), "synthetic"),
         Key("n", COUNT, 128),
-        Key("val_n", INT, 0),
+        Key("val_n", NONNEG, 0),
         Key("image_dir", TEXT),
         Key("labels_csv", TEXT),
     ),
@@ -106,7 +106,7 @@ SCHEMA = {
     ),
     "flops": (Key("kernel", KERNEL, 3),),
     "params": PARAMS_KEYS,
-    "run": (Key("seed", SEED, 0),),
+    "run": (Key("seed", NONNEG, 0),),
 }
 
 # the sections each command reads, in resolved_config.ini order
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
-            cfg["run"]["seed"] = parse_value(SEED, args.seed, "--seed")
+            cfg["run"]["seed"] = parse_value(NONNEG, args.seed, "--seed")
         _write(args.out, "resolved_config.ini", resolved_ini(cfg))
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

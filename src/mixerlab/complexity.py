@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .metaformer import ModelConfig
 from .mixers import MixerSpec, apply_mixer, init_mixer_params
-from .tensor import Tensor, _executed_macs
+from .tensor import Registry, Tensor, _executed_macs
 
 KINDS = ("identity", "pooling", "grouped_conv", "local_attn", "conv", "global_attn")
 KERNEL_KINDS = ("pooling", "grouped_conv", "local_attn", "conv")
@@ -72,11 +72,6 @@ def param_formula(kind: str, c: int, k: Optional[int] = None) -> int:
     return 5 * c * c
 
 
-def param_mixer_term(kind: str, c: int, k: Optional[int] = None) -> int:
-    """The parameter expression minus the C^2 channel-MLP share."""
-    return param_formula(kind, c, k) - c * c
-
-
 @dataclass
 class CostReport:
     stage: int
@@ -104,7 +99,7 @@ def stage_sweep(config: ModelConfig, input_hw: Optional[tuple[int, int]] = None,
         for kind in KINDS:
             k = kernel if kind in KERNEL_KINDS else None
             counted = (kind not in ("local_attn", "global_attn") and flops_mixer_term(kind, c, n, k) <= 2**32
-                       and c * n + param_mixer_term(kind, c, k) <= 2**24)
+                       and c * n + MixerSpec(kind, k).param_count(c) <= 2**24)
             reports.append(
                 CostReport(
                     stage=stage,
@@ -153,5 +148,5 @@ def empirical_mac_count(kind: str, c: int, h: int, w: int, k: Optional[int] = No
         raise ConfigError(f"empirical MAC counting is defined for kernel mixers, not {kind!r}")
     _check_kind(kind, k)
     spec = MixerSpec(kind, k)
-    params = init_mixer_params(spec, c, (h, w), np.random.default_rng(0))
+    params = init_mixer_params(spec, c, Registry(np.random.default_rng(0)))
     return _executed_macs(lambda: apply_mixer(spec, params, Tensor(np.zeros((1, c, h, w)))))

@@ -44,7 +44,7 @@ def choice(*options: str) -> ValueType:
 
 INT = ValueType(int)
 COUNT = ValueType(_checked(int, lambda v: v >= 1, "a positive integer"))
-SEED = ValueType(_checked(int, lambda v: v >= 0, "a non-negative integer"))
+NONNEG = ValueType(_checked(int, lambda v: v >= 0, "a non-negative integer"))
 KERNEL = ValueType(_checked(int, lambda v: v >= 3 and v % 2 == 1, "an odd integer >= 3"))
 FLOAT = ValueType(_checked(float, math.isfinite, "finite"), repr)
 FRACTION = ValueType(_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), repr)

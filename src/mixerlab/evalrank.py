@@ -493,7 +493,7 @@ def write_case_scores_csv(cs: CaseScores) -> str:
 def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores:
     """Parse ``case_id,dsc`` or ``case_id,label,score_0,...`` rows; a
     malformed row or a non-finite value is a DataError."""
-    lines = [ln for ln in text.strip().split("\n") if ln]
+    lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
     if not lines:
         raise DataError("empty case-scores CSV")
     header = lines[0].split(",")

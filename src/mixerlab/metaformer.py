@@ -18,8 +18,9 @@ import numpy as np
 from .config import FLOAT, HW, INT, INTS, TEXT, Key, ValueType
 from .config import field_values, format_section, owned_by, read_ini
 from .errors import ConfigError, ShapeError
-from .mixers import MixerSpec, NeighborhoodMask, apply_mixer, init_mixer_params, warm_start_remap
+from .mixers import MixerSpec, NeighborhoodMask, apply_mixer, head_count, init_mixer_params, warm_start_remap
 from .tensor import (
+    Registry,
     Tensor,
     add,
     bilinear_resize,
@@ -86,7 +87,7 @@ class ModelConfig:
             raise ConfigError("channels, input size and decoder_dim must be positive, depths non-negative")
         for c, spec in zip(self.stage_channels, self.signature):
             if spec.is_attention:
-                spec.heads(c)  # raises if the head split does not work out
+                head_count(c)  # raises if the head split does not work out
 
     def stage_hw(self, input_hw: Optional[tuple[int, int]] = None) -> list[tuple[int, int]]:
         """Spatial size per stage: input/4, then halved at each stage entry."""
@@ -134,28 +135,17 @@ MODEL_KEYS = owned_by(
 # ---------------------------------------------------------------------------
 
 
-def _weight(rng, *shape, scale=0.02):
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
-
-
-def _zeros(*shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
 @dataclass
 class Norm:
     gamma: Tensor
     beta: Tensor
 
     @staticmethod
-    def create(c: int) -> "Norm":
-        return Norm(Tensor(np.ones(c), requires_grad=True), _zeros(c))
+    def create(params: Registry, prefix: str, c: int) -> "Norm":
+        return Norm(params.new(f"{prefix}.gamma", (c,), 1.0), params.new(f"{prefix}.beta", (c,), 0.0))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
-
-    def named(self, prefix):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
 
 
 @dataclass
@@ -168,9 +158,14 @@ class ChannelMlp:
     fc2_b: Tensor
 
     @staticmethod
-    def create(c: int, ratio: int, rng) -> "ChannelMlp":
+    def create(params: Registry, prefix: str, c: int, ratio: int) -> "ChannelMlp":
         hidden = ratio * c
-        return ChannelMlp(_weight(rng, hidden, c), _zeros(hidden), _weight(rng, c, hidden), _zeros(c))
+        return ChannelMlp(
+            params.new(f"{prefix}.fc1.weight", (hidden, c)),
+            params.new(f"{prefix}.fc1.bias", (hidden,), 0.0),
+            params.new(f"{prefix}.fc2.weight", (c, hidden)),
+            params.new(f"{prefix}.fc2.bias", (c,), 0.0),
+        )
 
     def __call__(self, x: Tensor) -> Tensor:
         t = transpose(x, (0, 2, 3, 1))
@@ -178,14 +173,6 @@ class ChannelMlp:
         t = gelu(t)
         t = linear(t, self.fc2_w, self.fc2_b)
         return transpose(t, (0, 3, 1, 2))
-
-    def named(self, prefix):
-        return [
-            (f"{prefix}.fc1.weight", self.fc1_w),
-            (f"{prefix}.fc1.bias", self.fc1_b),
-            (f"{prefix}.fc2.weight", self.fc2_w),
-            (f"{prefix}.fc2.bias", self.fc2_b),
-        ]
 
 
 @dataclass
@@ -196,8 +183,10 @@ class PatchEmbed:
     padding: int
 
     @staticmethod
-    def create(cin: int, cout: int, k: int, stride: int, padding: int, rng) -> "PatchEmbed":
-        return PatchEmbed(_weight(rng, cout, cin, k, k), _zeros(cout), stride, padding)
+    def create(params: Registry, prefix: str, cin: int, cout: int, k: int, stride: int,
+               padding: int) -> "PatchEmbed":
+        kernel = params.new(f"{prefix}.kernel", (cout, cin, k, k))
+        return PatchEmbed(kernel, params.new(f"{prefix}.bias", (cout,), 0.0), stride, padding)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
@@ -205,9 +194,6 @@ class PatchEmbed:
                 f"input {x.shape[2]}x{x.shape[3]} not divisible by patch-embed stride {self.stride}"
             )
         return conv2d(x, self.kernel, self.bias, stride=self.stride, padding=self.padding)
-
-    def named(self, prefix):
-        return [(f"{prefix}.kernel", self.kernel), (f"{prefix}.bias", self.bias)]
 
 
 def _drop_path(x: Tensor, p: float, training: bool, rng) -> Tensor:
@@ -227,19 +213,17 @@ class Block:
     exactly the identity map.
     """
 
-    def __init__(self, c: int, spec: MixerSpec, mlp_ratio: int, layerscale_init: float,
-                 droppath_p: float, hw: tuple[int, int], rng,
-                 pos_emb: Optional[Tensor] = None):
+    def __init__(self, params: Registry, prefix: str, c: int, spec: MixerSpec, mlp_ratio: int,
+                 layerscale_init: float, droppath_p: float, pos_emb: Optional[Tensor] = None):
         self.channels = c
         self.spec = spec
-        self.norm1 = Norm.create(c)
-        # positional embeddings are shared per stage, so blocks skip their own
-        self.mixer_params = init_mixer_params(spec, c, hw, rng, with_pos=False)
-        self.pos_emb = pos_emb
-        self.ls1 = Tensor(np.full(c, layerscale_init), requires_grad=True)
-        self.norm2 = Norm.create(c)
-        self.mlp = ChannelMlp.create(c, mlp_ratio, rng)
-        self.ls2 = Tensor(np.full(c, layerscale_init), requires_grad=True)
+        self.norm1 = Norm.create(params, f"{prefix}.norm1", c)
+        self.mixer_params = init_mixer_params(spec, c, params, f"{prefix}.mixer")
+        self.pos_emb = pos_emb  # shared by the blocks of a stage, which makes it
+        self.ls1 = params.new(f"{prefix}.layerscale1", (c,), layerscale_init)
+        self.norm2 = Norm.create(params, f"{prefix}.norm2", c)
+        self.mlp = ChannelMlp.create(params, f"{prefix}.mlp", c, mlp_ratio)
+        self.ls2 = params.new(f"{prefix}.layerscale2", (c,), layerscale_init)
         self.droppath_p = droppath_p
         # neighborhood masks by spatial size, built once per size
         self._masks: dict[tuple[int, int], NeighborhoodMask] = {}
@@ -256,16 +240,6 @@ class Block:
         branch = mul(self.mlp(self.norm2(x)), scale2)
         return add(x, _drop_path(branch, self.droppath_p, training, rng))
 
-    def named(self, prefix):
-        out = list(self.norm1.named(f"{prefix}.norm1"))
-        if self.mixer_params is not None:
-            out.extend(self.mixer_params.named(f"{prefix}.mixer"))
-        out.append((f"{prefix}.layerscale1", self.ls1))
-        out.extend(self.norm2.named(f"{prefix}.norm2"))
-        out.extend(self.mlp.named(f"{prefix}.mlp"))
-        out.append((f"{prefix}.layerscale2", self.ls2))
-        return out
-
 
 @dataclass
 class SegDecoder:
@@ -281,14 +255,18 @@ class SegDecoder:
     cls_b: Tensor
 
     @staticmethod
-    def create(stage_channels, dim: int, num_classes: int, rng) -> "SegDecoder":
-        projs = [(_weight(rng, dim, c), _zeros(dim)) for c in stage_channels]
+    def create(params: Registry, prefix: str, stage_channels, dim: int, num_classes: int) -> "SegDecoder":
+        projs = [
+            (params.new(f"{prefix}.proj{i}.weight", (dim, c)),
+             params.new(f"{prefix}.proj{i}.bias", (dim,), 0.0))
+            for i, c in enumerate(stage_channels)
+        ]
         return SegDecoder(
             projs=projs,
-            fuse_w=_weight(rng, dim, 4 * dim),
-            fuse_b=_zeros(dim),
-            cls_w=_weight(rng, num_classes, dim),
-            cls_b=_zeros(num_classes),
+            fuse_w=params.new(f"{prefix}.fuse.weight", (dim, 4 * dim)),
+            fuse_b=params.new(f"{prefix}.fuse.bias", (dim,), 0.0),
+            cls_w=params.new(f"{prefix}.classifier.weight", (num_classes, dim)),
+            cls_b=params.new(f"{prefix}.classifier.bias", (num_classes,), 0.0),
         )
 
     def __call__(self, features: list[Tensor], out_hw: tuple[int, int]) -> Tensor:
@@ -306,21 +284,6 @@ class SegDecoder:
         logits = transpose(t, (0, 3, 1, 2))
         return bilinear_resize(logits, out_hw[0], out_hw[1])
 
-    def named(self, prefix):
-        out = []
-        for i, (w, b) in enumerate(self.projs):
-            out.append((f"{prefix}.proj{i}.weight", w))
-            out.append((f"{prefix}.proj{i}.bias", b))
-        out.extend(
-            [
-                (f"{prefix}.fuse.weight", self.fuse_w),
-                (f"{prefix}.fuse.bias", self.fuse_b),
-                (f"{prefix}.classifier.weight", self.cls_w),
-                (f"{prefix}.classifier.bias", self.cls_b),
-            ]
-        )
-        return out
-
 
 # ---------------------------------------------------------------------------
 # the model
@@ -328,18 +291,22 @@ class SegDecoder:
 
 
 class MetaFormer:
-    def __init__(self, config: ModelConfig, seed: int = 0, in_channels: int = 3):
+    """The four-stage model. Its parameters draw from ``seed`` in creation
+    order, or, given ``arrays`` (name -> array, as a checkpoint holds them),
+    copy those arrays and draw nothing; arrays that do not match ``config``
+    by name and shape raise ShapeError."""
+
+    def __init__(self, config: ModelConfig, seed: int = 0, arrays: Optional[dict] = None):
         self.config = config
-        self.in_channels = in_channels
-        rng = np.random.default_rng(seed)
+        params = Registry(np.random.default_rng(seed) if arrays is None else None, arrays)
         chans = config.stage_channels
         stage_hw = config.stage_hw()
 
         self.patch_embeds = []
-        cin = in_channels
+        cin = 3  # RGB
         for i, cout in enumerate(chans):
             k, s, p = PATCH_EMBED_STAGE0 if i == 0 else PATCH_EMBED_LATER
-            self.patch_embeds.append(PatchEmbed.create(cin, cout, k, s, p, rng))
+            self.patch_embeds.append(PatchEmbed.create(params, f"patch_embed{i}", cin, cout, k, s, p))
             cin = cout
 
         total_blocks = sum(config.stage_depths)
@@ -350,31 +317,32 @@ class MetaFormer:
             spec = config.signature[i]
             pos = None
             if spec.kind == "global_attn":
-                pos = _weight(rng, chans[i], *stage_hw[i])
+                pos = params.new(f"stage{i}.pos_emb", (chans[i],) + stage_hw[i])
             self.pos_embs.append(pos)
             blocks = []
-            for _ in range(config.stage_depths[i]):
+            for j in range(config.stage_depths[i]):
                 if total_blocks > 1:
                     p = config.stochastic_depth_max * block_index / (total_blocks - 1)
                 else:
                     p = 0.0
                 blocks.append(
-                    Block(
-                        chans[i], spec, config.mlp_ratio, config.layerscale_init,
-                        p, stage_hw[i], rng, pos_emb=pos,
-                    )
+                    Block(params, f"stage{i}.block{j}", chans[i], spec, config.mlp_ratio,
+                          config.layerscale_init, p, pos_emb=pos)
                 )
                 block_index += 1
             self.stages.append(blocks)
 
-        self.final_norm = Norm.create(chans[3])
+        self.final_norm = Norm.create(params, "final_norm", chans[3])
         if config.head == "classify":
-            self.head_w = _weight(rng, config.num_classes, chans[3])
-            self.head_b = _zeros(config.num_classes)
+            self.head_w = params.new("head.weight", (config.num_classes, chans[3]))
+            self.head_b = params.new("head.bias", (config.num_classes,), 0.0)
             self.decoder = None
         else:
             self.head_w = self.head_b = None
-            self.decoder = SegDecoder.create(chans, config.decoder_dim, config.num_classes, rng)
+            self.decoder = SegDecoder.create(params, "decoder", chans, config.decoder_dim, config.num_classes)
+        self._params = params.tensors
+        if arrays is not None:
+            self._check(arrays)
 
     # -- forward ----------------------------------------------------------
 
@@ -412,44 +380,30 @@ class MetaFormer:
     # -- parameters --------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, embed in enumerate(self.patch_embeds):
-            for name, t in embed.named(f"patch_embed{i}"):
-                out[name] = t
-        for i, (blocks, pos) in enumerate(zip(self.stages, self.pos_embs)):
-            if pos is not None:
-                out[f"stage{i}.pos_emb"] = pos
-            for j, block in enumerate(blocks):
-                for name, t in block.named(f"stage{i}.block{j}"):
-                    out[name] = t
-        for name, t in self.final_norm.named("final_norm"):
-            out[name] = t
-        if self.head_w is not None:
-            out["head.weight"] = self.head_w
-            out["head.bias"] = self.head_b
-        if self.decoder is not None:
-            for name, t in self.decoder.named("decoder"):
-                out[name] = t
-        return out
+        """Every parameter by its dotted name, in creation (and draw) order."""
+        return dict(self._params)
 
     def zero_grad(self):
-        for t in self.named_parameters().values():
+        for t in self._params.values():
             t.grad = None
 
-    def load_state(self, state: dict[str, np.ndarray]):
-        params = self.named_parameters()
-        missing = set(params) - set(state)
-        extra = set(state) - set(params)
+    def _check(self, state: dict[str, np.ndarray]):
+        missing = set(self._params) - set(state)
+        extra = set(state) - set(self._params)
         if missing or extra:
             raise ShapeError(f"state mismatch: missing={sorted(missing)[:4]} extra={sorted(extra)[:4]}")
-        for name, t in params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ShapeError(f"parameter {name}: checkpoint shape {arr.shape} != model shape {t.shape}")
-            t.data[...] = arr
+        for name, t in self._params.items():
+            shape = np.shape(state[name])
+            if shape != t.shape:
+                raise ShapeError(f"parameter {name}: checkpoint shape {shape} != model shape {t.shape}")
+
+    def load_state(self, state: dict[str, np.ndarray]):
+        self._check(state)
+        for name, t in self._params.items():
+            t.data[...] = state[name]
 
     def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters().items()}
+        return {name: t.data.copy() for name, t in self._params.items()}
 
 
 def count_params(model: MetaFormer) -> dict[str, int]:

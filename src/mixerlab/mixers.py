@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ShapeError
 from .tensor import (
+    Registry,
     Tensor,
     add,
     avg_pool2d,
@@ -58,9 +59,6 @@ class MixerSpec:
     @property
     def is_attention(self) -> bool:
         return self.kind in ("local_attn", "global_attn")
-
-    def heads(self, channels: int) -> int:
-        return head_count(channels)
 
     def param_count(self, channels: int) -> int:
         """Trainable parameters the mixer itself adds (positional embedding excluded)."""
@@ -128,9 +126,6 @@ def build_neighborhood_mask(height: int, width: int, kernel: int) -> Neighborhoo
 class ConvMixerParams:
     kernel: Tensor  # (Cout, Cin/groups, K, K), bias-free
 
-    def named(self, prefix: str):
-        return [(f"{prefix}.kernel", self.kernel)]
-
 
 @dataclass
 class AttentionParams:
@@ -142,44 +137,19 @@ class AttentionParams:
     wu: Tensor
     pos_emb: Optional[Tensor] = None  # (C, H, W), global attention only
 
-    def named(self, prefix: str):
-        out = [
-            (f"{prefix}.wk", self.wk),
-            (f"{prefix}.wv", self.wv),
-            (f"{prefix}.wq", self.wq),
-            (f"{prefix}.wu", self.wu),
-        ]
-        if self.pos_emb is not None:
-            out.append((f"{prefix}.pos_emb", self.pos_emb))
-        return out
 
-
-def init_mixer_params(
-    spec: MixerSpec,
-    channels: int,
-    hw: tuple[int, int],
-    rng: np.random.Generator,
-    with_pos: bool = True,
-):
-    """Fresh trainable parameters for one mixer placement (None if it has none).
-
-    ``with_pos=False`` skips the positional embedding for global attention,
-    for callers that share one embedding across the blocks of a stage.
-    """
-    c = channels
-    if spec.kind == "conv":
-        w = rng.standard_normal((c, c, spec.kernel, spec.kernel)) * 0.02
-        return ConvMixerParams(Tensor(w, requires_grad=True))
-    if spec.kind == "grouped_conv":
-        w = rng.standard_normal((c, 1, spec.kernel, spec.kernel)) * 0.02
-        return ConvMixerParams(Tensor(w, requires_grad=True))
+def init_mixer_params(spec: MixerSpec, channels: int, registry: Registry, prefix: str = "mixer"):
+    """Trainable parameters for one mixer placement, made in ``registry``
+    under ``prefix`` (None if the mixer has none). Global attention's
+    positional embedding is shared by the blocks of a stage, so the stage
+    makes it."""
+    c, k = channels, spec.kernel
+    if spec.kind in ("conv", "grouped_conv"):
+        cin = c if spec.kind == "conv" else 1
+        return ConvMixerParams(registry.new(f"{prefix}.kernel", (c, cin, k, k)))
     if spec.is_attention:
-        spec.heads(c)  # validate head split early
-        mk = lambda: Tensor(rng.standard_normal((c, c)) * 0.02, requires_grad=True)
-        pos = None
-        if spec.kind == "global_attn" and with_pos:
-            pos = Tensor(rng.standard_normal((c,) + tuple(hw)) * 0.02, requires_grad=True)
-        return AttentionParams(wk=mk(), wv=mk(), wq=mk(), wu=mk(), pos_emb=pos)
+        head_count(c)  # validate head split early
+        return AttentionParams(*(registry.new(f"{prefix}.{w}", (c, c)) for w in ("wk", "wv", "wq", "wu")))
     return None
 
 

@@ -191,6 +191,35 @@ def backward(loss: Tensor):
     loss._tape.backward(loss)
 
 
+class Registry:
+    """Trainable tensors by full dotted name, in creation order.
+
+    ``new`` is the one place a parameter is made. Its values are the seeded
+    draw N(0, 0.02^2) when ``fill`` is None, else the constant ``fill``. A
+    registry over ``arrays`` (name -> array, as a checkpoint holds them)
+    copies each value from there instead and draws nothing; a missing or
+    wrong-shaped array leaves zeros, for the caller's check to report.
+    """
+
+    def __init__(self, rng: Optional[np.random.Generator] = None, arrays: Optional[dict] = None):
+        self.rng = rng
+        self.arrays = arrays
+        self.tensors: dict[str, Tensor] = {}
+
+    def new(self, name: str, shape: tuple[int, ...], fill: Optional[float] = None) -> Tensor:
+        shape = tuple(shape)
+        if self.arrays is not None:
+            data = self.arrays.get(name)
+            if data is None or data.shape != shape:
+                data = np.zeros(shape)
+        elif fill is None:
+            data = self.rng.standard_normal(shape) * 0.02
+        else:
+            data = np.full(shape, float(fill))
+        self.tensors[name] = t = Tensor(data, requires_grad=True)
+        return t
+
+
 # ---------------------------------------------------------------------------
 # op plumbing
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from mixerlab.mixers import (
     mix_local_attn,
     warm_start_remap,
 )
-from mixerlab.tensor import Tape, Tensor, mul, tsum
+from mixerlab.tensor import Registry, Tape, Tensor, mul, tsum
 from mixerlab.trainer import TrainConfig, make_two_class_blobs, train_classifier
 
 PLACEMENT_C2 = 2 * 64**2 + 2 * 128**2 + 6 * 320**2 + 2 * 512**2  # 1,179,648
@@ -227,10 +227,11 @@ def test_criterion_5_block_gradients():
                 if kind == "global_attn"
                 else None
             )
-            block = Block(c, MixerSpec(kind, 3), 4, 0.7, 0.0, (h, w), rng, pos_emb=pos)
+            registry = Registry(rng)
+            block = Block(registry, "blk", c, MixerSpec(kind, 3), 4, 0.7, 0.0, pos_emb=pos)
             x0 = rng.standard_normal((1, c, h, w)) * 0.5
             probe = rng.standard_normal((1, c, h, w))
-            params = dict(block.named("blk"))
+            params = dict(registry.tensors)
             if pos is not None:
                 params["blk.pos_emb"] = pos
             names = sorted(params)

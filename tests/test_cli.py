@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ranking_fixtures as fx
-from mixerlab.checkpoint import load_model, save_model
+from mixerlab.checkpoint import load_arrays, load_model, save_arrays, save_model
 from mixerlab.cli import SCHEMA, load_config, main, resolved_ini
 from mixerlab.imageio import read_pgm, write_ppm
 from mixerlab.metaformer import MetaFormer, ModelConfig
@@ -219,6 +219,35 @@ class TestRankCommand:
         lines = (out / "rank_table.csv").read_text().strip().split("\n")
         assert lines[1].startswith("good,2,")
 
+    @pytest.mark.parametrize("comparator", ["wilcoxon", "bootstrap"])
+    def test_crlf_scores_files_rank_as_lf(self, tmp_path, comparator):
+        # a DSC file for the Wilcoxon tournament, a label/score file for the bootstrap one
+        rng = np.random.default_rng(3)
+        files = {}
+        for sub in ("alpha", "beta", "gamma"):
+            if comparator == "wilcoxon":
+                rows = ["case_id,dsc"] + [f"c{i},{float(v)!r}" for i, v in enumerate(rng.random(10))]
+            else:
+                rows = ["case_id,label,score_0,score_1"] + [
+                    f"c{i},{i % 2},{float(s)!r},{float(1 - s)!r}" for i, s in enumerate(rng.random(10))
+                ]
+            files[f"ds__{sub}.csv"] = rows
+        tables = []
+        for newline in ("\n", "\r\n"):
+            scores_dir = tmp_path / f"scores{len(newline)}"
+            scores_dir.mkdir()
+            for name, rows in files.items():
+                (scores_dir / name).write_bytes((newline.join(rows) + newline).encode())
+            cfg = tmp_path / f"rank{len(newline)}.ini"
+            cfg.write_text(
+                f"[rank]\nmode = scores\nscores_dir = {scores_dir}\n"
+                f"comparator = {comparator}\nrepeats = 100\n"
+            )
+            out = tmp_path / f"out{len(newline)}"
+            assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 0
+            tables.append((out / "rank_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_wilcoxon_input_error_names_the_submission(self, tmp_path, capsys):
         scores_dir = tmp_path / "scores"
         scores_dir.mkdir()
@@ -418,6 +447,13 @@ BAD_CONFIGS = {
     "params_seed_flag": ("params", b"", "--seed", "--seed", "-2"),
     "rank_seed_flag": ("rank", b"", "--seed", "--seed", "-1"),
     "eval_seed_flag": ("eval", b"", "--seed", "--seed", "-3"),
+    # a step budget of zero, a negative warm-up and a negative validation size;
+    # `kind = image_dir` again stops code that accepts the value before training
+    "train_max_steps_zero": ("train", b"[train]\nmax_steps = 0\n[data]\nkind = image_dir\n",
+                             "train.max_steps = '0': must be a positive integer"),
+    "train_warmup_negative": ("train", b"[train]\nwarmup_epochs = -3\n[data]\nkind = image_dir\n",
+                              "train.warmup_epochs = '-3'"),
+    "data_val_n_negative": ("train", b"[data]\nval_n = -1\nkind = image_dir\n", "data.val_n = '-1'"),
 }
 
 
@@ -470,6 +506,25 @@ class TestInputBoundary:
         assert err.startswith("data error:") and err.count("\n") == 1
         if which == "nan_weights":
             assert "stage1.block0.mlp.fc2.bias" in err
+
+    @pytest.mark.parametrize("mismatch", ["missing", "extra", "wrong_shape"])
+    def test_mismatched_checkpoint_is_one_line_data_error(self, tmp_path, capsys, mismatch):
+        ckpt_path, img_path = self.infer_files(tmp_path)
+        config_text, arrays = load_arrays(str(ckpt_path))
+        name = "stage2.block0.mixer.kernel"
+        if mismatch == "missing":
+            del arrays[name]
+        elif mismatch == "extra":
+            arrays["stage2.block0.mixer.bias"] = np.zeros(24)
+        else:
+            arrays[name] = np.zeros((24, 1, 5, 5))
+        save_arrays(str(ckpt_path), config_text, arrays)
+        cfg = tmp_path / "infer.ini"
+        cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
+        assert run_cli("infer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert ("stage2.block0.mixer.bias" if mismatch == "extra" else name) in err
 
     def test_bad_ppm_header_is_data_error(self, tmp_path):
         ckpt_path, img_path = self.infer_files(tmp_path)

@@ -14,12 +14,11 @@ from mixerlab.complexity import (
     flops_formula,
     flops_mixer_term,
     param_formula,
-    param_mixer_term,
     stage_sweep,
     sweep_to_csv,
 )
 from mixerlab.errors import ConfigError
-from mixerlab.metaformer import MetaFormer, ModelConfig, count_params
+from mixerlab.metaformer import MetaFormer, ModelConfig, count_params, mixer_param_delta
 from mixerlab.mixers import MixerSpec
 from mixerlab.tensor import Tensor, _executed_macs, _state, avg_pool2d, conv2d
 
@@ -106,8 +105,8 @@ class TestParamFormula:
         )
         model = MetaFormer(cfg, seed=0)
         got = count_params(model)["mixers"]
-        want = sum(param_mixer_term(kind, c, k) for c in cfg.stage_channels)
-        assert got == want
+        want = sum(param_formula(kind, c, k) - c * c for c in cfg.stage_channels)
+        assert got == want == mixer_param_delta(cfg)
 
 
 class TestStageSweep:

@@ -1,11 +1,13 @@
 """Model assembly: block contracts, stage geometry, parameter accounting,
 checkpoint round-trips, and the spatial invariants."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
-from mixerlab.checkpoint import load_arrays, load_model, save_model
+from mixerlab.checkpoint import load_arrays, load_model, save_arrays, save_model
 from mixerlab.errors import CapacityError, ConfigError, ShapeError
 from mixerlab.metaformer import (
     Block,
@@ -19,7 +21,7 @@ from mixerlab.metaformer import (
     warm_start_model,
 )
 from mixerlab.mixers import MixerSpec
-from mixerlab.tensor import Tape, Tensor, global_avg_pool, linear, tsum
+from mixerlab.tensor import Registry, Tape, Tensor, global_avg_pool, linear, tsum
 
 TINY = dict(stage_channels=(8, 16, 24, 32), stage_depths=(1, 1, 1, 1), input_hw=(32, 32))
 
@@ -66,14 +68,14 @@ class TestModelConfig:
 class TestBlock:
     def test_zero_layerscale_is_identity(self):
         rng = np.random.default_rng(0)
-        block = Block(8, MixerSpec("pooling", 3), 4, 0.0, 0.0, (6, 6), rng)
+        block = Block(Registry(rng), "b", 8, MixerSpec("pooling", 3), 4, 0.0, 0.0)
         x = Tensor(rng.standard_normal((2, 8, 6, 6)))
         y = block.forward(x)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_identity_mixer_zero_mlp(self):
         rng = np.random.default_rng(1)
-        block = Block(8, MixerSpec("identity"), 4, 1.0, 0.0, (6, 6), rng)
+        block = Block(Registry(rng), "b", 8, MixerSpec("identity"), 4, 1.0, 0.0)
         block.ls1.data[...] = 0.0  # silence the mixer branch
         for t in (block.mlp.fc1_w, block.mlp.fc1_b, block.mlp.fc2_w, block.mlp.fc2_b):
             t.data[...] = 0.0
@@ -85,7 +87,7 @@ class TestBlock:
         rng = np.random.default_rng(2)
         for kind in ("identity", "pooling", "conv", "grouped_conv", "local_attn", "global_attn"):
             pos = Tensor(rng.standard_normal((16, 4, 4)), requires_grad=True) if kind == "global_attn" else None
-            block = Block(16, MixerSpec(kind, 3), 4, 0.5, 0.0, (4, 4), rng, pos_emb=pos)
+            block = Block(Registry(rng), "b", 16, MixerSpec(kind, 3), 4, 0.5, 0.0, pos_emb=pos)
             x = Tensor(rng.standard_normal((2, 16, 4, 4)))
             assert block.forward(x).shape == x.shape
 
@@ -101,7 +103,7 @@ class TestBlock:
 
         monkeypatch.setattr(mixers, "build_neighborhood_mask", counting)
         rng = np.random.default_rng(5)
-        block = Block(16, MixerSpec("local_attn", 3), 4, 0.5, 0.0, (4, 4), rng)
+        block = Block(Registry(rng), "b", 16, MixerSpec("local_attn", 3), 4, 0.5, 0.0)
         for hw in ((4, 4), (4, 4), (6, 6), (4, 4)):
             block.forward(Tensor(rng.standard_normal((1, 16) + hw)))
         assert built == [(4, 4), (6, 6)]
@@ -113,7 +115,7 @@ class TestBlock:
         monkeypatch.setattr(mixers, "build_neighborhood_mask", lambda *a: built.append(a))
         rng = np.random.default_rng(6)
         # 96x96: one head over N = 9216 positions exceeds the default 2**26 budget
-        block = Block(16, MixerSpec("local_attn", 3), 4, 0.5, 0.0, (96, 96), rng)
+        block = Block(Registry(rng), "b", 16, MixerSpec("local_attn", 3), 4, 0.5, 0.0)
         with pytest.raises(CapacityError):
             block.forward(Tensor(rng.standard_normal((1, 16, 96, 96))))
         assert built == []
@@ -121,9 +123,10 @@ class TestBlock:
     def test_block_gradcheck_pooling(self):
         # full criterion (all six mixers at C=16, 6x6) runs in the acceptance suite
         rng = np.random.default_rng(3)
-        block = Block(4, MixerSpec("pooling", 3), 2, 1.0, 0.0, (3, 3), rng)
+        registry = Registry(rng)
+        block = Block(registry, "b", 4, MixerSpec("pooling", 3), 2, 1.0, 0.0)
         x0 = rng.standard_normal((1, 4, 3, 3))
-        params = dict(block.named("b"))
+        params = registry.tensors
         names = sorted(params)
         arrays = [params[n].data for n in names]
 
@@ -143,7 +146,7 @@ class TestBlock:
 
     def test_droppath_requires_rng(self):
         rng = np.random.default_rng(4)
-        block = Block(8, MixerSpec("identity"), 4, 1.0, 0.5, (4, 4), rng)
+        block = Block(Registry(rng), "b", 8, MixerSpec("identity"), 4, 1.0, 0.5)
         x = Tensor(np.ones((2, 8, 4, 4)))
         with pytest.raises(ConfigError):
             block.forward(x, training=True, rng=None)
@@ -209,7 +212,7 @@ class TestForwardSegment:
         # the decoder is pointwise + bilinear, so per-channel-constant stage
         # features must come out spatially constant
         rng = np.random.default_rng(80)
-        dec = SegDecoder.create((8, 16, 24, 32), 16, 3, rng)
+        dec = SegDecoder.create(Registry(rng), "decoder", (8, 16, 24, 32), 16, 3)
         feats = [
             Tensor(np.broadcast_to(rng.standard_normal((1, c, 1, 1)), (1, c, hw, hw)).copy())
             for c, hw in zip((8, 16, 24, 32), (8, 4, 2, 1))
@@ -228,7 +231,7 @@ class TestForwardSegment:
     def test_decoder_flip_equivariance(self):
         # pointwise maps + half-pixel bilinear resampling commute with flips
         rng = np.random.default_rng(9)
-        dec = SegDecoder.create((8, 16, 24, 32), 16, 3, rng)
+        dec = SegDecoder.create(Registry(rng), "decoder", (8, 16, 24, 32), 16, 3)
         feats = [Tensor(rng.standard_normal((1, c, hw, hw))) for c, hw in zip((8, 16, 24, 32), (8, 4, 2, 1))]
         flipped = [Tensor(f.data[:, :, :, ::-1].copy()) for f in feats]
         a = dec(feats, (32, 32)).data
@@ -381,6 +384,70 @@ class TestSpatialInvariants:
         assert ya.tobytes() == yb.tobytes()
 
 
+class TestParameterRegistry:
+    """Names, order and shapes of ``named_parameters()`` and the CRC-32 of the
+    ``state()`` bytes and of a saved checkpoint, at seed 7. The values were
+    computed before parameters were named in one registry, so checkpoints
+    written before and after are byte-identical."""
+
+    # signature, head, count, CRC-32 of the manifest, of state(), of the checkpoint
+    PINNED = [
+        ("identity", "classify", 62, 0x9d1c1765, 0xd8343e42, 0xa0c9d376),
+        ("pooling:3", "classify", 62, 0x9d1c1765, 0xd8343e42, 0x21af937e),
+        ("conv:3", "classify", 67, 0x97bd6ab8, 0xb74e3ce1, 0x709aaff3),
+        ("grouped_conv:3", "classify", 67, 0xa9351c4e, 0xff120b19, 0xe8347535),
+        ("local_attn:3", "classify", 82, 0xb7f79203, 0x68b934df, 0xba437c34),
+        ("global_attn", "classify", 86, 0xb43eb95e, 0xc2353b41, 0x7482b76e),
+        ("pooling:3,conv:5,local_attn:3,global_attn", "classify", 76, 0x3751a349, 0xc4215180, 0xb3d65a71),
+        ("identity", "segment", 72, 0x2ee3e53e, 0x74a8a29e, 0xa6024bbe),
+        ("pooling:3", "segment", 72, 0x2ee3e53e, 0x74a8a29e, 0x06dfd646),
+        ("conv:3", "segment", 77, 0x553ff3ae, 0x2c0ec7e8, 0x71a65dc5),
+        ("grouped_conv:3", "segment", 77, 0x531ab9e0, 0xcaa1457c, 0xd1cb21dc),
+        ("local_attn:3", "segment", 92, 0xb10d7d5a, 0x3a4a29e3, 0xfd5265f2),
+        ("global_attn", "segment", 96, 0x8ecd2c78, 0x11cebfbb, 0xd9f84b1c),
+        ("pooling:3,conv:5,local_attn:3,global_attn", "segment", 86, 0x6bfc2b24, 0x667122a1, 0x6e53aa7b),
+    ]
+
+    @pytest.mark.parametrize("text,head,count,manifest_crc,state_crc,file_crc", PINNED,
+                             ids=[f"{text}-{head}" for text, head, *_ in PINNED])
+    def test_manifest_state_and_checkpoint_bytes(self, tmp_path, text, head, count, manifest_crc,
+                                                 state_crc, file_crc):
+        specs = parse_signature(text)
+        cfg = ModelConfig(
+            stage_channels=(8, 16, 24, 32), stage_depths=(1, 1, 1, 2),
+            signature=specs * 4 if len(specs) == 1 else specs,
+            head=head, num_classes=3, decoder_dim=16, input_hw=(64, 64),
+        )
+        model = MetaFormer(cfg, seed=7)
+        params = model.named_parameters()
+        manifest = "".join(f"{name}{t.shape}\n" for name, t in params.items())
+        crc = 0
+        for name, arr in model.state().items():
+            crc = zlib.crc32(arr.tobytes(), zlib.crc32(name.encode(), crc))
+        path = tmp_path / "model.mxlc"
+        save_model(str(path), model)
+        assert list(params)[:2] == ["patch_embed0.kernel", "patch_embed0.bias"]
+        assert (len(params), zlib.crc32(manifest.encode()), crc) == (count, manifest_crc, state_crc)
+        assert zlib.crc32(path.read_bytes()) == file_crc
+
+    def test_load_model_draws_nothing(self, tmp_path, monkeypatch):
+        signature = parse_signature("conv:3,grouped_conv:3,local_attn:3,global_attn")
+        cfg = ModelConfig(signature=signature, head="segment", num_classes=3, **TINY)
+        model = MetaFormer(cfg, seed=5)
+        path = str(tmp_path / "model.mxlc")
+        save_model(path, model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        again = load_model(path)
+        monkeypatch.undo()
+        want, got = model.state(), again.state()
+        assert list(got) == list(want)
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
 class TestCheckpoint:
     def test_roundtrip_bits(self, tmp_path):
         model = MetaFormer(tiny_config("grouped_conv"), seed=8)
@@ -404,6 +471,30 @@ class TestCheckpoint:
         assert config_text.startswith("[model]")
         with open(path, "rb") as fh:
             assert fh.read(4) == b"MXLC"
+
+    @pytest.mark.parametrize(
+        "mismatch,message",
+        [
+            ("missing", "state mismatch: missing=['stage1.block0.mlp.fc2.bias'] extra=[]"),
+            ("extra", "state mismatch: missing=[] extra=['stage1.block0.mlp.fc3.bias']"),
+            ("wrong_shape", "parameter stage1.block0.mlp.fc2.bias: checkpoint shape (3,) != model shape (16,)"),
+        ],
+    )
+    def test_arrays_that_do_not_match_the_config(self, tmp_path, mismatch, message):
+        model = MetaFormer(tiny_config(), seed=9)
+        arrays = model.state()
+        name = "stage1.block0.mlp.fc2.bias"
+        if mismatch == "missing":
+            del arrays[name]
+        elif mismatch == "extra":
+            arrays["stage1.block0.mlp.fc3.bias"] = np.zeros(16)
+        else:
+            arrays[name] = np.zeros(3)
+        path = str(tmp_path / "model.mxlc")
+        save_arrays(path, model.config.to_ini(), arrays)
+        with pytest.raises(ShapeError) as info:
+            load_model(path)
+        assert str(info.value) == message
 
     def test_warm_start_across_checkpoints(self, tmp_path):
         src_cfg = tiny_config("global_attn", input_hw=(32, 32))

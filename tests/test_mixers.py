@@ -12,6 +12,7 @@ from mixerlab.mixers import (
     MixerSpec,
     apply_mixer,
     build_neighborhood_mask,
+    head_count,
     init_mixer_params,
     mix_conv,
     mix_global_attn,
@@ -21,7 +22,7 @@ from mixerlab.mixers import (
     mix_pool,
     warm_start_remap,
 )
-from mixerlab.tensor import Tensor
+from mixerlab.tensor import Registry, Tensor
 
 
 def attention_oracle(x, wk, wv, wq, wu, heads, pos=None, allowed=None):
@@ -73,12 +74,11 @@ class TestMixerSpec:
         MixerSpec("identity", kernel=1)  # kernel ignored for identity
 
     def test_head_rule(self):
-        spec = MixerSpec("global_attn")
-        assert spec.heads(64) == 4
-        assert spec.heads(512) == 32
-        assert spec.heads(16) == 1
-        assert spec.heads(8) == 1  # small stages fall back to a single head
-        assert spec.heads(24) == 1
+        assert head_count(64) == 4
+        assert head_count(512) == 32
+        assert head_count(16) == 1
+        assert head_count(8) == 1  # small stages fall back to a single head
+        assert head_count(24) == 1
 
     @pytest.mark.parametrize(
         "kind,kernel,c,want",
@@ -163,7 +163,7 @@ class TestConvMixers:
         rng = np.random.default_rng(4)
         for kind in ("conv", "grouped_conv"):
             spec = MixerSpec(kind, kernel=5)
-            params = init_mixer_params(spec, 8, (6, 6), rng)
+            params = init_mixer_params(spec, 8, Registry(rng))
             x = Tensor(rng.standard_normal((2, 8, 6, 6)))
             y = apply_mixer(spec, params, x)
             assert y.shape == x.shape
@@ -174,7 +174,7 @@ class TestConvMixers:
         x = rng.standard_normal((1, c, 8, 8))
         for kind in ("pooling", "conv", "grouped_conv"):
             spec = MixerSpec(kind, kernel=k)
-            params = init_mixer_params(spec, c, (8, 8), rng)
+            params = init_mixer_params(spec, c, Registry(rng))
             y1 = apply_mixer(spec, params, Tensor(x)).data
             y2 = apply_mixer(spec, params, Tensor(np.roll(x, 1, axis=3))).data
             rolled = np.roll(y1, 1, axis=3)
@@ -267,7 +267,7 @@ class TestGlobalAttention:
         c, n = 64, 49
         assert MixerSpec("global_attn").param_count(c) == 4 * c * c
         params = make_attn_params(c, hw=(7, 7), seed=12, with_pos=True)
-        total = sum(t.size for _, t in params.named("m"))
+        total = sum(t.size for t in (params.wk, params.wv, params.wq, params.wu, params.pos_emb))
         assert total == 4 * c * c + n * c
 
     def test_positional_embedding_shape_checked(self):
@@ -405,7 +405,7 @@ class TestShapePreservation:
         rng = np.random.default_rng(50)
         c, h, w = 16, 4, 6
         spec = MixerSpec(kind, kernel=3)
-        params = init_mixer_params(spec, c, (h, w), rng)
+        params = init_mixer_params(spec, c, Registry(rng))
         x = Tensor(rng.standard_normal((2, c, h, w)))
         y = apply_mixer(spec, params, x)
         assert y.shape == (2, c, h, w)
