@@ -9,18 +9,10 @@ from .errors import ConfigError
 _PALETTE = ("#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3", "#937860")
 
 
-def grouped_bar_svg(
-    title: str,
-    group_labels: list[str],
-    series: dict[str, list[float]],
-    log_scale: bool = True,
-    width: int = 900,
-    height: int = 420,
-) -> str:
-    """Grouped bars, one cluster per group label, one color per series.
-
-    With ``log_scale`` the bar height is proportional to log10 of the value
-    over the smallest positive value plotted.
+def grouped_bar_svg(title: str, group_labels: list[str], series: dict[str, list[float]]) -> str:
+    """Grouped bars, one cluster per group label, one color per series, on
+    a log scale: bar height is proportional to log10 of the value over the
+    smallest positive value plotted.
     """
     if not series:
         raise ConfigError("no series to plot")
@@ -29,6 +21,7 @@ def grouped_bar_svg(
         if len(vals) != n_groups:
             raise ConfigError(f"series {name!r} has {len(vals)} values for {n_groups} groups")
 
+    width, height = 900, 420
     margin_l, margin_b, margin_t = 70, 60, 40
     plot_w = width - margin_l - 20
     plot_h = height - margin_b - margin_t
@@ -39,8 +32,6 @@ def grouped_bar_svg(
     def bar_height(v: float) -> float:
         if v <= 0:
             return 0.0
-        if not log_scale:
-            return plot_h * v / vmax
         span = math.log10(vmax / vmin) or 1.0
         return plot_h * (math.log10(v / vmin) + 0.15 * span) / (1.15 * span)
 
@@ -77,10 +68,9 @@ def grouped_bar_svg(
         x = margin_l + si * 130
         parts.append(f'<rect x="{x}" y="{height - 22}" width="12" height="12" fill="{color}"/>')
         parts.append(f'<text x="{x + 16}" y="{height - 11}" font-size="11">{name}</text>')
-    axis_label = "log scale" if log_scale else "linear scale"
     parts.append(
         f'<text x="16" y="{margin_t + plot_h / 2:.1f}" font-size="11" '
-        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">{axis_label}</text>'
+        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">log scale</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -81,7 +81,7 @@ def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
                 name = read(unpack("<H")[0]).decode("utf-8")
                 shape = unpack(f"<{unpack('<B')[0]}I")
                 buf = read(8 * math.prod(shape))
-                arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+                arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
                 if not np.isfinite(arrays[name]).all():
                     raise DataError(f"{path}: array {name!r} has non-finite values")
         except UnicodeDecodeError:

@@ -35,6 +35,7 @@ from .evalrank import (
     CaseScores,
     aggregate_geomean,
     auc_macro,
+    csv_table,
     f1_macro,
     normalize_ranks,
     pairwise_wins,
@@ -147,15 +148,11 @@ def _read_text(path: str, error: type[MixerlabError] = DataError) -> str:
 
 def _csv_rows(path: str, header: str) -> list[list[str]]:
     """The non-empty rows of a CSV file that starts with ``header``."""
-    lines = [line.strip() for line in _read_text(path).splitlines()]
-    if not lines or lines[0] != header:
+    found, rows = csv_table(_read_text(path), path)
+    if found != header.split(","):
         raise DataError(f"{path} must start with {header!r}")
-    rows = [line.split(",") for line in lines[1:] if line]
     if not rows:
         raise DataError(f"{path}: no rows")
-    for row in rows:
-        if len(row) != header.count(",") + 1:
-            raise DataError(f"{path}: row {','.join(row)!r} does not match {header!r}")
     return rows
 
 
@@ -179,7 +176,7 @@ def cmd_flops(cfg: Config, out_dir: str) -> int:
     series = {
         kind: [r.flops for r in reports if r.kind == kind] for kind in KINDS
     }
-    svg = grouped_bar_svg("token-mixer FLOPs per stage", groups, series, log_scale=True)
+    svg = grouped_bar_svg("token-mixer FLOPs per stage", groups, series)
     _write(out_dir, "flops.svg", svg)
     return 0
 
@@ -258,7 +255,7 @@ def cmd_train(cfg: Config, out_dir: str) -> int:
             print(f"  {name}: {val_!r}", file=sys.stderr)
         raise
     if result.best_state is not None:
-        model.load_state(result.best_state)
+        model = MetaFormer(config, arrays=result.best_state)
     ckpt.save_model(os.path.join(out_dir, "checkpoint.mxlc"), model)
     summary = f"final_train_accuracy,{result.final_train_accuracy!r}\n"
     if result.best_val_f1 is not None:

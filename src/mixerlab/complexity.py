@@ -1,12 +1,11 @@
 """Static cost accounting for the six mixers, plus an executed MAC count.
 
-The FLOPs and parameter expressions are evaluated verbatim as published
-(identity NC^2; pooling NK^2C + NC^2; grouped conv 2NK^2C + NC^2; local
-attention 5NC^2 + NK^2C + N + 2NK^2; conv 2NK^2C^2 + NC^2; global
-attention 5NC^2 + N^2C + N + 2N^2 -- and C^2 / C^2 / K^2C+C^2 / 5C^2 /
-K^2C^2+C^2 / 5C^2 parameters), one multiply-accumulate counting as the
-written factor 2. The NC^2 channel-MLP share undercounts a ratio-4 MLP;
-we reproduce the published accounting rather than re-deriving it.
+The published FLOPs and parameter expressions are evaluated verbatim from
+the rows of ``mixers.MIXER_KINDS``: a block's FLOPs are the kind's mixer
+term plus NC^2, its parameters the mixer's own plus C^2, one
+multiply-accumulate counting as the written factor 2. The NC^2
+channel-MLP share undercounts a ratio-4 MLP; we reproduce the published
+accounting rather than re-deriving it.
 
 ``empirical_mac_count`` checks the kernel-mixer terms against the
 multiply-accumulates that the library's own ``conv2d`` and ``avg_pool2d``
@@ -23,53 +22,33 @@ import numpy as np
 
 from .errors import ConfigError
 from .metaformer import ModelConfig
-from .mixers import MixerSpec, apply_mixer, init_mixer_params
+from .mixers import MIXER_KINDS, MixerKind, MixerSpec, apply_mixer, init_mixer_params
 from .tensor import Registry, Tensor, _executed_macs
 
-KINDS = ("identity", "pooling", "grouped_conv", "local_attn", "conv", "global_attn")
-KERNEL_KINDS = ("pooling", "grouped_conv", "local_attn", "conv")
+KINDS = tuple(MIXER_KINDS)
 
 
-def _check_kind(kind: str, k: Optional[int]):
-    if kind not in KINDS:
+def _row(kind: str, k: Optional[int]) -> MixerKind:
+    if kind not in MIXER_KINDS:
         raise ConfigError(f"unknown mixer kind {kind!r}")
-    if kind in KERNEL_KINDS and k is None:
+    if MIXER_KINDS[kind].uses_kernel and k is None:
         raise ConfigError(f"{kind} needs a kernel size K")
+    return MIXER_KINDS[kind]
+
+
+def flops_mixer_term(kind: str, c: int, n: int, k: Optional[int] = None) -> int:
+    """The published FLOPs expression minus the NC^2 channel-MLP share."""
+    return _row(kind, k).flops(c, n, k)
 
 
 def flops_formula(kind: str, c: int, n: int, k: Optional[int] = None) -> int:
     """Evaluate the published FLOPs expression for one block placement."""
-    _check_kind(kind, k)
-    if kind == "identity":
-        return n * c * c
-    if kind == "pooling":
-        return n * k * k * c + n * c * c
-    if kind == "grouped_conv":
-        return n * 2 * k * k * c + n * c * c
-    if kind == "local_attn":
-        return 5 * n * c * c + n * k * k * c + n + 2 * n * k * k
-    if kind == "conv":
-        return n * 2 * k * k * c * c + n * c * c
-    # global_attn
-    return 5 * n * c * c + n * n * c + n + 2 * n * n
-
-
-def flops_mixer_term(kind: str, c: int, n: int, k: Optional[int] = None) -> int:
-    """The FLOPs expression minus the NC^2 channel-MLP share."""
-    return flops_formula(kind, c, n, k) - n * c * c
+    return flops_mixer_term(kind, c, n, k) + n * c * c
 
 
 def param_formula(kind: str, c: int, k: Optional[int] = None) -> int:
     """Evaluate the published parameter expression for one block placement."""
-    _check_kind(kind, k)
-    if kind in ("identity", "pooling"):
-        return c * c
-    if kind == "grouped_conv":
-        return k * k * c + c * c
-    if kind == "conv":
-        return k * k * c * c + c * c
-    # both attention variants
-    return 5 * c * c
+    return _row(kind, k).params(c, k) + c * c
 
 
 @dataclass
@@ -96,10 +75,10 @@ def stage_sweep(config: ModelConfig, input_hw: Optional[tuple[int, int]] = None,
     reports = []
     for stage, ((h, w), c) in enumerate(zip(config.stage_hw(input_hw), config.stage_channels)):
         n = h * w
-        for kind in KINDS:
-            k = kernel if kind in KERNEL_KINDS else None
-            counted = (kind not in ("local_attn", "global_attn") and flops_mixer_term(kind, c, n, k) <= 2**32
-                       and c * n + MixerSpec(kind, k).param_count(c) <= 2**24)
+        for kind, row in MIXER_KINDS.items():
+            k = kernel if row.uses_kernel else None
+            counted = (not row.is_attention and row.flops(c, n, k) <= 2**32
+                       and c * n + row.params(c, k) <= 2**24)
             reports.append(
                 CostReport(
                     stage=stage,
@@ -144,9 +123,8 @@ def empirical_mac_count(kind: str, c: int, h: int, w: int, k: Optional[int] = No
     Defined for identity, pooling, conv and grouped_conv; the attention
     kinds run linear and matmul ops, which are not counted.
     """
-    if kind in ("local_attn", "global_attn"):
+    if _row(kind, k).is_attention:
         raise ConfigError(f"empirical MAC counting is defined for kernel mixers, not {kind!r}")
-    _check_kind(kind, k)
     spec = MixerSpec(kind, k)
     params = init_mixer_params(spec, c, Registry(np.random.default_rng(0)))
     return _executed_macs(lambda: apply_mixer(spec, params, Tensor(np.zeros((1, c, h, w)))))

@@ -109,16 +109,15 @@ def f1_macro(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     return float(np.mean(f1s))
 
 
-def dsc(pred_mask: np.ndarray, true_mask: np.ndarray, ignore_background: bool = True) -> float:
-    """Per-case Dice: mean over foreground classes, skipping classes empty
-    in both the prediction and the target."""
+def dsc(pred_mask: np.ndarray, true_mask: np.ndarray) -> float:
+    """Per-case Dice: mean over foreground (nonzero) classes, skipping
+    classes empty in both the prediction and the target."""
     pred = np.asarray(pred_mask)
     true = np.asarray(true_mask)
     if pred.size == 0 or pred.shape != true.shape:
         raise DataError("dsc needs equal-shape non-empty masks")
     classes = np.union1d(np.unique(pred), np.unique(true))
-    if ignore_background:
-        classes = classes[classes != 0]
+    classes = classes[classes != 0]
     vals = []
     for cls in classes:
         a = pred == cls
@@ -254,10 +253,10 @@ def wilcoxon_signed_rank(
     a_values: Sequence[float],
     b_values: Sequence[float],
     alpha: float = 0.05,
-    two_sided: bool = True,
     exact_limit: int = 25,
 ) -> WilcoxonResult:
-    """Paired signed-rank test on per-case values (zero differences dropped).
+    """Two-sided paired signed-rank test on per-case values (zero
+    differences dropped).
 
     Exact sign-assignment distribution up to ``exact_limit`` <= 62 cases,
     normal approximation with tie correction beyond. The verdict combines
@@ -281,11 +280,7 @@ def wilcoxon_signed_rank(
     if n <= exact_limit:
         doubled = [int(round(2 * r)) for r in ranks]
         w2 = int(round(2 * w_pos))
-        p_le, p_ge = _wilcoxon_exact_tail(doubled, w2)
-        if two_sided:
-            p = min(1.0, 2.0 * min(p_le, p_ge))
-        else:
-            p = p_ge if w_pos >= w_neg else p_le
+        p = min(1.0, 2.0 * min(_wilcoxon_exact_tail(doubled, w2)))
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
@@ -294,10 +289,7 @@ def wilcoxon_signed_rank(
         if var <= 0:
             return WilcoxonResult(TIE, 1.0, w_pos, w_neg, n)
         z = (w_pos - mu) / math.sqrt(var)
-        if two_sided:
-            p = float(2.0 * _normal.sf(abs(z)))
-        else:
-            p = float(_normal.sf(z) if w_pos >= w_neg else _normal.cdf(z))
+        p = float(2.0 * _normal.sf(abs(z)))
 
     if p < alpha and w_pos != w_neg:
         verdict = A_WINS if w_pos > w_neg else B_WINS
@@ -490,28 +482,38 @@ def write_case_scores_csv(cs: CaseScores) -> str:
     return buf.getvalue()
 
 
+def csv_table(text: str, source: str) -> tuple[list[str], list[list[str]]]:
+    """Header fields and rows of CSV ``text``: lines stripped (so CRLF reads
+    as LF), blank lines skipped, every row as long as the header. A file
+    that breaks this is a one-line DataError naming ``source``."""
+    lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
+    if not lines:
+        raise DataError(f"{source}: empty CSV")
+    header = lines[0].split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    for row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{source}: row {','.join(row)!r} has {len(row)} fields, not {len(header)}")
+    return header, rows
+
+
 def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores:
     """Parse ``case_id,dsc`` or ``case_id,label,score_0,...`` rows; a
     malformed row or a non-finite value is a DataError."""
-    lines = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
-    if not lines:
-        raise DataError("empty case-scores CSV")
-    header = lines[0].split(",")
+    source = f"case scores of {submission!r} on {dataset!r}"
+    header, rows = csv_table(text, source)
     if header != ["case_id", "dsc"] and (
         header[:2] != ["case_id", "label"] or not all(h.startswith("score_") for h in header[2:])
     ):
-        raise DataError(f"unrecognized case-scores header: {header}")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if any(len(row) != len(header) for row in rows):
-        raise DataError(f"every case-scores row needs {len(header)} fields")
+        raise DataError(f"{source}: unrecognized header {header}")
     ids = [row[0] for row in rows]
     try:
         values = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(len(rows), len(header) - 1)
         labels = np.array([int(row[1]) for row in rows]) if header[1] == "label" else None
     except ValueError as exc:
-        raise DataError(f"case-scores CSV: {exc}") from None
+        raise DataError(f"{source}: {exc}") from None
     if not np.isfinite(values).all():
-        raise DataError("case-scores CSV has a non-finite value")
+        raise DataError(f"{source}: non-finite value")
     if labels is None:
         return CaseScores(submission, dataset, ids, dsc=values[:, 0])
     return CaseScores(submission, dataset, ids, labels=labels, scores=values[:, 1:])

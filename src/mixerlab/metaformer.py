@@ -10,7 +10,7 @@ decoder (segment).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .config import FLOAT, HW, INT, INTS, TEXT, Key, ValueType
 from .config import field_values, format_section, owned_by, read_ini
 from .errors import ConfigError, ShapeError
-from .mixers import MixerSpec, NeighborhoodMask, apply_mixer, head_count, init_mixer_params, warm_start_remap
+from .mixers import MixerSpec, apply_mixer, head_count, init_mixer_params, warm_start_remap
 from .tensor import (
     Registry,
     Tensor,
@@ -219,22 +219,18 @@ class Block:
         self.spec = spec
         self.norm1 = Norm.create(params, f"{prefix}.norm1", c)
         self.mixer_params = init_mixer_params(spec, c, params, f"{prefix}.mixer")
-        self.pos_emb = pos_emb  # shared by the blocks of a stage, which makes it
+        if pos_emb is not None:  # shared by the blocks of a stage, which makes it
+            self.mixer_params.pos_emb = pos_emb
         self.ls1 = params.new(f"{prefix}.layerscale1", (c,), layerscale_init)
         self.norm2 = Norm.create(params, f"{prefix}.norm2", c)
         self.mlp = ChannelMlp.create(params, f"{prefix}.mlp", c, mlp_ratio)
         self.ls2 = params.new(f"{prefix}.layerscale2", (c,), layerscale_init)
         self.droppath_p = droppath_p
-        # neighborhood masks by spatial size, built once per size
-        self._masks: dict[tuple[int, int], NeighborhoodMask] = {}
 
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         c = self.channels
-        params = self.mixer_params
-        if self.pos_emb is not None:
-            params = replace(params, pos_emb=self.pos_emb)
         scale1 = reshape(self.ls1, (1, c, 1, 1))
-        branch = mul(apply_mixer(self.spec, params, self.norm1(x), masks=self._masks), scale1)
+        branch = mul(apply_mixer(self.spec, self.mixer_params, self.norm1(x)), scale1)
         x = add(x, _drop_path(branch, self.droppath_p, training, rng))
         scale2 = reshape(self.ls2, (1, c, 1, 1))
         branch = mul(self.mlp(self.norm2(x)), scale2)
@@ -293,8 +289,8 @@ class SegDecoder:
 class MetaFormer:
     """The four-stage model. Its parameters draw from ``seed`` in creation
     order, or, given ``arrays`` (name -> array, as a checkpoint holds them),
-    copy those arrays and draw nothing; arrays that do not match ``config``
-    by name and shape raise ShapeError."""
+    take their values from those arrays and draw nothing (see ``Registry``);
+    arrays that do not match ``config`` by name and shape raise ShapeError."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, arrays: Optional[dict] = None):
         self.config = config
@@ -396,11 +392,6 @@ class MetaFormer:
             shape = np.shape(state[name])
             if shape != t.shape:
                 raise ShapeError(f"parameter {name}: checkpoint shape {shape} != model shape {t.shape}")
-
-    def load_state(self, state: dict[str, np.ndarray]):
-        self._check(state)
-        for name, t in self._params.items():
-            t.data[...] = state[name]
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}

@@ -3,14 +3,14 @@
 Every mixer maps (B, C, H, W) -> (B, C, H, W) without touching resolution
 or channel count; everything else in a block (norms, channel MLP,
 residuals) stays fixed. Kernel-based mixers run stride 1 with padding
-(K-1)/2 and no bias, so their trainable parameter counts are exactly
-K^2*C^2 (conv), K^2*C (grouped conv), 4*C^2 (attention).
+(K-1)/2 and no bias. ``MIXER_KINDS`` holds what the paper publishes per
+kind: kernel use, attention or not, parameter count and FLOPs term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,7 +29,32 @@ from .tensor import (
     transpose,
 )
 
-MIXER_KINDS = ("identity", "pooling", "conv", "grouped_conv", "local_attn", "global_attn")
+
+@dataclass(frozen=True)
+class MixerKind:
+    """One row of the paper's cost table: whether the mixer takes a kernel
+    K, whether it is attention, its own trainable parameters as a function
+    of (C, K), and its FLOPs mixer term (the published FLOPs expression
+    without the NC^2 channel-MLP share) as a function of (C, N, K). The
+    formulas accept any K; only MixerSpec validates it."""
+
+    uses_kernel: bool
+    is_attention: bool
+    params: Callable[[int, Optional[int]], int]
+    flops: Callable[[int, int, Optional[int]], int]
+
+
+# every fact about a mixer kind, in the paper's cost order
+MIXER_KINDS = {
+    "identity": MixerKind(False, False, lambda c, k: 0, lambda c, n, k: 0),
+    "pooling": MixerKind(True, False, lambda c, k: 0, lambda c, n, k: n * k * k * c),
+    "grouped_conv": MixerKind(True, False, lambda c, k: k * k * c, lambda c, n, k: n * 2 * k * k * c),
+    "local_attn": MixerKind(True, True, lambda c, k: 4 * c * c,
+                            lambda c, n, k: 4 * n * c * c + n * k * k * c + n + 2 * n * k * k),
+    "conv": MixerKind(True, False, lambda c, k: k * k * c * c, lambda c, n, k: n * 2 * k * k * c * c),
+    "global_attn": MixerKind(False, True, lambda c, k: 4 * c * c,
+                             lambda c, n, k: 4 * n * c * c + n * n * c + n + 2 * n * n),
+}
 
 # largest allowed score matrix (B*M*N*N float64 elements) before a mixer
 # refuses to materialize attention; mirrors running out of accelerator
@@ -48,27 +73,21 @@ class MixerSpec:
 
     def __post_init__(self):
         if self.kind not in MIXER_KINDS:
-            raise ConfigError(f"unknown mixer kind {self.kind!r}; choose from {MIXER_KINDS}")
+            raise ConfigError(f"unknown mixer kind {self.kind!r}; choose from {tuple(MIXER_KINDS)}")
         if self.uses_kernel and (self.kernel < 3 or self.kernel % 2 == 0):
             raise ConfigError(f"kernel must be odd and >= 3, got {self.kernel}")
 
     @property
     def uses_kernel(self) -> bool:
-        return self.kind in ("pooling", "conv", "grouped_conv", "local_attn")
+        return MIXER_KINDS[self.kind].uses_kernel
 
     @property
     def is_attention(self) -> bool:
-        return self.kind in ("local_attn", "global_attn")
+        return MIXER_KINDS[self.kind].is_attention
 
     def param_count(self, channels: int) -> int:
         """Trainable parameters the mixer itself adds (positional embedding excluded)."""
-        if self.kind == "conv":
-            return self.kernel * self.kernel * channels * channels
-        if self.kind == "grouped_conv":
-            return self.kernel * self.kernel * channels
-        if self.is_attention:
-            return 4 * channels * channels
-        return 0
+        return MIXER_KINDS[self.kind].params(channels, self.kernel)
 
 
 def head_count(channels: int) -> int:
@@ -108,13 +127,15 @@ def build_neighborhood_mask(height: int, width: int, kernel: int) -> Neighborhoo
         raise ConfigError("neighborhood kernel must be >= 1")
     if kernel % 2 == 0:
         raise ConfigError("neighborhood kernel must be odd")
-    hh, ww = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    rows = hh.reshape(-1)
-    cols = ww.reshape(-1)
-    half = kernel / 2.0
-    dy = np.abs(rows[:, None] - rows[None, :]) < half
-    dx = np.abs(cols[:, None] - cols[None, :]) < half
-    return NeighborhoodMask(kernel=kernel, height=height, width=width, allowed=dy & dx)
+
+    def band(size: int) -> np.ndarray:
+        steps = np.arange(size)
+        return np.abs(steps[:, None] - steps[None, :]) < kernel / 2.0
+
+    # allowed[(i, j), (h, w)] = band_H[i, h] & band_W[j, w]: one outer product
+    allowed = band(height)[:, None, :, None] & band(width)[None, :, None, :]
+    n = height * width
+    return NeighborhoodMask(kernel=kernel, height=height, width=width, allowed=allowed.reshape(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +165,10 @@ def init_mixer_params(spec: MixerSpec, channels: int, registry: Registry, prefix
     positional embedding is shared by the blocks of a stage, so the stage
     makes it."""
     c, k = channels, spec.kernel
-    if spec.kind in ("conv", "grouped_conv"):
-        cin = c if spec.kind == "conv" else 1
-        return ConvMixerParams(registry.new(f"{prefix}.kernel", (c, cin, k, k)))
+    if spec.kind == "conv":
+        return ConvMixerParams(registry.new(f"{prefix}.kernel", (c, c, k, k)))
+    if spec.kind == "grouped_conv":
+        return ConvMixerParams(registry.new(f"{prefix}.kernel", (c, 1, k, k)))
     if spec.is_attention:
         head_count(c)  # validate head split early
         return AttentionParams(*(registry.new(f"{prefix}.{w}", (c, c)) for w in ("wk", "wv", "wq", "wu")))
@@ -265,13 +287,10 @@ def apply_mixer(
     spec: MixerSpec,
     params,
     x: Tensor,
-    masks: Optional[dict[tuple[int, int], NeighborhoodMask]] = None,
     score_budget: int = DEFAULT_SCORE_BUDGET,
 ) -> Tensor:
-    """Dispatch to the mixer named by spec.kind.
-
-    ``masks`` caches local-attention masks by (H, W) for a caller that keeps it.
-    """
+    """Dispatch to the mixer named by spec.kind. Local attention checks the
+    score budget before it builds the neighborhood mask for x's grid."""
     if spec.kind == "identity":
         return mix_identity(x)
     if spec.kind == "pooling":
@@ -282,11 +301,8 @@ def apply_mixer(
         return mix_grouped_conv(x, params, spec.kernel)
     if spec.kind == "local_attn":
         _budgeted_heads(x, score_budget)
-        hw = (x.shape[2], x.shape[3])
-        masks = {} if masks is None else masks
-        if hw not in masks:
-            masks[hw] = build_neighborhood_mask(hw[0], hw[1], spec.kernel)
-        return mix_local_attn(x, params, masks[hw], score_budget)
+        mask = build_neighborhood_mask(x.shape[2], x.shape[3], spec.kernel)
+        return mix_local_attn(x, params, mask, score_budget)
     if spec.kind == "global_attn":
         return mix_global_attn(x, params, score_budget)
     raise ConfigError(f"unknown mixer kind {spec.kind!r}")

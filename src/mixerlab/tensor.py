@@ -197,8 +197,10 @@ class Registry:
     ``new`` is the one place a parameter is made. Its values are the seeded
     draw N(0, 0.02^2) when ``fill`` is None, else the constant ``fill``. A
     registry over ``arrays`` (name -> array, as a checkpoint holds them)
-    copies each value from there instead and draws nothing; a missing or
-    wrong-shaped array leaves zeros, for the caller's check to report.
+    takes each value from there instead and draws nothing; a missing or
+    wrong-shaped array leaves zeros, for the caller's check to report. A
+    float64, C-contiguous, writable array that owns its data becomes the
+    tensor's storage as it is, so loaded weights are not held twice.
     """
 
     def __init__(self, rng: Optional[np.random.Generator] = None, arrays: Optional[dict] = None):
@@ -216,7 +218,11 @@ class Registry:
             data = self.rng.standard_normal(shape) * 0.02
         else:
             data = np.full(shape, float(fill))
-        self.tensors[name] = t = Tensor(data, requires_grad=True)
+        flags = data.flags
+        adopt = data.dtype == np.float64 and flags.c_contiguous and flags.writeable and flags.owndata
+        self.tensors[name] = t = Tensor(() if adopt else data, requires_grad=True)
+        if adopt:
+            t.data = data
         return t
 
 
@@ -491,7 +497,7 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
     slice with every entry masked has no valid key and is a config error.
     """
     x = _as_tensor(x)
-    s = x.data if additive_mask is None else x.data + _mask_data(additive_mask)
+    s = x.data if additive_mask is None else x.data + additive_mask
     m = np.max(s, axis=axis, keepdims=True)
     if np.isneginf(m).any():
         raise ConfigError("softmax slice is fully masked (no valid key)")
@@ -506,12 +512,6 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
         return [(x, y * (g - dot))]
 
     return _op("softmax", y, (x,), bwd)
-
-
-def _mask_data(mask) -> np.ndarray:
-    if isinstance(mask, Tensor):
-        return mask.data
-    return np.asarray(mask, dtype=np.float64)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

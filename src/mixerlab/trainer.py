@@ -184,11 +184,9 @@ def adamw_step(
     t: int,
     lr: float,
     weight_decay: float,
-    betas: tuple[float, float] = ADAM_BETAS,
-    eps: float = ADAM_EPS,
 ):
     """One decoupled-weight-decay Adam update, in place on param/m/v."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     param *= 1.0 - lr * weight_decay
     m *= b1
     m += (1.0 - b1) * grad
@@ -196,17 +194,14 @@ def adamw_step(
     v += (1.0 - b2) * grad * grad
     mhat = m / (1.0 - b1**t)
     vhat = v / (1.0 - b2**t)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    param -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 class AdamW:
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 weight_decay: float = 0.1, betas=ADAM_BETAS, eps: float = ADAM_EPS):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.1):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros(p.shape) for name, p in self.params.items()}
         self.v = {name: np.zeros(p.shape) for name, p in self.params.items()}
@@ -225,10 +220,7 @@ class AdamW:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            adamw_step(
-                p.data, p.grad, self.m[name], self.v[name], self.t,
-                lr, self.weight_decay, self.betas, self.eps,
-            )
+            adamw_step(p.data, p.grad, self.m[name], self.v[name], self.t, lr, self.weight_decay)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -1,6 +1,7 @@
 """Model assembly: block contracts, stage geometry, parameter accounting,
 checkpoint round-trips, and the spatial invariants."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -20,8 +21,8 @@ from mixerlab.metaformer import (
     parse_signature,
     warm_start_model,
 )
-from mixerlab.mixers import MixerSpec
-from mixerlab.tensor import Registry, Tape, Tensor, global_avg_pool, linear, tsum
+from mixerlab.mixers import MixerSpec, build_neighborhood_mask, mix_local_attn
+from mixerlab.tensor import Registry, Tape, Tensor, add, global_avg_pool, linear, tsum
 
 TINY = dict(stage_channels=(8, 16, 24, 32), stage_depths=(1, 1, 1, 1), input_hw=(32, 32))
 
@@ -91,22 +92,15 @@ class TestBlock:
             x = Tensor(rng.standard_normal((2, 16, 4, 4)))
             assert block.forward(x).shape == x.shape
 
-    def test_local_attn_mask_built_once_per_size(self, monkeypatch):
-        import mixerlab.mixers as mixers
-
-        built = []
-        real = mixers.build_neighborhood_mask
-
-        def counting(h, w, k):
-            built.append((h, w))
-            return real(h, w, k)
-
-        monkeypatch.setattr(mixers, "build_neighborhood_mask", counting)
+    def test_local_attn_mask_follows_the_input_size(self):
         rng = np.random.default_rng(5)
         block = Block(Registry(rng), "b", 16, MixerSpec("local_attn", 3), 4, 0.5, 0.0)
-        for hw in ((4, 4), (4, 4), (6, 6), (4, 4)):
-            block.forward(Tensor(rng.standard_normal((1, 16) + hw)))
-        assert built == [(4, 4), (6, 6)]
+        block.ls1.data[...] = 1.0  # the block adds the bare mixer output
+        block.ls2.data[...] = 0.0  # and nothing of the channel MLP
+        for hw in ((4, 4), (6, 6), (4, 4)):
+            x = Tensor(rng.standard_normal((1, 16) + hw))
+            mixed = mix_local_attn(block.norm1(x), block.mixer_params, build_neighborhood_mask(*hw, 3))
+            assert block.forward(x).data.tobytes() == add(x, mixed).data.tobytes(), hw
 
     def test_local_attn_refused_before_mask_is_built(self, monkeypatch):
         import mixerlab.mixers as mixers
@@ -449,6 +443,21 @@ class TestParameterRegistry:
 
 
 class TestCheckpoint:
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path):
+        cfg = ModelConfig(stage_channels=(32, 64, 96, 128), stage_depths=(1, 1, 2, 1),
+                          signature=tuple(MixerSpec("conv", 3) for _ in range(4)), input_hw=(32, 32))
+        path = str(tmp_path / "model.mxlc")
+        save_model(path, MetaFormer(cfg, seed=15))
+        weights = sum(a.nbytes for a in load_arrays(path)[1].values())
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(t.data.nbytes for t in model.named_parameters().values()) == weights
+        assert peak < 1.5 * weights, (peak, weights)
+
     def test_roundtrip_bits(self, tmp_path):
         model = MetaFormer(tiny_config("grouped_conv"), seed=8)
         path = str(tmp_path / "model.mxlc")

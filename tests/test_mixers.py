@@ -181,7 +181,25 @@ class TestConvMixers:
             assert np.abs(y2[:, :, :, k:-k] - rolled[:, :, :, k:-k]).max() < 1e-12
 
 
+def meshgrid_mask_oracle(height, width, kernel):
+    """Allowed pairs from the unraveled coordinates of every position pair."""
+    hh, ww = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    rows = hh.reshape(-1)
+    cols = ww.reshape(-1)
+    half = kernel / 2.0
+    dy = np.abs(rows[:, None] - rows[None, :]) < half
+    dx = np.abs(cols[:, None] - cols[None, :]) < half
+    return dy & dx
+
+
 class TestNeighborhoodMask:
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7, 9])
+    @pytest.mark.parametrize("h,w", [(1, 1), (5, 5), (8, 8), (3, 7), (6, 4), (1, 9), (9, 1)])
+    def test_separable_mask_equals_meshgrid_oracle(self, h, w, kernel):
+        m = build_neighborhood_mask(h, w, kernel)
+        assert m.allowed.dtype == bool and m.allowed.shape == (h * w, h * w)
+        np.testing.assert_array_equal(m.allowed, meshgrid_mask_oracle(h, w, kernel))
+
     def test_single_pixel(self):
         m = build_neighborhood_mask(1, 1, 3)
         assert m.allowed.shape == (1, 1) and m.allowed[0, 0]
