@@ -238,6 +238,8 @@ def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
 def cmd_train(cfg: Config, out_dir: str) -> int:
     seed = cfg["run"]["seed"]
     config = ModelConfig(**field_values(MODEL_KEYS, cfg["model"]))
+    if config.head != "classify":
+        raise ConfigError("train needs head = classify")
     tc = TrainConfig(seed=seed, **field_values(TRAIN_KEYS, cfg["train"]))
     images, labels, val = _load_dataset(cfg["data"], config, seed)
     model = MetaFormer(config, seed=seed)
@@ -277,6 +279,8 @@ def cmd_eval(cfg: Config, out_dir: str) -> int:
         if not os.path.isfile(sec["checkpoint"]):
             raise DataError(f"checkpoint not found: {sec['checkpoint']}")
         model = ckpt.load_model(sec["checkpoint"])
+        if model.config.head != "classify":
+            raise ConfigError("eval needs a classification checkpoint")
         images, labels, _ = _load_dataset(cfg["data"], model.config, cfg["run"]["seed"])
         scores = predict_scores(model, images)
         ids = [f"case_{i:05d}" for i in range(len(labels))]

@@ -63,8 +63,7 @@ class CostReport:
     empirical_macs: Optional[int] = None
 
 
-def stage_sweep(config: ModelConfig, input_hw: Optional[tuple[int, int]] = None,
-                kernel: int = 3) -> list[CostReport]:
+def stage_sweep(config: ModelConfig, kernel: int = 3) -> list[CostReport]:
     """Cost reports for all 4 stages x all 6 mixer kinds.
 
     ``kernel`` is used for every kernel-based kind; identity and global
@@ -73,7 +72,7 @@ def stage_sweep(config: ModelConfig, input_hw: Optional[tuple[int, int]] = None,
     FLOPs over at most 2**24 input and weight elements), else None.
     """
     reports = []
-    for stage, ((h, w), c) in enumerate(zip(config.stage_hw(input_hw), config.stage_channels)):
+    for stage, ((h, w), c) in enumerate(zip(config.stage_hw(), config.stage_channels)):
         n = h * w
         for kind, row in MIXER_KINDS.items():
             k = kernel if row.uses_kernel else None

@@ -56,19 +56,9 @@ class CaseScores:
 # ---------------------------------------------------------------------------
 
 
-def _auc_rank(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Mann-Whitney AUC with ties contributing one half."""
-    npos = int(positive.sum())
-    nneg = positive.size - npos
-    if npos == 0 or nneg == 0:
-        raise DataError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
-    u = ranks[positive].sum() - npos * (npos + 1) / 2.0
-    return float(u / (npos * nneg))
-
-
 def auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Macro one-vs-rest AUC over the classes present in ``labels``.
+    """Macro one-vs-rest Mann-Whitney AUC (ties count one half) over the
+    classes present in ``labels``.
 
     A class column with no positive labels is skipped with a warning;
     fewer than two present classes is an error.
@@ -77,20 +67,12 @@ def auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
         raise DataError("scores must be (n, k) aligned with labels")
-    present = np.unique(labels)
-    if present.size < 2:
+    if np.unique(labels).size < 2:
         raise DataError("AUC needs at least two classes present")
-    aucs = []
     for cls in range(scores.shape[1]):
-        positive = labels == cls
-        if not positive.any():
+        if not (labels == cls).any():
             warnings.warn(f"class {cls} absent from labels; skipped in macro AUC")
-            continue
-        if positive.all():
-            warnings.warn(f"class {cls} is the only label; skipped in macro AUC")
-            continue
-        aucs.append(_auc_rank(scores[:, cls], positive))
-    return float(np.mean(aucs))
+    return float(_auc_vector(scores, labels, np.arange(labels.shape[0])[None])[0])
 
 
 def f1_macro(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
@@ -159,9 +141,9 @@ def _resample_indices(labels: np.ndarray, repeats: int, seed: int) -> np.ndarray
 
 
 def _auc_vector(scores: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row r is ``auc_macro(scores[idx[r]], labels[idx[r]])`` bit for bit: the
-    half-integer rank sums are exact, and each row's kept classes are
-    averaged by ``np.mean`` as a 1-D array, like auc_macro's list."""
+    """Row r is the macro AUC of resample ``idx[r]``: each present class's
+    Mann-Whitney U (from exact half-integer rank sums) over npos * nneg,
+    the kept classes averaged by ``np.mean``."""
     drawn, n = labels[idx], idx.shape[1]
     aucs = np.empty((idx.shape[0], scores.shape[1]))
     kept = np.empty(aucs.shape, dtype=bool)

@@ -89,9 +89,9 @@ class ModelConfig:
             if spec.is_attention:
                 head_count(c)  # raises if the head split does not work out
 
-    def stage_hw(self, input_hw: Optional[tuple[int, int]] = None) -> list[tuple[int, int]]:
+    def stage_hw(self) -> list[tuple[int, int]]:
         """Spatial size per stage: input/4, then halved at each stage entry."""
-        h, w = input_hw or self.input_hw
+        h, w = self.input_hw
         out = []
         for i in range(4):
             factor = 4 if i == 0 else 2

@@ -5,13 +5,14 @@ Image tensors follow the (B, C, H, W) layout. Everything is computed in
 bit-identical outputs across runs. Any op whose output contains NaN/Inf
 raises NumericsError on the spot instead of propagating poison values.
 
-Recording: ops append to the thread-local active ``Tape`` (entered via
-``with Tape():``) whenever an input participates in differentiation.
-Without an active tape, ops just compute. A consumed or aborted tape
-releases every record and detaches its outputs, so reference counting,
-not the cyclic GC, frees a pass's activations. ``conv2d`` and ``avg_pool2d``
-also add the multiply-accumulates they execute to a thread-local count
-while one is open.
+Recording: each op hands ``_op`` one (input, gradient function) pair per
+input. On the thread-local active ``Tape`` (entered via ``with Tape():``),
+the pairs whose input requires grad are recorded with the output, so a
+backward runs only the gradients it needs. Without an active tape, ops
+just compute. A consumed or aborted tape releases every record and detaches
+its outputs, so reference counting, not the cyclic GC, frees a pass's
+activations. ``conv2d`` and ``avg_pool2d`` also add the multiply-accumulates
+they execute to a thread-local count while one is open.
 """
 
 from __future__ import annotations
@@ -177,8 +178,6 @@ class Tape:
             if g is None:
                 continue
             for t, gt in backward_fn(g):
-                if t is None or not t.requires_grad:
-                    continue
                 grads[t] = grads[t] + gt if t in grads else np.array(gt, dtype=np.float64, copy=True)
         for t, g in grads.items():
             t.grad = g if t.grad is None else t.grad + g
@@ -235,12 +234,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _op(name: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn: Callable) -> Tensor:
+def _op(name: str, data: np.ndarray, vjps: Sequence[tuple[Optional[Tensor], Callable]]) -> Tensor:
     """The exit of every op: freeze ``data`` as the output and record it.
 
+    ``vjps`` pairs each input (None for an absent one, such as a missing
+    bias) with the function that maps the output's gradient to that input's.
     Non-finite data raises NumericsError naming the op. The output owns a
-    C-contiguous array, and is recorded on the active tape when one of
-    ``inputs`` (None entries are skipped) requires grad.
+    C-contiguous array. On an active tape, only the pairs whose input
+    requires grad are kept, and the output is recorded with one closure over
+    them when any remain: no other input's gradient is ever computed.
     """
     arr = np.asarray(data, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -254,8 +256,10 @@ def _op(name: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backwar
     out.grad = None
     out._tape = None
     tape = _active_tape()
-    if tape is not None and any(t is not None and t.requires_grad for t in inputs):
-        tape.record(out, backward_fn)
+    if tape is not None:
+        live = [(t, vjp) for t, vjp in vjps if t is not None and t.requires_grad]
+        if live:
+            tape.record(out, lambda g: [(t, vjp(g)) for t, vjp in live])
     return out
 
 
@@ -276,83 +280,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
-
-    return _op("add", a.data + b.data, (a, b), bwd)
+    return _op("add", a.data + b.data,
+               [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))])
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
-
-    return _op("sub", a.data - b.data, (a, b), bwd)
+    return _op("sub", a.data - b.data,
+               [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(-g, b.shape))])
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        ]
-
-    return _op("mul", a.data * b.data, (a, b), bwd)
+    return _op("mul", a.data * b.data, [
+        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+    ])
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = a.data / b.data
-
-    def bwd(g):
-        return [
-            (a, _unbroadcast(g / b.data, a.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        ]
-
-    return _op("div", y, (a, b), bwd)
+    return _op("div", y, [
+        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
+        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
+    ])
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _op("neg", -a.data, (a,), lambda g: [(a, -g)])
+    return _op("neg", -a.data, [(a, lambda g: -g)])
 
 
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore", over="ignore"):
         y = a.data**p
-
-    def bwd(g):
-        return [(a, g * p * a.data ** (p - 1.0))]
-
-    return _op("power", y, (a,), bwd)
+    return _op("power", y, [(a, lambda g: g * p * a.data ** (p - 1.0))])
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         y = np.exp(a.data)
-    return _op("exp", y, (a,), lambda g: [(a, g * y)])
+    return _op("exp", y, [(a, lambda g: g * y)])
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(a.data)
-    return _op("log", y, (a,), lambda g: [(a, g / a.data)])
+    return _op("log", y, [(a, lambda g: g / a.data)])
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore"):
         y = np.sqrt(a.data)
-    return _op("sqrt", y, (a,), lambda g: [(a, g * 0.5 / y)])
+    return _op("sqrt", y, [(a, lambda g: g * 0.5 / y)])
 
 
 def gelu(a) -> Tensor:
@@ -360,12 +346,7 @@ def gelu(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-
-    def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return [(a, g * (cdf + x * pdf))]
-
-    return _op("gelu", x * cdf, (a,), bwd)
+    return _op("gelu", x * cdf, [(a, lambda g: g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)))])
 
 
 # ---------------------------------------------------------------------------
@@ -375,44 +356,28 @@ def gelu(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _op("reshape", a.data.reshape(shape), (a,), lambda g: [(a, g.reshape(a.shape))])
+    return _op("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _op("transpose", np.transpose(a.data, axes), (a,), lambda g: [(a, np.transpose(g, inv))])
+    return _op("transpose", np.transpose(a.data, axes), [(a, lambda g: np.transpose(g, inv))])
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        pieces = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            pieces.append((t, g[tuple(idx)]))
-        return pieces
-
-    return _op("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _op("concat", np.concatenate([t.data for t in tensors], axis=axis),
+               [(t, lambda g, i=i: np.split(g, bounds, axis=axis)[i]) for i, t in enumerate(tensors)])
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-
-    def bwd(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g, a.shape).copy())]
-        gx = g
-        if not keepdims:
-            gx = np.expand_dims(gx, axis)
-        return [(a, np.broadcast_to(gx, a.shape).copy())]
-
-    return _op("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    kept = keepdims or axis is None  # g broadcasts against a as it is
+    return _op("sum", a.data.sum(axis=axis, keepdims=keepdims),
+               [(a, lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axis), a.shape).copy())])
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -435,14 +400,10 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        return [
-            (a, g @ np.swapaxes(b.data, -1, -2)),
-            (b, np.swapaxes(a.data, -1, -2) @ g),
-        ]
-
-    return _op("matmul", a.data @ b.data, (a, b), bwd)
+    return _op("matmul", a.data @ b.data, [
+        (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
+        (b, lambda g: np.swapaxes(a.data, -1, -2) @ g),
+    ])
 
 
 def _stacked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -470,18 +431,11 @@ def linear(x, weight, bias=None) -> Tensor:
         if bias.shape != (cout,):
             raise ShapeError(f"linear bias shape {bias.shape} != ({cout},)")
         y = y + bias.data
-
-    def bwd(g):
-        gs = g.reshape(bsz, m, cout)
-        grads = [
-            (x, (gs @ weight.data).reshape(x.shape)),
-            (weight, gs.reshape(-1, cout).T @ xs.reshape(-1, cin)),
-        ]
-        if bias is not None:
-            grads.append((bias, g.reshape(-1, cout).sum(axis=0)))
-        return grads
-
-    return _op("linear", y, (x, weight, bias), bwd)
+    return _op("linear", y, [
+        (x, lambda g: (g.reshape(bsz, m, cout) @ weight.data).reshape(x.shape)),
+        (weight, lambda g: g.reshape(bsz, m, cout).reshape(-1, cout).T @ xs.reshape(-1, cin)),
+        (bias, lambda g: g.reshape(-1, cout).sum(axis=0)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +460,7 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
         e = np.exp(s - m)
     denom = e.sum(axis=axis, keepdims=True)
     y = e / denom
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return [(x, y * (g - dot))]
-
-    return _op("softmax", y, (x,), bwd)
+    return _op("softmax", y, [(x, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)))])
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -519,11 +468,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     m = np.max(x.data, axis=axis, keepdims=True)
     lse = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
     y = x.data - lse
-
-    def bwd(g):
-        return [(x, g - np.exp(y) * g.sum(axis=axis, keepdims=True))]
-
-    return _op("log_softmax", y, (x,), bwd)
+    return _op("log_softmax", y, [(x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True))])
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
@@ -545,21 +490,21 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     y = xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape)
+    gsum_axes = tuple(i for i in range(x.ndim) if i != 1)
 
-    def bwd(g):
-        xhat = (x.data - mu) * inv  # recomputed, as xc * inv, rather than kept
-        gsum_axes = tuple(i for i in range(x.ndim) if i != 1)
+    # each pair recomputes xhat = (x - mu) * inv rather than keep it
+    def grad_x(g):
+        xhat = (x.data - mu) * inv
         gy = g * gamma.data.reshape(bshape)
         mean_gy = gy.mean(axis=1, keepdims=True)
         mean_gyx = (gy * xhat).mean(axis=1, keepdims=True)
-        dx = inv * (gy - mean_gy - xhat * mean_gyx)
-        return [
-            (x, dx),
-            (gamma, (g * xhat).sum(axis=gsum_axes)),
-            (beta, g.sum(axis=gsum_axes)),
-        ]
+        return inv * (gy - mean_gy - xhat * mean_gyx)
 
-    return _op("layer_norm", y, (x, gamma, beta), bwd)
+    return _op("layer_norm", y, [
+        (x, grad_x),
+        (gamma, lambda g: (g * ((x.data - mu) * inv)).sum(axis=gsum_axes)),
+        (beta, lambda g: g.sum(axis=gsum_axes)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -638,24 +583,29 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
             raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
         y = y + bias.data.reshape(1, cout, 1, 1)
 
-    def bwd(g):
+    def grad_x(g):
+        gg = g.reshape(bsz, groups, og, n)
+        gxp = np.zeros((bsz, groups, cg, hp, wp), dtype=np.float64)
+        for ky, kx, rows, cols in _taps(k, stride, ho, wo):
+            gx_tap = _stacked_product(wg[:, :, :, ky, kx].swapaxes(-1, -2), gg)
+            gxp[:, :, :, rows, cols] += gx_tap.reshape(bsz, groups, cg, ho, wo)
+        return gxp.reshape(bsz, cin, hp, wp)[:, :, padding : padding + h, padding : padding + w]
+
+    def grad_kernel(g):
         # pad again rather than keep a padded copy of x alive until backward
         xg = _pad(x.data, padding).reshape(bsz, groups, cg, hp, wp)
         gg = g.reshape(bsz, groups, og, n)
         dw = np.zeros_like(wg)
-        gxp = np.zeros_like(xg)
         for ky, kx, rows, cols in _taps(k, stride, ho, wo):
             win = xg[:, :, :, rows, cols].reshape(bsz, groups, cg, n)
             dw[:, :, :, ky, kx] = (gg @ win.swapaxes(-1, -2)).sum(axis=0)
-            gx_tap = _stacked_product(wg[:, :, :, ky, kx].swapaxes(-1, -2), gg)
-            gxp[:, :, :, rows, cols] += gx_tap.reshape(bsz, groups, cg, ho, wo)
-        gx = gxp.reshape(bsz, cin, hp, wp)[:, :, padding : padding + h, padding : padding + w]
-        grads = [(x, gx), (kernel, dw.reshape(cout, cg, k, k))]
-        if bias is not None:
-            grads.append((bias, gg.sum(axis=(0, 3)).reshape(cout)))
-        return grads
+        return dw.reshape(cout, cg, k, k)
 
-    return _op("conv2d", y, (x, kernel, bias), bwd)
+    return _op("conv2d", y, [
+        (x, grad_x),
+        (kernel, grad_kernel),
+        (bias, lambda g: g.reshape(bsz, groups, og, n).sum(axis=(0, 3)).reshape(cout)),
+    ])
 
 
 def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
@@ -682,14 +632,14 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
     scale = 1.0 / (k * k)
     _count_macs(acc.size * k * k)
 
-    def bwd(g):
+    def grad_x(g):
         gxp = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding))  # the shape, not the copy, of xp
         gs = g * scale
         for _, _, rows, cols in _taps(k, stride, ho, wo):
             gxp[:, :, rows, cols] += gs
-        return [(x, gxp[:, :, padding : padding + h, padding : padding + w])]
+        return gxp[:, :, padding : padding + h, padding : padding + w]
 
-    return _op("avg_pool2d", acc * scale, (x,), bwd)
+    return _op("avg_pool2d", acc * scale, [(x, grad_x)])
 
 
 def global_avg_pool(x) -> Tensor:
@@ -698,11 +648,8 @@ def global_avg_pool(x) -> Tensor:
     if x.ndim != 4:
         raise ShapeError("global_avg_pool expects (B, C, H, W)")
     _, _, h, w = x.shape
-
-    def bwd(g):
-        return [(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy())]
-
-    return _op("global_avg_pool", x.data.mean(axis=(2, 3)), (x,), bwd)
+    return _op("global_avg_pool", x.data.mean(axis=(2, 3)),
+               [(x, lambda g: np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy())])
 
 
 def _resize_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -725,7 +672,7 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
     bsz, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         # a copy, so the output never shares (and freezes) the input's array
-        return _op("bilinear_resize", x.data.copy(), (x,), lambda g: [(x, g)])
+        return _op("bilinear_resize", x.data.copy(), [(x, lambda g: g)])
 
     y0, y1, fy = _resize_axis(h, out_h)
     x0, x1, fx = _resize_axis(w, out_w)
@@ -739,12 +686,12 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
         + d[:, :, y1[:, None], x1[None, :]] * (wy1 * wx1)
     )
 
-    def bwd(g):
+    def grad_x(g):
         gx = np.zeros_like(d)
         np.add.at(gx, (slice(None), slice(None), y0[:, None], x0[None, :]), g * (wy0 * wx0))
         np.add.at(gx, (slice(None), slice(None), y0[:, None], x1[None, :]), g * (wy0 * wx1))
         np.add.at(gx, (slice(None), slice(None), y1[:, None], x0[None, :]), g * (wy1 * wx0))
         np.add.at(gx, (slice(None), slice(None), y1[:, None], x1[None, :]), g * (wy1 * wx1))
-        return [(x, gx)]
+        return gx
 
-    return _op("bilinear_resize", y, (x,), bwd)
+    return _op("bilinear_resize", y, [(x, grad_x)])

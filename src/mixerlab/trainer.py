@@ -222,10 +222,6 @@ class AdamW:
                 continue
             adamw_step(p.data, p.grad, self.m[name], self.v[name], self.t, lr, self.weight_decay)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
 
 def lr_schedule(step: int, total_steps: int, warmup_steps: int, lr: float, min_lr: float) -> float:
     """Linear 0 -> lr over the warmup, then one cosine cycle down to min_lr."""
@@ -428,7 +424,7 @@ def train_classifier(
                     xb = np.stack([affine_augment(im, rng, cfg.augment_sigma) for im in xb])
                 yb = labels[batch]
                 lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr, cfg.min_lr)
-                opt.zero_grad()
+                model.zero_grad()
                 with Tape() as tape:
                     logits = model.forward_classify(Tensor(xb), training=True, rng=rng)
                     loss = ce_loss(logits, yb, weights, cfg.label_smoothing)
@@ -451,9 +447,8 @@ def train_classifier(
                         best_state = model.state()
                 history.append(row)
                 if log_fh:
-                    log_fh.write(
-                        f"{row['step']},{row['lr']!r},{row['loss']!r},{row['val_f1']},{row['max_grad_norm']!r}\n"
-                    )
+                    log_fh.write(f"{row['step']},{row['lr']!r},{row['loss']!r},"
+                                 f"{row['val_f1']},{row['max_grad_norm']!r}\n")
                 step += 1
                 if step >= total_steps:
                     done = True

@@ -33,6 +33,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def seg_checkpoint(tmp_path, seed=3):
+    cfg = ModelConfig(
+        stage_channels=(8, 16, 24, 32),
+        stage_depths=(1, 1, 1, 1),
+        signature=tuple(MixerSpec("grouped_conv", 3) for _ in range(4)),
+        input_hw=(32, 32),
+        head="segment",
+        num_classes=3,
+        layerscale_init=1.0,
+    )
+    model = MetaFormer(cfg, seed=seed)
+    path = tmp_path / "seg.mxlc"
+    save_model(str(path), model)
+    return model, path
+
+
 class TestFlopsCommand:
     def test_csv_and_svg(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -136,6 +152,23 @@ n = 24
         assert len(scores) == 25
         metrics = (eout / "metrics.csv").read_text().strip().split("\n")
         assert metrics[0] == "metric,value"
+
+    def test_train_on_segment_head_exits_2_before_any_output(self, tmp_path, capsys):
+        cfg = self.train_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("head = classify", "head = segment"))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: train needs head = classify\n"
+        assert os.listdir(out) == ["resolved_config.ini"]
+
+    def test_eval_on_segmentation_checkpoint_exits_2_before_any_output(self, tmp_path, capsys):
+        _, ckpt_path = seg_checkpoint(tmp_path)
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\ncheckpoint = {ckpt_path}\n[data]\nkind = synthetic\nn = 8\n")
+        out = tmp_path / "out"
+        assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: eval needs a classification checkpoint\n"
+        assert os.listdir(out) == ["resolved_config.ini"]
 
     def test_eval_perfect_oracle_scores(self, tmp_path):
         scores_csv = tmp_path / "scores.csv"
@@ -284,21 +317,6 @@ class TestRankCommand:
 
 
 class TestInferCommand:
-    def seg_checkpoint(self, tmp_path, seed=3):
-        cfg = ModelConfig(
-            stage_channels=(8, 16, 24, 32),
-            stage_depths=(1, 1, 1, 1),
-            signature=tuple(MixerSpec("grouped_conv", 3) for _ in range(4)),
-            input_hw=(32, 32),
-            head="segment",
-            num_classes=3,
-            layerscale_init=1.0,
-        )
-        model = MetaFormer(cfg, seed=seed)
-        path = tmp_path / "seg.mxlc"
-        save_model(str(path), model)
-        return model, path
-
     def write_image(self, tmp_path, hw, seed=4):
         rng = np.random.default_rng(seed)
         img = (rng.random((3,) + hw) * 255).astype(np.uint8)
@@ -307,7 +325,7 @@ class TestInferCommand:
         return img, path
 
     def test_single_window_equals_direct_argmax(self, tmp_path):
-        model, ckpt_path = self.seg_checkpoint(tmp_path)
+        model, ckpt_path = seg_checkpoint(tmp_path)
         img, img_path = self.write_image(tmp_path, (32, 32))
         cfg = tmp_path / "infer.ini"
         cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\nsave_logits = true\n")
@@ -318,7 +336,7 @@ class TestInferCommand:
         np.testing.assert_array_equal(mask, direct.argmax(axis=0).astype(np.uint8))
 
     def test_constant_logit_checkpoint_gives_constant_mask(self, tmp_path):
-        model, ckpt_path = self.seg_checkpoint(tmp_path)
+        model, ckpt_path = seg_checkpoint(tmp_path)
         # zero the decoder classifier: logits collapse to a constant map
         for name, t in model.named_parameters().items():
             if name.startswith("decoder.classifier"):
@@ -333,7 +351,7 @@ class TestInferCommand:
         assert np.unique(mask).size == 1
 
     def test_golden_mask_stable_across_runs(self, tmp_path):
-        _, ckpt_path = self.seg_checkpoint(tmp_path)
+        _, ckpt_path = seg_checkpoint(tmp_path)
         _, img_path = self.write_image(tmp_path, (48, 40))
         cfg = tmp_path / "infer.ini"
         cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
@@ -343,7 +361,7 @@ class TestInferCommand:
         assert (out1 / "mask.pgm").read_bytes() == (out2 / "mask.pgm").read_bytes()
 
     def test_image_smaller_than_patch_is_data_error(self, tmp_path):
-        _, ckpt_path = self.seg_checkpoint(tmp_path)
+        _, ckpt_path = seg_checkpoint(tmp_path)
         _, img_path = self.write_image(tmp_path, (16, 16))
         cfg = tmp_path / "infer.ini"
         cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
@@ -484,7 +502,7 @@ class TestInputBoundary:
         )
 
     def infer_files(self, tmp_path):
-        _, ckpt_path = TestInferCommand().seg_checkpoint(tmp_path)
+        _, ckpt_path = seg_checkpoint(tmp_path)
         _, img_path = TestInferCommand().write_image(tmp_path, (32, 32))
         return ckpt_path, img_path
 
@@ -578,7 +596,7 @@ class TestBoundaryFuzz:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("fuzz")
-        _, ckpt_path = TestInferCommand().seg_checkpoint(root)
+        _, ckpt_path = seg_checkpoint(root)
         _, img_path = TestInferCommand().write_image(root, (32, 32))
         return root, ckpt_path.read_bytes(), img_path.read_bytes()
 

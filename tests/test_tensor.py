@@ -613,6 +613,38 @@ class TestBackward:
         assert rel_err(got[0], want[0]) < 1e-6
 
 
+class TestOnlyNeededGradients:
+    def test_constant_input_gradient_never_runs(self):
+        def refuse(g):
+            raise AssertionError("the gradient of an input that needs none was computed")
+
+        x, c = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0])
+        with Tape() as tape:
+            loss = tsum(tensor._op("probe", x.data * c.data, [(c, refuse), (x, lambda g: g * c.data)]))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        assert c.grad is None
+
+    def test_conv2d_constant_image_makes_no_input_gradient_product(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        xv, wv, probe = (rng.standard_normal(s) for s in [(2, 4, 6, 6), (6, 2, 3, 3), (2, 6, 6, 6)])
+        real = tensor._stacked_product
+
+        def run(image_grad):
+            x, w = Tensor(xv, requires_grad=image_grad), Tensor(wv, requires_grad=True)
+            with Tape() as tape:
+                loss = tsum(mul(conv2d(x, w, padding=1, groups=2), probe))
+            calls = []
+            monkeypatch.setattr(tensor, "_stacked_product", lambda a, b: calls.append(1) or real(a, b))
+            tape.backward(loss)
+            monkeypatch.setattr(tensor, "_stacked_product", real)
+            return len(calls), w.grad.tobytes()
+
+        # with the image on the tape, one input-gradient product per tap
+        assert run(False) == (0, run(True)[1])
+        assert run(True)[0] == 9
+
+
 # two four-stage signatures that between them place all six mixer kinds
 RELEASE_SIGNATURES = ("identity,pooling:3,grouped_conv:3,conv:3", "pooling:3,local_attn:3,global_attn,conv:3")
 
