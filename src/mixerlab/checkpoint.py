@@ -55,9 +55,9 @@ def save_arrays(path: str, config_text: str, arrays: dict[str, np.ndarray]):
 
 
 def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
-    """Config text and named arrays. A truncated or malformed file or a
-    non-finite array is a DataError; every length is checked against the
-    bytes left in the file before it is read."""
+    """Config text and named arrays. A truncated or malformed file (a repeated
+    name, bytes after the last array) or a non-finite array is a DataError;
+    each length is checked against the bytes left in the file before reading."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -79,6 +79,8 @@ def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
             arrays: OrderedDict[str, np.ndarray] = OrderedDict()
             for _ in range(unpack("<Q")[0]):
                 name = read(unpack("<H")[0]).decode("utf-8")
+                if name in arrays:
+                    raise DataError(f"{path}: array {name!r} repeats")
                 shape = unpack(f"<{unpack('<B')[0]}I")
                 buf = read(8 * math.prod(shape))
                 arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
@@ -86,6 +88,8 @@ def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
                     raise DataError(f"{path}: array {name!r} has non-finite values")
         except UnicodeDecodeError:
             raise DataError(f"{path}: checkpoint text is not UTF-8") from None
+        if fh.tell() != size:
+            raise DataError(f"{path}: {size - fh.tell()} bytes after the last array")
         return config_text, arrays
 
 

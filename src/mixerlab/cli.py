@@ -3,7 +3,7 @@
 Every command is a pure function of (config file, seed, input files) and
 writes byte-identical outputs on re-runs. An INI config is read once,
 against one schema table per section: unknown sections or keys and values
-that do not parse are config errors, and every run writes
+that do not parse are config errors, and every run that succeeds writes
 ``resolved_config.ini`` with every effective value, defaults included.
 Exit codes: 0 ok, 2 config error, 3 data error (including a file that
 cannot be read or written), 4 numeric abort.
@@ -172,11 +172,8 @@ def cmd_flops(cfg: Config, out_dir: str) -> int:
     config = ModelConfig(**field_values(MODEL_KEYS, cfg["model"]))
     reports = stage_sweep(config, kernel=cfg["flops"]["kernel"])
     _write(out_dir, "flops.csv", sweep_to_csv(reports))
-    groups = [f"stage{i}" for i in range(4)]
-    series = {
-        kind: [r.flops for r in reports if r.kind == kind] for kind in KINDS
-    }
-    svg = grouped_bar_svg("token-mixer FLOPs per stage", groups, series)
+    series = {kind: [r.flops for r in reports if r.kind == kind] for kind in KINDS}
+    svg = grouped_bar_svg("token-mixer FLOPs per stage", [f"stage{i}" for i in range(4)], series)
     _write(out_dir, "flops.svg", svg)
     return 0
 
@@ -365,14 +362,11 @@ def cmd_infer(cfg: Config, out_dir: str) -> int:
     if model.config.head != "segment":
         raise ConfigError("infer needs a segmentation checkpoint")
     image = read_image_as_float(sec["image"])
-    patch_hw = model.config.input_hw
-    if image.shape[1] < patch_hw[0] or image.shape[2] < patch_hw[1]:
-        raise DataError(f"image {image.shape[1:]} smaller than patch {patch_hw}")
 
     def predict(patch: np.ndarray) -> np.ndarray:
         return model.forward_segment(Tensor(patch[None])).data[0]
 
-    logits = sliding_window_infer(predict, image, patch_hw, overlap=sec["overlap"])
+    logits = sliding_window_infer(predict, image, model.config.input_hw, overlap=sec["overlap"])
     mask = logits.argmax(axis=0).astype(np.uint8)
     os.makedirs(out_dir, exist_ok=True)
     write_pgm(os.path.join(out_dir, "mask.pgm"), mask)
@@ -407,8 +401,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             cfg["run"]["seed"] = parse_value(NONNEG, args.seed, "--seed")
+        rc = _COMMANDS[args.command](cfg, args.out)
         _write(args.out, "resolved_config.ini", resolved_ini(cfg))
-        return _COMMANDS[args.command](cfg, args.out)
+        return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -43,22 +43,13 @@ PATCH_EMBED_LATER = (3, 2, 1)
 
 def parse_signature(text: str) -> tuple[MixerSpec, ...]:
     """Parse 'pooling:3,pooling:3,global_attn,global_attn' into MixerSpecs."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    specs = []
-    for part in parts:
-        if ":" in part:
-            kind, _, kernel = part.partition(":")
-            specs.append(MixerSpec(kind.strip(), kernel=int(kernel)))
-        else:
-            specs.append(MixerSpec(part))
-    return tuple(specs)
+    split = [p.strip().partition(":") for p in text.split(",") if p.strip()]
+    return tuple(MixerSpec(kind.strip(), kernel=int(kernel)) if sep else MixerSpec(kind)
+                 for kind, sep, kernel in split)
 
 
 def format_signature(signature) -> str:
-    parts = []
-    for spec in signature:
-        parts.append(f"{spec.kind}:{spec.kernel}" if spec.uses_kernel else spec.kind)
-    return ",".join(parts)
+    return ",".join(f"{spec.kind}:{spec.kernel}" if spec.uses_kernel else spec.kind for spec in signature)
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,10 @@ class ModelConfig:
         """Spatial size per stage: input/4, then halved at each stage entry."""
         h, w = self.input_hw
         out = []
-        for i in range(4):
-            factor = 4 if i == 0 else 2
+        for i, factor in enumerate((4, 2, 2, 2)):
             if h % factor or w % factor:
                 raise ConfigError(
-                    f"stage {i} needs input divisible by {factor}, got {h}x{w} (no implicit crop)"
-                )
+                    f"stage {i} needs input divisible by {factor}, got {h}x{w} (no implicit crop)")
             h, w = h // factor, w // factor
             out.append((h, w))
         return out
@@ -317,14 +306,9 @@ class MetaFormer:
             self.pos_embs.append(pos)
             blocks = []
             for j in range(config.stage_depths[i]):
-                if total_blocks > 1:
-                    p = config.stochastic_depth_max * block_index / (total_blocks - 1)
-                else:
-                    p = 0.0
-                blocks.append(
-                    Block(params, f"stage{i}.block{j}", chans[i], spec, config.mlp_ratio,
-                          config.layerscale_init, p, pos_emb=pos)
-                )
+                p = config.stochastic_depth_max * block_index / max(total_blocks - 1, 1)
+                blocks.append(Block(params, f"stage{i}.block{j}", chans[i], spec, config.mlp_ratio,
+                                    config.layerscale_init, p, pos_emb=pos))
                 block_index += 1
             self.stages.append(blocks)
 
@@ -415,10 +399,8 @@ def count_params(model: MetaFormer) -> dict[str, int]:
 
 def mixer_param_delta(config: ModelConfig) -> int:
     """Closed-form mixer parameters summed over every block placement."""
-    total = 0
-    for c, depth, spec in zip(config.stage_channels, config.stage_depths, config.signature):
-        total += depth * spec.param_count(c)
-    return total
+    return sum(depth * spec.param_count(c)
+               for c, depth, spec in zip(config.stage_channels, config.stage_depths, config.signature))
 
 
 def warm_start_model(source: MetaFormer, target: MetaFormer) -> MetaFormer:

@@ -11,8 +11,11 @@ the pairs whose input requires grad are recorded with the output, so a
 backward runs only the gradients it needs. Without an active tape, ops
 just compute. A consumed or aborted tape releases every record and detaches
 its outputs, so reference counting, not the cyclic GC, frees a pass's
-activations. ``conv2d`` and ``avg_pool2d`` also add the multiply-accumulates
-they execute to a thread-local count while one is open.
+activations. ``conv2d`` and ``avg_pool2d`` read every K x K window through
+one strided view of the padded input and send window gradients back through
+its adjoint (``_windows``, ``_add_windows``); ``conv2d`` copies the view into
+im2col column blocks of at most ``_COLUMN_BYTES``. Both add the
+multiply-accumulates they execute to a thread-local count while one is open.
 """
 
 from __future__ import annotations
@@ -406,11 +409,6 @@ def matmul(a, b) -> Tensor:
     ])
 
 
-def _stacked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacked matrices; a contraction of length 1 is a plain product."""
-    return a * b if a.shape[-1] == 1 else a @ b
-
-
 def linear(x, weight, bias=None) -> Tensor:
     """Affine map over the last axis: y[..., o] = sum_i x[..., i] w[o, i] + b[o].
 
@@ -528,14 +526,34 @@ def _pad(a: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _taps(k: int, stride: int, ho: int, wo: int):
-    """Each tap (ky, kx) of a K x K window with the row and column slices of
-    the padded input it reads for the ho x wo output positions."""
-    for ky in range(k):
-        for kx in range(k):
-            rows = slice(ky, ky + (ho - 1) * stride + 1, stride)
-            cols = slice(kx, kx + (wo - 1) * stride + 1, stride)
-            yield ky, kx, rows, cols
+_COLUMN_BYTES = 1 << 25  # per column block: a K=127 conv needs 3-26 GB of columns per sample
+
+
+def _windows(padded: np.ndarray, k: int, stride: int, writeable: bool = False) -> np.ndarray:
+    """View (..., K, K, Ho, Wo) of ``padded`` (..., Hp, Wp), read-only unless ``writeable``:
+    [..., ky, kx, i, j] is padded[..., i*stride + ky, j*stride + kx]."""
+    view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(-2, -1), writeable=writeable)
+    return np.moveaxis(view[..., ::stride, ::stride, :, :], (-2, -1), (-4, -3))
+
+
+def _add_windows(out: np.ndarray, wgrad: np.ndarray, stride: int):
+    """The adjoint of ``_windows``: add each window gradient (..., K, K, Ho, Wo)
+    into the grid ``out`` that the windows were read from, tap after tap."""
+    k = wgrad.shape[-3]
+    view = _windows(out, k, stride, writeable=True)
+    for ky, kx in np.ndindex(k, k):
+        view[..., ky, kx, :, :] += wgrad[..., ky, kx, :, :]
+
+
+def _column_blocks(bsz: int, groups: int, ho: int, row_bytes: int) -> list[tuple[slice, slice, slice]]:
+    """(samples, groups, output rows) slices that cut column matrices of ``row_bytes`` per
+    output row into blocks of at most _COLUMN_BYTES, or one row of one matrix. The rows per
+    block depend on one matrix alone, so a sample's GEMMs are the same whatever the batch."""
+    rows = max(1, min(ho, _COLUMN_BYTES // row_bytes))
+    ng = max(1, min(groups, _COLUMN_BYTES // (rows * row_bytes)))
+    nb = max(1, min(bsz, _COLUMN_BYTES // (ng * rows * row_bytes)))
+    return [(slice(b, b + nb), slice(g, g + ng), slice(r, min(r + rows, ho)))
+            for b in range(0, bsz, nb) for g in range(0, groups, ng) for r in range(0, ho, rows)]
 
 
 def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -544,9 +562,13 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
     kernel has shape (Cout, Cin/groups, K, K) with odd K. Output height is
     floor((H + 2*padding - K)/stride) + 1, likewise width.
 
-    Each sample goes through GEMMs of its own, so a sample's output (and its
-    input gradient) does not depend on its position in the batch or on the
-    batch size.
+    im2col: each (sample, group) output is one GEMM of the group's kernel
+    against columns copied from the ``_windows`` view of the padded input, in
+    output-row blocks of at most _COLUMN_BYTES. The kernel gradient is the GEMM
+    against the same columns, rebuilt in backward; the input gradient is one
+    kernel-transpose GEMM followed by ``_add_windows``. Each sample goes
+    through GEMMs of its own, so a sample's output (and its input gradient)
+    does not depend on its position in the batch or on the batch size.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -564,19 +586,22 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
         raise ConfigError(f"groups={groups} must divide Cin={cin} and Cout={cout}")
     if cg != cin // groups:
         raise ShapeError(f"kernel expects Cin/groups={cg}, input has Cin/groups={cin // groups}")
-    og = cout // groups
+    og, ckk = cout // groups, cg * k * k
     ho, wo = _out_hw(h, w, k, stride, padding)
-    n = ho * wo
     hp, wp = h + 2 * padding, w + 2 * padding
-    xg = _pad(x.data, padding).reshape(bsz, groups, cg, hp, wp)
-    wg = kernel.data.reshape(groups, og, cg, k, k)
+    wm = kernel.data.reshape(groups, og, ckk)
+    blocks = _column_blocks(bsz, groups, ho, ckk * wo * 8)
 
-    # one (Cout/G x Cin/G) . (Cin/G x N) product per sample, group and tap
-    y = np.zeros((bsz, groups, og, n), dtype=np.float64)
-    for ky, kx, rows, cols in _taps(k, stride, ho, wo):
-        y += _stacked_product(wg[:, :, :, ky, kx], xg[:, :, :, rows, cols].reshape(bsz, groups, cg, n))
+    def columns(xw, b, g, r):  # one block's (groups, Cin/G*K*K, samples, rows*Wo) columns
+        win = np.moveaxis(xw[b, g, ..., r, :], 0, -3)
+        return win.reshape(win.shape[:1] + (ckk, win.shape[-3], -1))
+
+    xw = _windows(_pad(x.data, padding).reshape(bsz, groups, cg, hp, wp), k, stride)
+    y = np.empty((bsz, groups, og, ho * wo), dtype=np.float64)
+    for b, g, r in blocks:
+        y[b, g, :, r.start * wo : r.stop * wo] = wm[g] @ columns(xw, b, g, r).transpose(2, 0, 1, 3)
     y = y.reshape(bsz, cout, ho, wo)
-    _count_macs(y.size * cg * k * k)
+    _count_macs(y.size * ckk)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
@@ -584,27 +609,32 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
         y = y + bias.data.reshape(1, cout, 1, 1)
 
     def grad_x(g):
-        gg = g.reshape(bsz, groups, og, n)
+        gg = g.reshape(bsz, groups, og, ho * wo)
         gxp = np.zeros((bsz, groups, cg, hp, wp), dtype=np.float64)
-        for ky, kx, rows, cols in _taps(k, stride, ho, wo):
-            gx_tap = _stacked_product(wg[:, :, :, ky, kx].swapaxes(-1, -2), gg)
-            gxp[:, :, :, rows, cols] += gx_tap.reshape(bsz, groups, cg, ho, wo)
+        for b, gs, r in blocks:
+            wt, gy = wm[gs].swapaxes(-1, -2), gg[b, gs, :, r.start * wo : r.stop * wo]
+            gcols = wt * gy if og == 1 else wt @ gy  # a length-1 contraction is faster broadcast
+            gwin = gcols.reshape(gcols.shape[:2] + (cg, k, k, -1, wo))
+            _add_windows(gxp[b, gs, :, r.start * stride : (r.stop - 1) * stride + k], gwin, stride)
         return gxp.reshape(bsz, cin, hp, wp)[:, :, padding : padding + h, padding : padding + w]
 
     def grad_kernel(g):
-        # pad again rather than keep a padded copy of x alive until backward
-        xg = _pad(x.data, padding).reshape(bsz, groups, cg, hp, wp)
-        gg = g.reshape(bsz, groups, og, n)
-        dw = np.zeros_like(wg)
-        for ky, kx, rows, cols in _taps(k, stride, ho, wo):
-            win = xg[:, :, :, rows, cols].reshape(bsz, groups, cg, n)
-            dw[:, :, :, ky, kx] = (gg @ win.swapaxes(-1, -2)).sum(axis=0)
+        # rebuild the columns rather than keep them alive until backward
+        xw = _windows(_pad(x.data, padding).reshape(bsz, groups, cg, hp, wp), k, stride)
+        gg = g.reshape(bsz, groups, og, ho * wo)
+        dw = np.zeros_like(wm) if len(blocks) != 1 else None  # one block: its GEMM sums the samples
+        for b, gs, r in blocks:
+            gy, cols = np.moveaxis(gg[b, gs, :, r.start * wo : r.stop * wo], 0, 2), columns(xw, b, gs, r)
+            part = gy.reshape(gy.shape[:2] + (-1,)) @ cols.reshape(cols.shape[:2] + (-1,)).swapaxes(-1, -2)
+            if dw is None:
+                return part.reshape(cout, cg, k, k)
+            dw[gs] += part
         return dw.reshape(cout, cg, k, k)
 
     return _op("conv2d", y, [
         (x, grad_x),
         (kernel, grad_kernel),
-        (bias, lambda g: g.reshape(bsz, groups, og, n).sum(axis=(0, 3)).reshape(cout)),
+        (bias, lambda g: g.reshape(bsz, groups, og, ho * wo).sum(axis=(0, 3)).reshape(cout)),
     ])
 
 
@@ -612,7 +642,8 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
     """Average pooling with a fixed K*K divisor (padded cells count).
 
     stride 1 with padding (K-1)/2 preserves the spatial size, which is the
-    token-mixer configuration.
+    token-mixer configuration. The output is the sum over the two tap axes
+    of the ``_windows`` view, and the input gradient its adjoint.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -623,20 +654,15 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
         raise ConfigError("avg_pool2d needs stride >= 1 and padding >= 0")
     bsz, c, h, w = x.shape
     ho, wo = _out_hw(h, w, k, stride, padding)
-    xp = _pad(x.data, padding)
-
-    # strided views summed in place: no tap window is copied
-    acc = np.zeros((bsz, c, ho, wo), dtype=np.float64)
-    for _, _, rows, cols in _taps(k, stride, ho, wo):
-        acc += xp[:, :, rows, cols]
+    # columns step by 1 and are thinned after the sum: with an output column step as small as a
+    # tap's, numpy adds each window's taps in tap order, one after another, to the last bit
+    acc = _windows(_pad(x.data, padding), k, 1)[..., ::stride, :].sum(axis=(-4, -3))[..., ::stride]
     scale = 1.0 / (k * k)
     _count_macs(acc.size * k * k)
 
     def grad_x(g):
-        gxp = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding))  # the shape, not the copy, of xp
-        gs = g * scale
-        for _, _, rows, cols in _taps(k, stride, ho, wo):
-            gxp[:, :, rows, cols] += gs
+        gxp = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding))
+        _add_windows(gxp, np.broadcast_to((g * scale)[:, :, None, None], (bsz, c, k, k, ho, wo)), stride)
         return gxp[:, :, padding : padding + h, padding : padding + w]
 
     return _op("avg_pool2d", acc * scale, [(x, grad_x)])

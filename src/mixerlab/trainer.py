@@ -83,17 +83,10 @@ def ce_loss(
     target equals ignore_index are excluded. Result is the weighted mean
     over contributing elements.
     """
-    targets = np.asarray(targets)
-    if logits.ndim == 4:
-        k = logits.shape[1]
-        flat_logits = reshape(transpose(logits, (0, 2, 3, 1)), (-1, k))
-        flat_targets = targets.reshape(-1)
-    elif logits.ndim == 2:
-        k = logits.shape[1]
-        flat_logits = logits
-        flat_targets = targets.reshape(-1)
-    else:
+    if logits.ndim not in (2, 4):
         raise ConfigError(f"ce_loss expects 2D or 4D logits, got {logits.ndim}D")
+    k, flat_targets = logits.shape[1], np.asarray(targets).reshape(-1)
+    flat_logits = logits if logits.ndim == 2 else reshape(transpose(logits, (0, 2, 3, 1)), (-1, k))
     if flat_targets.shape[0] != flat_logits.shape[0]:
         raise ConfigError("logits and targets disagree on the number of elements")
 

@@ -159,7 +159,7 @@ n = 24
         out = tmp_path / "run"
         assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == "config error: train needs head = classify\n"
-        assert os.listdir(out) == ["resolved_config.ini"]
+        assert not out.exists()
 
     def test_eval_on_segmentation_checkpoint_exits_2_before_any_output(self, tmp_path, capsys):
         _, ckpt_path = seg_checkpoint(tmp_path)
@@ -168,7 +168,7 @@ n = 24
         out = tmp_path / "out"
         assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == "config error: eval needs a classification checkpoint\n"
-        assert os.listdir(out) == ["resolved_config.ini"]
+        assert not out.exists()
 
     def test_eval_perfect_oracle_scores(self, tmp_path):
         scores_csv = tmp_path / "scores.csv"
@@ -360,12 +360,26 @@ class TestInferCommand:
         run_cli("infer", "--config", str(cfg), "--out", str(out2))
         assert (out1 / "mask.pgm").read_bytes() == (out2 / "mask.pgm").read_bytes()
 
-    def test_image_smaller_than_patch_is_data_error(self, tmp_path):
+    def test_image_smaller_than_patch_is_data_error(self, tmp_path, capsys):
         _, ckpt_path = seg_checkpoint(tmp_path)
-        _, img_path = self.write_image(tmp_path, (16, 16))
+        _, img_path = self.write_image(tmp_path, (16, 40))
         cfg = tmp_path / "infer.ini"
         cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
-        assert run_cli("infer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        out = tmp_path / "o"
+        assert run_cli("infer", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == "data error: patch 32x32 larger than image 16x40\n"
+        assert not out.exists()
+
+    def test_classification_checkpoint_exits_2_and_leaves_no_output(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "classify.mxlc"
+        save_model(str(ckpt_path), MetaFormer(ModelConfig.from_ini(TINY_MODEL), seed=1))
+        _, img_path = self.write_image(tmp_path, (32, 32))
+        cfg = tmp_path / "infer.ini"
+        cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
+        out = tmp_path / "o"
+        assert run_cli("infer", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: infer needs a segmentation checkpoint\n"
+        assert not out.exists()
 
 
 class TestNumericAbort:
@@ -491,10 +505,12 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert named in err
 
-    def test_resolved_config_lists_defaults(self, tmp_path):
+    def test_resolved_config_lists_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.csv").write_text("submission,dataset,wins\na,ds,1\nb,ds,0\n")
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[rank]\nwins_csv = w.csv\n")
-        run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
         text = (tmp_path / "o" / "resolved_config.ini").read_text()
         assert text == (
             "[rank]\nmode = wins\nwins_csv = w.csv\ncomparator = bootstrap\n"
@@ -506,13 +522,20 @@ class TestInputBoundary:
         _, img_path = TestInferCommand().write_image(tmp_path, (32, 32))
         return ckpt_path, img_path
 
-    @pytest.mark.parametrize("which", ["truncated_header", "config_not_utf8", "nan_weights"])
+    @pytest.mark.parametrize(
+        "which", ["truncated_header", "config_not_utf8", "nan_weights", "trailing_bytes", "repeated_name"])
     def test_bad_checkpoint_is_data_error(self, tmp_path, capsys, which):
         ckpt_path, img_path = self.infer_files(tmp_path)
         if which == "truncated_header":
             ckpt_path.write_bytes(b"MXLC\x01\x00")
         elif which == "config_not_utf8":
             ckpt_path.write_bytes(_checkpoint_with_config_bytes(b"[model]\n\xff\xfe"))
+        elif which == "trailing_bytes":
+            ckpt_path.write_bytes(ckpt_path.read_bytes() + bytes(8))
+        elif which == "repeated_name":
+            # the same length and shape, so only the repeat is wrong with the file
+            raw = ckpt_path.read_bytes()
+            ckpt_path.write_bytes(raw.replace(b"stage0.block0.norm2.gamma", b"stage0.block0.norm1.gamma"))
         else:
             model = load_model(str(ckpt_path))
             model.named_parameters()["stage1.block0.mlp.fc2.bias"].data[3] = np.nan
@@ -522,8 +545,12 @@ class TestInputBoundary:
         assert run_cli("infer", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
-        if which == "nan_weights":
-            assert "stage1.block0.mlp.fc2.bias" in err
+        named = {
+            "nan_weights": "stage1.block0.mlp.fc2.bias",
+            "trailing_bytes": "8 bytes after the last array",
+            "repeated_name": "'stage0.block0.norm1.gamma' repeats",
+        }
+        assert named.get(which, "") in err
 
     @pytest.mark.parametrize("mismatch", ["missing", "extra", "wrong_shape"])
     def test_mismatched_checkpoint_is_one_line_data_error(self, tmp_path, capsys, mismatch):

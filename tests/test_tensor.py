@@ -87,6 +87,65 @@ def linear_oracle(x, w, b):
     return out.reshape(x.shape[:-1] + (cout,))
 
 
+def tap_slices(k, stride, ho, wo):
+    """Each tap (ky, kx) of a K x K window with the row and column slices of
+    the padded input it reads for the ho x wo output positions."""
+    for ky in range(k):
+        for kx in range(k):
+            rows = slice(ky, ky + (ho - 1) * stride + 1, stride)
+            yield ky, kx, rows, slice(kx, kx + (wo - 1) * stride + 1, stride)
+
+
+def pad_hw(x, padding):
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def conv2d_tap_loop(x, w, stride, padding, groups, g):
+    """conv2d as one stacked GEMM per tap: the output, and the input and
+    kernel gradients for the output gradient g."""
+    bsz, cin, h, wd = x.shape
+    cout, cg, k, _ = w.shape
+    og, (ho, wo) = cout // groups, g.shape[2:]
+    xp = pad_hw(x, padding).reshape(bsz, groups, cg, h + 2 * padding, wd + 2 * padding)
+    wg = w.reshape(groups, og, cg, k, k)
+    gg = g.reshape(bsz, groups, og, ho * wo)
+    y, gxp, dw = np.zeros(gg.shape), np.zeros(xp.shape), np.zeros(wg.shape)
+    for ky, kx, rows, cols in tap_slices(k, stride, ho, wo):
+        win = xp[:, :, :, rows, cols].reshape(bsz, groups, cg, ho * wo)
+        tap = wg[:, :, :, ky, kx]
+        y += tap @ win
+        gxp[:, :, :, rows, cols] += (tap.swapaxes(-1, -2) @ gg).reshape(win.shape[:3] + (ho, wo))
+        dw[:, :, :, ky, kx] = (gg @ win.swapaxes(-1, -2)).sum(axis=0)
+    gx = gxp.reshape(bsz, cin, h + 2 * padding, wd + 2 * padding)
+    return y.reshape(g.shape), gx[:, :, padding : padding + h, padding : padding + wd], dw.reshape(w.shape)
+
+
+def avg_pool2d_tap_loop(x, k, stride, padding, g):
+    """avg_pool2d as one strided add per tap: the output, and the input
+    gradient for the output gradient g."""
+    h, wd = x.shape[2:]
+    ho, wo = g.shape[2:]
+    xp = pad_hw(x, padding)
+    acc, gxp = np.zeros(g.shape), np.zeros(xp.shape)
+    scale = 1.0 / (k * k)
+    for _, _, rows, cols in tap_slices(k, stride, ho, wo):
+        acc += xp[:, :, rows, cols]
+        gxp[:, :, rows, cols] += g * scale
+    return acc * scale, gxp[:, :, padding : padding + h, padding : padding + wd]
+
+
+def run_with_grads(op, *arrays):
+    """op's output on fresh leaves and each leaf's gradient for a seeded
+    probe of the output."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        y = op(*leaves)
+        probe = np.random.default_rng(41).standard_normal(y.shape)
+        loss = tsum(mul(y, probe))
+    tape.backward(loss)
+    return probe, y.data, [t.grad for t in leaves]
+
+
 def backward_oracle(tape, loss):
     """The reverse walk as it was before records were released: visit every
     record in reverse and keep them all, so the tape's outputs and closures
@@ -233,6 +292,48 @@ class TestConv2d:
         for a, e in zip(got, want):
             assert rel_err(a, e) < 1e-6
 
+    @pytest.mark.parametrize(
+        "bsz,cin,cout,hw,k,stride,padding,groups",
+        [
+            (2, 8, 12, 11, 3, 1, 1, 1),
+            (2, 8, 12, 11, 3, 2, 1, 4),
+            (2, 8, 8, 13, 5, 1, 2, 8),
+            (2, 6, 4, 17, 7, 4, 2, 1),
+            (1, 3, 64, 224, 7, 4, 2, 1),  # S12 stem
+            (1, 64, 64, 56, 3, 1, 1, 1),  # S12 stage convs
+            (1, 128, 128, 28, 3, 1, 1, 1),
+            (1, 320, 320, 14, 3, 1, 1, 1),
+            (1, 512, 512, 7, 3, 1, 1, 1),
+            (1, 64, 64, 56, 3, 1, 1, 64),  # S12 stage-0 depthwise conv
+            (1, 64, 128, 56, 3, 2, 1, 1),  # S12 downsample
+        ],
+    )
+    def test_matches_tap_loop(self, bsz, cin, cout, hw, k, stride, padding, groups):
+        rng = np.random.default_rng(cin + cout + hw + k + stride + groups)
+        xv, wv = rng.standard_normal((bsz, cin, hw, hw)), rng.standard_normal((cout, cin // groups, k, k))
+        probe, y, (gx, gw) = run_with_grads(
+            lambda x, w: conv2d(x, w, stride=stride, padding=padding, groups=groups), xv, wv)
+        for got, want in zip((y, gx, gw), conv2d_tap_loop(xv, wv, stride, padding, groups, probe)):
+            assert rel_err(got, want) < 1e-12
+
+    def test_column_blocks_agree_with_one_block(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        xv, wv, bv = (rng.standard_normal(s) for s in [(3, 4, 9, 7), (6, 2, 3, 3), (6,)])
+
+        def op(x, w, b):
+            return conv2d(x, w, b, stride=1, padding=1, groups=2)
+
+        _, y_whole, grads_whole = run_with_grads(op, xv, wv, bv)
+        row_bytes = 2 * 3 * 3 * 7 * 8  # Cin/G * K * K * Wo float64 columns per output row
+        monkeypatch.setattr(tensor, "_COLUMN_BYTES", 2 * row_bytes)
+        # blocks of two rows of one sample and one group
+        assert len(tensor._column_blocks(3, 2, 9, row_bytes)) == 3 * 2 * 5
+        _, y, grads = run_with_grads(op, xv, wv, bv)
+        for got, want in zip([y] + grads, [y_whole] + grads_whole):
+            assert rel_err(got, want) < 1e-12
+        assert rel_err(y, conv2d_oracle(xv, wv, bv, 1, 1, 2)) < 1e-12
+        assert_rows_match_single_runs(lambda t: op(t, Tensor(wv), Tensor(bv)), xv)
+
 
 # ---------------------------------------------------------------------------
 # avg_pool2d
@@ -279,6 +380,19 @@ class TestAvgPool2d:
         x = Tensor(xv, True)
         got = tape_grads(lambda ts: tsum(mul(avg_pool2d(ts[0], 3, 1, 1), probe)), [x])
         assert rel_err(got[0], want[0]) < 1e-6
+
+    @pytest.mark.parametrize("k", [3, 7, 31])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("same", [False, True])
+    @pytest.mark.parametrize("grid", ["square", "wide"])
+    def test_matches_tap_loop_bit_for_bit(self, k, stride, same, grid):
+        padding = (k - 1) // 2 if same else 0
+        shape = (2, 3, k + 9, k + 9) if grid == "square" else (2, 3, k + 4, k + 11)
+        xv = np.random.default_rng(k * stride).standard_normal(shape)
+        probe, y, (gx,) = run_with_grads(lambda x: avg_pool2d(x, k, stride=stride, padding=padding), xv)
+        want_y, want_gx = avg_pool2d_tap_loop(xv, k, stride, padding, probe)
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +742,21 @@ class TestOnlyNeededGradients:
     def test_conv2d_constant_image_makes_no_input_gradient_product(self, monkeypatch):
         rng = np.random.default_rng(23)
         xv, wv, probe = (rng.standard_normal(s) for s in [(2, 4, 6, 6), (6, 2, 3, 3), (2, 6, 6, 6)])
-        real = tensor._stacked_product
+        real = tensor._add_windows
 
         def run(image_grad):
             x, w = Tensor(xv, requires_grad=image_grad), Tensor(wv, requires_grad=True)
             with Tape() as tape:
                 loss = tsum(mul(conv2d(x, w, padding=1, groups=2), probe))
             calls = []
-            monkeypatch.setattr(tensor, "_stacked_product", lambda a, b: calls.append(1) or real(a, b))
+            monkeypatch.setattr(tensor, "_add_windows", lambda *a: calls.append(1) or real(*a))
             tape.backward(loss)
-            monkeypatch.setattr(tensor, "_stacked_product", real)
+            monkeypatch.setattr(tensor, "_add_windows", real)
             return len(calls), w.grad.tobytes()
 
-        # with the image on the tape, one input-gradient product per tap
+        # with the image on the tape, one scatter of the input-gradient columns
         assert run(False) == (0, run(True)[1])
-        assert run(True)[0] == 9
+        assert run(True)[0] == 1
 
 
 # two four-stage signatures that between them place all six mixer kinds
