@@ -361,13 +361,15 @@ def cmd_infer(cfg: Config, out_dir: str) -> int:
     model = ckpt.load_model(sec["checkpoint"])
     if model.config.head != "segment":
         raise ConfigError("infer needs a segmentation checkpoint")
+    if model.config.num_classes > 256:
+        raise ConfigError(f"infer writes an 8-bit mask: at most 256 classes, not {model.config.num_classes}")
     image = read_image_as_float(sec["image"])
 
     def predict(patch: np.ndarray) -> np.ndarray:
         return model.forward_segment(Tensor(patch[None])).data[0]
 
     logits = sliding_window_infer(predict, image, model.config.input_hw, overlap=sec["overlap"])
-    mask = logits.argmax(axis=0).astype(np.uint8)
+    mask = logits.argmax(axis=0)
     os.makedirs(out_dir, exist_ok=True)
     write_pgm(os.path.join(out_dir, "mask.pgm"), mask)
     if sec["save_logits"]:

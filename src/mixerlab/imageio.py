@@ -38,15 +38,21 @@ def _read_pnm_header(data: bytes, magic: bytes):
     return width, height, pos
 
 
+def _write_pnm(path: str, magic: str, arr: np.ndarray):
+    """Write (H, W) or (H, W, 3) values in 0..255 as a binary PNM file."""
+    if not ((arr >= 0) & (arr <= 255)).all():
+        raise DataError(f"{path}: 8-bit image values must lie in 0..255")
+    header = f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
+    with open(path, "wb") as fh:
+        fh.write(header + arr.astype(np.uint8).tobytes())
+
+
 def write_pgm(path: str, image: np.ndarray):
-    """Write a (H, W) uint8 array as binary PGM."""
+    """Write a (H, W) array of values in 0..255 as binary PGM."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise DataError("PGM wants a 2D array")
-    arr = arr.astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header + arr.tobytes())
+    _write_pnm(path, "P5", arr)
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -60,14 +66,11 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def write_ppm(path: str, image: np.ndarray):
-    """Write a (3, H, W) uint8 array as binary PPM."""
+    """Write a (3, H, W) array of values in 0..255 as binary PPM."""
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise DataError("PPM wants a (3, H, W) array")
-    arr = arr.astype(np.uint8)
-    header = f"P6\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header + arr.transpose(1, 2, 0).tobytes())
+    _write_pnm(path, "P6", arr.transpose(1, 2, 0))
 
 
 def read_ppm(path: str) -> np.ndarray:

@@ -16,10 +16,13 @@ one strided view of the padded input and send window gradients back through
 its adjoint (``_windows``, ``_add_windows``); ``conv2d`` copies the view into
 im2col column blocks of at most ``_COLUMN_BYTES``. Both add the
 multiply-accumulates they execute to a thread-local count while one is open.
+``bilinear_resize`` multiplies each (sample, channel) slice by two cached
+one-axis interpolation matrices (``_interp``), forward and backward.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Callable, Optional, Sequence
@@ -678,46 +681,36 @@ def global_avg_pool(x) -> Tensor:
                [(x, lambda g: np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy())])
 
 
-def _resize_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-pixel-center source indices and blend weights for one axis."""
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-    i0 = np.floor(src).astype(np.int64)
-    frac = src - i0
-    lo = np.clip(i0, 0, n_in - 1)
-    hi = np.clip(i0 + 1, 0, n_in - 1)
-    return lo, hi, frac
+@functools.lru_cache(maxsize=64)
+def _interp(n_in: int, n_out: int) -> np.ndarray:
+    """The read-only (n_out, n_in) matrix that resamples one axis with
+    half-pixel centers: row i holds output i's two blend weights, summed into
+    one entry where the edge clamp makes both source pixels the same."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    lo = np.floor(src)
+    rows, cols, frac = np.arange(n_out), lo.astype(np.int64), src - lo
+    r = np.zeros((n_out, n_in))
+    r[rows, np.clip(cols, 0, n_in - 1)] = 1.0 - frac
+    r[rows, np.clip(cols + 1, 0, n_in - 1)] += frac
+    r.flags.writeable = False
+    return r
 
 
 def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resample with half-pixel centers (align-corners false)."""
+    """Bilinear resample with half-pixel centers (align-corners false): each
+    (sample, channel) slice becomes ``R_h @ x @ R_w.T`` with the cached
+    matrices of ``_interp``, a product of its own, so no sample's result
+    depends on the batch. The input gradient is ``R_h.T @ g @ R_w``."""
     x = _as_tensor(x)
     if x.ndim != 4:
         raise ShapeError("bilinear_resize expects (B, C, H, W)")
     if out_h < 1 or out_w < 1:
         raise ConfigError("bilinear_resize output size must be >= 1")
-    bsz, c, h, w = x.shape
+    h, w = x.shape[2:]
     if (out_h, out_w) == (h, w):
         # a copy, so the output never shares (and freezes) the input's array
         return _op("bilinear_resize", x.data.copy(), [(x, lambda g: g)])
-
-    y0, y1, fy = _resize_axis(h, out_h)
-    x0, x1, fx = _resize_axis(w, out_w)
-    wy0, wy1 = (1.0 - fy)[:, None], fy[:, None]
-    wx0, wx1 = (1.0 - fx)[None, :], fx[None, :]
-    d = x.data
-    y = (
-        d[:, :, y0[:, None], x0[None, :]] * (wy0 * wx0)
-        + d[:, :, y0[:, None], x1[None, :]] * (wy0 * wx1)
-        + d[:, :, y1[:, None], x0[None, :]] * (wy1 * wx0)
-        + d[:, :, y1[:, None], x1[None, :]] * (wy1 * wx1)
-    )
-
-    def grad_x(g):
-        gx = np.zeros_like(d)
-        np.add.at(gx, (slice(None), slice(None), y0[:, None], x0[None, :]), g * (wy0 * wx0))
-        np.add.at(gx, (slice(None), slice(None), y0[:, None], x1[None, :]), g * (wy0 * wx1))
-        np.add.at(gx, (slice(None), slice(None), y1[:, None], x0[None, :]), g * (wy1 * wx0))
-        np.add.at(gx, (slice(None), slice(None), y1[:, None], x1[None, :]), g * (wy1 * wx1))
-        return gx
-
-    return _op("bilinear_resize", y, [(x, grad_x)])
+    r_h, r_w = _interp(h, out_h), _interp(w, out_w)
+    with np.errstate(invalid="ignore"):  # 0 * inf in a product is NaN, which _op reports
+        y = r_h @ (x.data @ r_w.T)
+    return _op("bilinear_resize", y, [(x, lambda g: r_h.T @ (g @ r_w))])

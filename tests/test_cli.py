@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import ranking_fixtures as fx
 from mixerlab.checkpoint import load_arrays, load_model, save_arrays, save_model
+from mixerlab import cli
 from mixerlab.cli import SCHEMA, load_config, main, resolved_ini
-from mixerlab.imageio import read_pgm, write_ppm
+from mixerlab.errors import DataError
+from mixerlab.imageio import read_pgm, read_ppm, write_pgm, write_ppm
 from mixerlab.metaformer import MetaFormer, ModelConfig
 from mixerlab.mixers import MixerSpec
 from mixerlab.tensor import Tensor
@@ -33,14 +35,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def seg_checkpoint(tmp_path, seed=3):
+def seg_checkpoint(tmp_path, seed=3, classes=3):
     cfg = ModelConfig(
         stage_channels=(8, 16, 24, 32),
         stage_depths=(1, 1, 1, 1),
         signature=tuple(MixerSpec("grouped_conv", 3) for _ in range(4)),
         input_hw=(32, 32),
         head="segment",
-        num_classes=3,
+        num_classes=classes,
         layerscale_init=1.0,
     )
     model = MetaFormer(cfg, seed=seed)
@@ -380,6 +382,49 @@ class TestInferCommand:
         assert run_cli("infer", "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == "config error: infer needs a segmentation checkpoint\n"
         assert not out.exists()
+
+
+    def test_more_than_256_classes_is_refused_before_any_window(self, tmp_path, capsys, monkeypatch):
+        _, ckpt_path = seg_checkpoint(tmp_path, classes=257)
+        _, img_path = self.write_image(tmp_path, (32, 32))
+        windows = []
+        monkeypatch.setattr(cli, "sliding_window_infer", lambda *args, **kwargs: windows.append(args))
+        cfg = tmp_path / "infer.ini"
+        cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
+        out = tmp_path / "o"
+        assert run_cli("infer", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: infer writes an 8-bit mask: at most 256 classes, not 257\n"
+        assert windows == [] and not out.exists()
+
+    def test_256_classes_write_a_mask(self, tmp_path):
+        model, ckpt_path = seg_checkpoint(tmp_path, classes=256)
+        img, img_path = self.write_image(tmp_path, (32, 32))
+        cfg = tmp_path / "infer.ini"
+        cfg.write_text(f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n")
+        out = tmp_path / "o"
+        assert run_cli("infer", "--config", str(cfg), "--out", str(out)) == 0
+        direct = model.forward_segment(Tensor(img[None].astype(np.float64) / 255.0)).data[0]
+        np.testing.assert_array_equal(read_pgm(str(out / "mask.pgm")), direct.argmax(axis=0))
+
+
+class TestImageWriters:
+    @pytest.mark.parametrize("value", [256, -1, 300.0, np.nan])
+    def test_value_outside_8_bits_is_data_error(self, tmp_path, value):
+        for write, shape in [(write_pgm, (4, 5)), (write_ppm, (3, 4, 5))]:
+            image = np.zeros(shape)
+            image.flat[7] = value
+            path = tmp_path / "image"
+            with pytest.raises(DataError, match=r"values must lie in 0\.\.255$"):
+                write(str(path), image)
+            assert not path.exists()
+
+    def test_values_in_0_to_255_round_trip(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mask, rgb = rng.integers(0, 256, (4, 5)), rng.integers(0, 256, (3, 4, 5))
+        write_pgm(str(tmp_path / "m.pgm"), mask)
+        write_ppm(str(tmp_path / "i.ppm"), rgb)
+        np.testing.assert_array_equal(read_pgm(str(tmp_path / "m.pgm")), mask)
+        np.testing.assert_array_equal(read_ppm(str(tmp_path / "i.ppm")), rgb)
 
 
 class TestNumericAbort:

@@ -134,6 +134,27 @@ def avg_pool2d_tap_loop(x, k, stride, padding, g):
     return acc * scale, gxp[:, :, padding : padding + h, padding : padding + wd]
 
 
+def bilinear_gather_oracle(x, out_h, out_w, g):
+    """bilinear_resize as a four-corner gather: the output, and the input
+    gradient for the output gradient g as four np.add.at scatters."""
+
+    def axis(n_in, n_out):
+        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        i0 = np.floor(src).astype(np.int64)
+        return np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), src - i0
+
+    y0, y1, fy = axis(x.shape[2], out_h)
+    x0, x1, fx = axis(x.shape[3], out_w)
+    wy0, wy1 = (1.0 - fy)[:, None], fy[:, None]
+    wx0, wx1 = (1.0 - fx)[None, :], fx[None, :]
+    y, gx = np.zeros(g.shape), np.zeros(x.shape)
+    for rows, cols, weight in [(y0, x0, wy0 * wx0), (y0, x1, wy0 * wx1), (y1, x0, wy1 * wx0), (y1, x1, wy1 * wx1)]:
+        corner = (slice(None), slice(None), rows[:, None], cols[None, :])
+        y += x[corner] * weight
+        np.add.at(gx, corner, g * weight)
+    return y, gx
+
+
 def run_with_grads(op, *arrays):
     """op's output on fresh leaves and each leaf's gradient for a seeded
     probe of the output."""
@@ -605,6 +626,48 @@ class TestBilinearResize:
         x = Tensor(xv, True)
         got = tape_grads(lambda ts: tsum(mul(bilinear_resize(ts[0], 5, 4), probe)), [x])
         assert rel_err(got[0], want[0]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "shape,out_hw",
+        [
+            ((2, 3, 7, 7), (28, 28)),  # upsample
+            ((1, 2, 28, 14), (7, 7)),  # downsample, non-square input
+            ((2, 3, 5, 9), (11, 4)),  # up one axis, down the other
+            ((1, 2, 6, 4), (6, 13)),  # one axis kept
+            ((1, 3, 1, 1), (6, 5)),  # 1 -> n
+            ((1, 3, 6, 9), (1, 1)),  # n -> 1
+            ((2, 1, 1, 8), (5, 1)),  # 1 -> n on one axis, n -> 1 on the other
+            ((1, 256, 7, 7), (56, 56)),  # a decoder resize
+        ],
+    )
+    def test_matches_gather_oracle(self, shape, out_hw):
+        xv = np.random.default_rng(sum(shape)).standard_normal(shape)
+        probe, y, (gx,) = run_with_grads(lambda t: bilinear_resize(t, *out_hw), xv)
+        want_y, want_gx = bilinear_gather_oracle(xv, *out_hw, probe)
+        assert rel_err(y, want_y, floor=1.0) < 1e-12
+        assert rel_err(gx, want_gx, floor=1.0) < 1e-12
+
+    # on (7, 33) -> (12, 70), folding the batch into the GEMM's rows changes
+    # bits on OpenBLAS's SkylakeX dgemm
+    @pytest.mark.parametrize(
+        "shape,out_hw", [((3, 4, 7, 5), (28, 20)), ((3, 2, 12, 16), (5, 6)), ((3, 2, 7, 33), (12, 70))])
+    def test_batch_invariant(self, shape, out_hw):
+        x = np.random.default_rng(len(shape)).standard_normal(shape)
+        assert_rows_match_single_runs(lambda t: bilinear_resize(t, *out_hw), x)
+
+    def test_interpolation_matrices_are_cached_and_read_only(self):
+        r = tensor._interp(7, 28)
+        assert tensor._interp(7, 28) is r
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+        np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-15)
+
+    def test_infinite_input_raises(self):
+        x = Tensor(np.ones((1, 2, 4, 4)))
+        x.data[0, 1, 2, 3] = np.inf
+        with pytest.raises(NumericsError, match="produced by bilinear_resize$"):
+            bilinear_resize(x, 8, 8)
 
 
 class TestGlobalAvgPool:
