@@ -24,14 +24,15 @@ from .tensor import (
     Tensor,
     add,
     bilinear_resize,
-    concat,
     conv2d,
     gelu,
     global_avg_pool,
     layer_norm,
     linear,
+    matmul,
     mul,
     reshape,
+    split,
     transpose,
 )
 
@@ -43,9 +44,9 @@ PATCH_EMBED_LATER = (3, 2, 1)
 
 def parse_signature(text: str) -> tuple[MixerSpec, ...]:
     """Parse 'pooling:3,pooling:3,global_attn,global_attn' into MixerSpecs."""
-    split = [p.strip().partition(":") for p in text.split(",") if p.strip()]
+    parts = [p.strip().partition(":") for p in text.split(",") if p.strip()]
     return tuple(MixerSpec(kind.strip(), kernel=int(kernel)) if sep else MixerSpec(kind)
-                 for kind, sep, kernel in split)
+                 for kind, sep, kernel in parts)
 
 
 def format_signature(signature) -> str:
@@ -228,10 +229,11 @@ class Block:
 
 @dataclass
 class SegDecoder:
-    """All-MLP decoder: per-stage channel equalization to ``dim`` channels,
-    bilinear upsampling to the stage-0 grid, concat, a two-layer pointwise
-    MLP down to class logits, then 4x bilinear upsampling. Pointwise apart
-    from the resampling, so constant feature maps give constant logits."""
+    """SegFormer's all-MLP decoder: each stage projected to ``dim`` channels (P_i, b_i),
+    upsampled to the stage-0 grid, concatenated and fused, then GELU, a pointwise classifier
+    and 4x upsampling. Resampling commutes with pointwise maps, so the fuse runs as ``fuse.bias
+    + sum_i up((W_i P_i) f_i + W_i b_i)``, W_i the i-th ``dim`` columns of ``fuse.weight``: no
+    map of 4 * dim channels is built. Constant feature maps give spatially constant logits."""
 
     projs: list  # per-stage (weight, bias)
     fuse_w: Tensor
@@ -255,19 +257,13 @@ class SegDecoder:
         )
 
     def __call__(self, features: list[Tensor], out_hw: tuple[int, int]) -> Tensor:
-        h0, w0 = features[0].shape[2], features[0].shape[3]
-        mapped = []
-        for (w, b), feat in zip(self.projs, features):
-            t = transpose(feat, (0, 2, 3, 1))
-            t = linear(t, w, b)
-            t = transpose(t, (0, 3, 1, 2))
-            mapped.append(bilinear_resize(t, h0, w0))
-        fused = concat(mapped, axis=1)
-        t = transpose(fused, (0, 2, 3, 1))
-        t = gelu(linear(t, self.fuse_w, self.fuse_b))
-        t = linear(t, self.cls_w, self.cls_b)
-        logits = transpose(t, (0, 3, 1, 2))
-        return bilinear_resize(logits, out_hw[0], out_hw[1])
+        (h0, w0), dim = features[0].shape[2:], self.fuse_b.shape[0]
+        t = reshape(self.fuse_b, (1, dim, 1, 1))
+        for (p, b), w, feat in zip(self.projs, split(self.fuse_w, len(self.projs), axis=1), features):
+            kernel = reshape(matmul(w, p), (dim, p.shape[1], 1, 1))
+            t = add(t, bilinear_resize(conv2d(feat, kernel, linear(b, w)), h0, w0))
+        logits = conv2d(gelu(t), reshape(self.cls_w, self.cls_w.shape + (1, 1)), self.cls_b)
+        return bilinear_resize(logits, *out_hw)
 
 
 # ---------------------------------------------------------------------------

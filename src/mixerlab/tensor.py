@@ -379,6 +379,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                [(t, lambda g, i=i: np.split(g, bounds, axis=axis)[i]) for i, t in enumerate(tensors)])
 
 
+def split(a, sections: int, axis: int) -> list[Tensor]:
+    """The adjoint of ``concat``: ``sections`` equal pieces of ``a`` along ``axis``."""
+    a = _as_tensor(a)
+    n, ax = a.shape[axis], axis % a.ndim
+    if sections < 1 or n % sections:
+        raise ShapeError(f"split: {sections} sections do not divide axis {axis} of shape {a.shape}")
+    step = n // sections
+    pads = [[(0, 0)] * ax + [(i, n - step - i)] + [(0, 0)] * (a.ndim - ax - 1) for i in range(0, n, step)]
+    return [_op("split", piece, [(a, lambda g, pad=pad: np.pad(g, pad))])
+            for piece, pad in zip(np.split(a.data, sections, axis=axis), pads)]
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     kept = keepdims or axis is None  # g broadcasts against a as it is
@@ -522,7 +534,9 @@ def _out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int
 
 
 def _pad(a: np.ndarray, padding: int) -> np.ndarray:
-    """Copy of (B, C, H, W) ``a`` with ``padding`` zero cells around H and W."""
+    """Copy of (B, C, H, W) ``a`` with ``padding`` zero cells around H and W (``a`` at 0)."""
+    if padding == 0:
+        return a
     bsz, c, h, w = a.shape
     out = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
     out[:, :, padding : padding + h, padding : padding + w] = a

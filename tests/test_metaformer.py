@@ -22,7 +22,20 @@ from mixerlab.metaformer import (
     warm_start_model,
 )
 from mixerlab.mixers import MixerSpec, build_neighborhood_mask, mix_local_attn
-from mixerlab.tensor import Registry, Tape, Tensor, add, global_avg_pool, linear, tsum
+from mixerlab.tensor import (
+    Registry,
+    Tape,
+    Tensor,
+    add,
+    bilinear_resize,
+    concat,
+    gelu,
+    global_avg_pool,
+    linear,
+    mul,
+    transpose,
+    tsum,
+)
 
 TINY = dict(stage_channels=(8, 16, 24, 32), stage_depths=(1, 1, 1, 1), input_hw=(32, 32))
 
@@ -31,6 +44,24 @@ def tiny_config(kind="pooling", kernel=3, head="classify", num_classes=2, **kw):
     sig = tuple(MixerSpec(kind, kernel=kernel) for _ in range(4))
     merged = {**TINY, **kw}
     return ModelConfig(signature=sig, head=head, num_classes=num_classes, **merged)
+
+
+def concat_decoder_oracle(dec: SegDecoder, features, out_hw):
+    """The decoder as SegFormer writes it: each stage projected and upsampled
+    to the stage-0 grid, the 4 * dim channel concat, then the fuse layer."""
+    h0, w0 = features[0].shape[2], features[0].shape[3]
+    mapped = []
+    for (w, b), feat in zip(dec.projs, features):
+        t = transpose(feat, (0, 2, 3, 1))
+        t = linear(t, w, b)
+        t = transpose(t, (0, 3, 1, 2))
+        mapped.append(bilinear_resize(t, h0, w0))
+    fused = concat(mapped, axis=1)
+    t = transpose(fused, (0, 2, 3, 1))
+    t = gelu(linear(t, dec.fuse_w, dec.fuse_b))
+    t = linear(t, dec.cls_w, dec.cls_b)
+    logits = transpose(t, (0, 3, 1, 2))
+    return bilinear_resize(logits, out_hw[0], out_hw[1])
 
 
 class TestModelConfig:
@@ -231,6 +262,74 @@ class TestForwardSegment:
         a = dec(feats, (32, 32)).data
         b = dec(flipped, (32, 32)).data
         assert np.abs(a[:, :, :, ::-1] - b).max() < 1e-12
+
+
+class TestDecoderFold:
+    """The decoder folds each block of the fuse layer into its stage's
+    projection; it must agree with the concat graph it replaces."""
+
+    CHANNELS = (8, 16, 24, 32)
+
+    def decoder(self, seed, dim=12):
+        rng = np.random.default_rng(seed)
+        params = Registry(rng)
+        dec = SegDecoder.create(params, "decoder", self.CHANNELS, dim, 3)
+        for t in params.tensors.values():  # biases too, which start at zero
+            t.data[...] = rng.standard_normal(t.shape) * 0.3
+        return dec, params.tensors
+
+    @staticmethod
+    def features(rng, bsz, hw):
+        h, w = hw[0] // 4, hw[1] // 4
+        return [Tensor(rng.standard_normal((bsz, c, h >> i, w >> i)), True)
+                for i, c in enumerate(TestDecoderFold.CHANNELS)]
+
+    def run(self, forward, params, feats, probe, out_hw):
+        """Logits, then the gradients of <logits, probe> by parameter name and per stage."""
+        for t in list(params.values()) + feats:
+            t.grad = None
+        with Tape() as tape:
+            logits = forward(feats, out_hw)
+            loss = tsum(mul(logits, probe))
+        tape.backward(loss)
+        return logits.data, {n: t.grad for n, t in params.items()}, [f.grad for f in feats]
+
+    @pytest.mark.parametrize("bsz,hw", [(1, (64, 64)), (2, (64, 96)), (1, (96, 64))])
+    def test_matches_concat_oracle(self, bsz, hw):
+        dec, params = self.decoder(30 + bsz)
+        rng = np.random.default_rng(31)
+        feats = self.features(rng, bsz, hw)
+        probe = rng.standard_normal((bsz, 3) + hw)
+        want = self.run(lambda f, o: concat_decoder_oracle(dec, f, o), params, feats, probe, hw)
+        got = self.run(dec, params, feats, probe, hw)
+        assert got[0].shape == (bsz, 3) + hw
+        assert rel_err(got[0], want[0]) < 1e-12
+        assert set(got[1]) == {n for n in params if n.startswith("decoder.")}
+        for name in got[1]:
+            assert rel_err(got[1][name], want[1][name]) < 1e-12, name
+        for i, (g, e) in enumerate(zip(got[2], want[2])):
+            assert rel_err(g, e) < 1e-12, f"stage {i}"
+
+    @pytest.mark.parametrize("name,entries", [
+        ("decoder.fuse.weight", [(0, 0), (5, 13), (11, 47)]),
+        ("decoder.proj0.weight", [(0, 0), (7, 3)]),
+        ("decoder.proj3.bias", [(0,), (9,)]),
+    ])
+    def test_gradient_entries_match_finite_differences(self, name, entries):
+        dec, params = self.decoder(40)
+        rng = np.random.default_rng(41)
+        feats = self.features(rng, 2, (32, 48))
+        probe = rng.standard_normal((2, 3, 32, 48))
+        grad = self.run(dec, params, feats, probe, (32, 48))[1][name]
+        arr, h = params[name].data, 1e-5
+        for at in entries:
+            orig = arr[at]
+            arr[at] = orig + h
+            fp = float((dec(feats, (32, 48)).data * probe).sum())
+            arr[at] = orig - h
+            fm = float((dec(feats, (32, 48)).data * probe).sum())
+            arr[at] = orig
+            assert abs((fp - fm) / (2 * h) - grad[at]) < 1e-6 * max(1.0, abs(grad[at])), at
 
 
 class TestBatchInvariance:

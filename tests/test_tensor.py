@@ -35,6 +35,7 @@ from mixerlab.tensor import (
     power,
     reshape,
     softmax,
+    split,
     sqrt,
     sub,
     tmean,
@@ -245,15 +246,39 @@ class TestConv2d:
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1, groups=2)
         assert np.abs(got.data - want).max() < 1e-12
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 2), (4, 2)])
-    def test_strides_vs_oracle(self, stride, padding):
+    @pytest.mark.parametrize("stride,padding,k", [
+        pytest.param(1, 0, 3, id="1-0"), pytest.param(2, 1, 3, id="2-1"), pytest.param(2, 2, 3, id="2-2"),
+        pytest.param(4, 2, 3, id="4-2"), pytest.param(1, 0, 1, id="1-0-k1"),
+    ])
+    def test_strides_vs_oracle(self, stride, padding, k):
         rng = np.random.default_rng(stride * 10 + padding)
         x = rng.standard_normal((1, 3, 9, 9))
-        w = rng.standard_normal((4, 3, 3, 3))
+        w = rng.standard_normal((4, 3, k, k))
         want = conv2d_oracle(x, w, None, stride, padding, 1)
         got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
         assert got.data.shape == want.shape
         assert np.abs(got.data - want).max() < 1e-12
+
+    @pytest.mark.parametrize("k,groups", [(1, 1), (3, 1), (3, 2)])
+    def test_unpadded_input_is_read_in_place(self, monkeypatch, k, groups):
+        # at padding 0 conv2d reads the input itself, not a copy of it, and
+        # its output and gradients keep every bit of the copying path
+        grid = np.ones((1, 2, 3, 3))
+        assert tensor._pad(grid, 0) is grid
+        rng = np.random.default_rng(k + groups)
+        arrays = [rng.standard_normal(s) for s in ((2, 4, 7, 6), (6, 4 // groups, k, k), (6,))]
+        probe = rng.standard_normal((2, 6, 8 - k, 7 - k))
+
+        def run():
+            ts = [Tensor(a, True) for a in arrays]
+            grads = tape_grads(lambda ts: tsum(mul(conv2d(*ts, groups=groups), probe)), ts)
+            return [conv2d(*ts, groups=groups).data] + grads
+
+        in_place = run()
+        copying = tensor._pad
+        monkeypatch.setattr(tensor, "_pad", lambda a, padding: copying(a, padding).copy())
+        for got, want in zip(in_place, run()):
+            assert got.tobytes() == want.tobytes()
 
     def test_group_divisibility_error(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -939,6 +964,8 @@ OP_CASES = {
     "reshape": ("reshape", lambda a: reshape(a, (3, 2)), [(2, 3)]),
     "transpose": ("transpose", lambda a: transpose(a, (1, 0)), [(2, 3)]),
     "concat": ("concat", lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    # piece 0: the contract plants its NaN in the input's first entry
+    "split": ("split", lambda a: split(a, 3, axis=1)[0], [(2, 3)]),
     "tsum": ("sum", lambda a: tsum(a, axis=1), [(2, 3)]),
     "tmean": ("sum", tmean, [(2, 3)]),
     "matmul": ("matmul", matmul, [(2, 3, 4), (2, 4, 2)]),
@@ -1030,6 +1057,28 @@ class TestShapeOps:
 
         got = tape_grads(build, [x])
         assert rel_err(got[0], want[0]) < 1e-6
+
+    @pytest.mark.parametrize("shape,sections,axis", [((2, 6), 3, 1), ((4, 3, 2), 2, 0), ((2, 3, 4), 4, -1)])
+    def test_split_is_the_adjoint_of_concat(self, shape, sections, axis):
+        rng = np.random.default_rng(sum(shape))
+        x = Tensor(rng.standard_normal(shape), True)
+        pieces = split(x, sections, axis)
+        assert len(pieces) == sections
+        assert concat(pieces, axis).data.tobytes() == x.data.tobytes()
+        # each piece's gradient lands in its own slice of x's gradient
+        probes = [rng.standard_normal(p.shape) for p in pieces]
+
+        def loss(ts):
+            return tsum(concat([mul(p, q) for p, q in zip(split(ts[0], sections, axis), probes)], axis))
+
+        got = tape_grads(loss, [x])[0]
+        assert got.tobytes() == np.concatenate(probes, axis).tobytes()
+
+    def test_split_needs_equal_sections(self):
+        with pytest.raises(ShapeError, match=r"^split: 4 sections do not divide axis 1 of shape \(2, 6\)$"):
+            split(Tensor(np.zeros((2, 6))), 4, axis=1)
+        with pytest.raises(ShapeError, match="^split: 0 sections"):
+            split(Tensor(np.zeros((2, 6))), 0, axis=1)
 
     def test_matmul_gradient(self):
         rng = np.random.default_rng(19)
