@@ -17,6 +17,11 @@ Array names are the model's stable parameter names (for example
 makes warm starting across checkpoints possible. They are the names under
 which ``MetaFormer`` creates each parameter, and ``load_model`` builds the
 model from the arrays directly, with no random draw.
+
+Both directions hold the weights once. ``save_model`` hands ``save_arrays``
+the parameters' own arrays, and a float64 array's bytes are written from
+it with no snapshot and no copy. ``load_arrays`` reads each array straight
+into a fresh float64 buffer, which the model adopts as the parameter's storage.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ def save_arrays(path: str, config_text: str, arrays: dict[str, np.ndarray]):
             fh.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(arr).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
@@ -61,10 +66,16 @@ def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
+        def read(n: int, shape: tuple | None = None):
+            """``n`` bytes, or with ``shape`` a fresh float64 array read in place."""
             if n > size - fh.tell():
                 raise DataError(f"{path}: truncated checkpoint")
-            return fh.read(n)
+            if shape is None:
+                return fh.read(n)
+            arr = np.empty(shape, "<f8")
+            if fh.readinto(arr) != n:
+                raise DataError(f"{path}: truncated checkpoint")
+            return arr.astype(np.float64, copy=False)
 
         def unpack(fmt: str) -> tuple:
             return struct.unpack(fmt, read(struct.calcsize(fmt)))
@@ -82,8 +93,7 @@ def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
                 if name in arrays:
                     raise DataError(f"{path}: array {name!r} repeats")
                 shape = unpack(f"<{unpack('<B')[0]}I")
-                buf = read(8 * math.prod(shape))
-                arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+                arrays[name] = read(8 * math.prod(shape), shape)
                 if not np.isfinite(arrays[name]).all():
                     raise DataError(f"{path}: array {name!r} has non-finite values")
         except UnicodeDecodeError:
@@ -94,7 +104,7 @@ def load_arrays(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
 
 
 def save_model(path: str, model: MetaFormer):
-    save_arrays(path, model.config.to_ini(), model.state())
+    save_arrays(path, model.config.to_ini(), {n: t.data for n, t in model.named_parameters().items()})
 
 
 def load_model(path: str) -> MetaFormer:

@@ -659,8 +659,9 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
     """Average pooling with a fixed K*K divisor (padded cells count).
 
     stride 1 with padding (K-1)/2 preserves the spatial size, which is the
-    token-mixer configuration. The output is the sum over the two tap axes
-    of the ``_windows`` view, and the input gradient its adjoint.
+    token-mixer configuration. The output adds the taps of the ``_windows``
+    view in place, one after another in tap order, and the input gradient
+    is its adjoint.
     """
     x = _as_tensor(x)
     if x.ndim != 4:
@@ -671,10 +672,13 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
         raise ConfigError("avg_pool2d needs stride >= 1 and padding >= 0")
     bsz, c, h, w = x.shape
     ho, wo = _out_hw(h, w, k, stride, padding)
-    # columns step by 1 and are thinned after the sum: with an output column step as small as a
-    # tap's, numpy adds each window's taps in tap order, one after another, to the last bit
-    acc = _windows(_pad(x.data, padding), k, 1)[..., ::stride, :].sum(axis=(-4, -3))[..., ::stride]
+    # one whole-grid add per tap: a reduction over the tap axes pays numpy's per-row overhead
+    view = _windows(_pad(x.data, padding), k, stride)
+    acc = view[..., 0, 0, :, :].copy()
+    for ky, kx in list(np.ndindex(k, k))[1:]:
+        acc += view[..., ky, kx, :, :]
     scale = 1.0 / (k * k)
+    acc *= scale
     _count_macs(acc.size * k * k)
 
     def grad_x(g):
@@ -682,7 +686,7 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
         _add_windows(gxp, np.broadcast_to((g * scale)[:, :, None, None], (bsz, c, k, k, ho, wo)), stride)
         return gxp[:, :, padding : padding + h, padding : padding + w]
 
-    return _op("avg_pool2d", acc * scale, [(x, grad_x)])
+    return _op("avg_pool2d", acc, [(x, grad_x)])
 
 
 def global_avg_pool(x) -> Tensor:

@@ -568,11 +568,15 @@ class TestInputBoundary:
         return ckpt_path, img_path
 
     @pytest.mark.parametrize(
-        "which", ["truncated_header", "config_not_utf8", "nan_weights", "trailing_bytes", "repeated_name"])
+        "which",
+        ["truncated_header", "truncated_data", "config_not_utf8", "nan_weights", "trailing_bytes", "repeated_name"])
     def test_bad_checkpoint_is_data_error(self, tmp_path, capsys, which):
         ckpt_path, img_path = self.infer_files(tmp_path)
         if which == "truncated_header":
             ckpt_path.write_bytes(b"MXLC\x01\x00")
+        elif which == "truncated_data":
+            # the last array's header is whole and its data four bytes short
+            ckpt_path.write_bytes(ckpt_path.read_bytes()[:-4])
         elif which == "config_not_utf8":
             ckpt_path.write_bytes(_checkpoint_with_config_bytes(b"[model]\n\xff\xfe"))
         elif which == "trailing_bytes":
@@ -591,6 +595,7 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         named = {
+            "truncated_data": "truncated checkpoint",
             "nan_weights": "stage1.block0.mlp.fc2.bias",
             "trailing_bytes": "8 bytes after the last array",
             "repeated_name": "'stage0.block0.norm1.gamma' repeats",
