@@ -247,8 +247,7 @@ def cmd_train(cfg: Config, out_dir: str) -> int:
             log_path=os.path.join(out_dir, "train_log.csv"), max_steps=cfg["train"]["max_steps"],
         )
     except NumericsError:
-        report = grad_norm_monitor(model)
-        worst = sorted(report.norms.items(), key=lambda kv: -kv[1])[:8]
+        worst = sorted(grad_norm_monitor(model).items(), key=lambda kv: -kv[1])[:8]
         print("numeric abort; largest gradient norms:", file=sys.stderr)
         for name, val_ in worst:
             print(f"  {name}: {val_!r}", file=sys.stderr)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm as _normal
-from scipy.stats import rankdata
+from scipy.special import ndtr
 
 from .errors import ConfigError, DataError
 
@@ -46,6 +45,11 @@ class CaseScores:
                 setattr(self, name, arr)
                 if arr.shape[0] != n:
                     raise DataError(f"{name} has {arr.shape[0]} rows for {n} cases")
+        if self.labels is not None and self.scores is not None and self.scores.ndim == 2:
+            k = self.scores.shape[1]
+            if not np.isin(self.labels, np.arange(k)).all():
+                name = f"submission {self.submission!r} on {self.dataset!r}"
+                raise DataError(f"{name}: labels must be in [0, {k})")
 
     def same_cases(self, other: "CaseScores") -> bool:
         return self.case_ids == other.case_ids
@@ -54,6 +58,25 @@ class CaseScores:
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis, ties sharing the mean of their
+    positions: each sorted value gets (first + last) / 2 + 1 over its
+    tie group's first and last sorted positions."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    n = ordered.shape[-1]
+    pos = np.broadcast_to(np.arange(n), ordered.shape)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(ordered.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(ordered.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    return ranks
 
 
 def auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -151,7 +174,7 @@ def _auc_vector(scores: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> np.n
         pos = drawn == cls
         npos = pos.sum(axis=1)
         kept[:, cls] = npos > 0  # a resample keeps two classes, so npos < n
-        u = np.where(pos, rankdata(scores[idx, cls], axis=1), 0.0).sum(axis=1)
+        u = np.where(pos, _ranks(scores[idx, cls]), 0.0).sum(axis=1)
         aucs[:, cls] = (u - npos * (npos + 1) / 2.0) / np.maximum(npos * (n - npos), 1)
     return np.array([np.mean(row[keep]) for row, keep in zip(aucs, kept)])
 
@@ -166,8 +189,6 @@ def _bootstrap_pairs(
         name = f"submission {sub.submission!r} on {sub.dataset!r}"
         if sub.labels is None or sub.scores is None or sub.scores.ndim != 2:
             raise DataError(f"{name}: bootstrap comparison needs labels and (n, k) scores")
-        if not np.isin(sub.labels, np.arange(sub.scores.shape[1])).all():
-            raise DataError(f"{name}: labels must be in [0, {sub.scores.shape[1]})")
         if not np.array_equal(sub.labels, first.labels):
             raise DataError(f"{name} disagrees with {first.submission!r} on case labels")
     idx = _resample_indices(first.labels, repeats, seed)
@@ -212,6 +233,10 @@ class WilcoxonResult:
     n_effective: int
 
 
+# the exact test's largest case count; its counts fit int64 up to 62
+WILCOXON_EXACT_CASES = 25
+
+
 def _wilcoxon_exact_tail(doubled_ranks: list[int], w2: int) -> tuple[float, float]:
     """P(W+ <= w) and P(W+ >= w) over all 2^n sign assignments, exact.
 
@@ -232,20 +257,15 @@ def _wilcoxon_exact_tail(doubled_ranks: list[int], w2: int) -> tuple[float, floa
 
 
 def wilcoxon_signed_rank(
-    a_values: Sequence[float],
-    b_values: Sequence[float],
-    alpha: float = 0.05,
-    exact_limit: int = 25,
+    a_values: Sequence[float], b_values: Sequence[float], alpha: float = 0.05
 ) -> WilcoxonResult:
     """Two-sided paired signed-rank test on per-case values (zero
     differences dropped).
 
-    Exact sign-assignment distribution up to ``exact_limit`` <= 62 cases,
-    normal approximation with tie correction beyond. The verdict combines
-    significance with the direction of the rank sums.
+    Exact sign-assignment distribution up to ``WILCOXON_EXACT_CASES``
+    cases, normal approximation with tie correction beyond. The verdict
+    combines significance with the direction of the rank sums.
     """
-    if exact_limit > 62:
-        raise ConfigError("wilcoxon exact_limit above 62 overflows the exact counts")
     a = np.asarray(a_values, dtype=np.float64)
     b = np.asarray(b_values, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
@@ -255,11 +275,11 @@ def wilcoxon_signed_rank(
     n = d.size
     if n == 0:
         return WilcoxonResult(TIE, 1.0, 0.0, 0.0, 0)
-    ranks = rankdata(np.abs(d), method="average")
+    ranks = _ranks(np.abs(d))
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
 
-    if n <= exact_limit:
+    if n <= WILCOXON_EXACT_CASES:
         doubled = [int(round(2 * r)) for r in ranks]
         w2 = int(round(2 * w_pos))
         p = min(1.0, 2.0 * min(_wilcoxon_exact_tail(doubled, w2)))
@@ -271,7 +291,7 @@ def wilcoxon_signed_rank(
         if var <= 0:
             return WilcoxonResult(TIE, 1.0, w_pos, w_neg, n)
         z = (w_pos - mu) / math.sqrt(var)
-        p = float(2.0 * _normal.sf(abs(z)))
+        p = float(2.0 * ndtr(-abs(z)))
 
     if p < alpha and w_pos != w_neg:
         verdict = A_WINS if w_pos > w_neg else B_WINS

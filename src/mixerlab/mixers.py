@@ -59,7 +59,7 @@ MIXER_KINDS = {
 # largest allowed score matrix (B*M*N*N float64 elements) before a mixer
 # refuses to materialize attention; mirrors running out of accelerator
 # memory on huge inputs, but as an explicit error
-DEFAULT_SCORE_BUDGET = 2**26
+SCORE_BUDGET = 2**26
 
 HEADS_DIVISOR = 16
 
@@ -197,25 +197,19 @@ def mix_grouped_conv(x: Tensor, params: ConvMixerParams, kernel: int) -> Tensor:
     return conv2d(x, params.kernel, stride=1, padding=(kernel - 1) // 2, groups=c)
 
 
-def _budgeted_heads(x: Tensor, score_budget: int) -> int:
+def _budgeted_heads(x: Tensor) -> int:
     """Head count for x, refusing attention over budget before anything
     N x N is allocated."""
     b, c, h, w = x.shape
     m, n = head_count(c), h * w
-    if b * m * n * n > score_budget:
+    if b * m * n * n > SCORE_BUDGET:
         raise CapacityError(
-            f"attention score matrix of {b}x{m}x{n}x{n} elements exceeds the budget of {score_budget}"
+            f"attention score matrix of {b}x{m}x{n}x{n} elements exceeds the budget of {SCORE_BUDGET}"
         )
     return m
 
 
-def _attention(
-    x: Tensor,
-    params: AttentionParams,
-    heads: int,
-    additive_mask: Optional[np.ndarray],
-    return_attn: bool,
-):
+def _attention(x: Tensor, params: AttentionParams, heads: int, additive_mask: Optional[np.ndarray]) -> Tensor:
     b, c, h, w = x.shape
     n = h * w
     m = heads
@@ -237,18 +231,10 @@ def _attention(
     ctx = matmul(attn, v)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, c))
     out_tokens = linear(merged, params.wu)
-    out = transpose(reshape(out_tokens, (b, h, w, c)), (0, 3, 1, 2))
-    if return_attn:
-        return out, attn.data
-    return out
+    return transpose(reshape(out_tokens, (b, h, w, c)), (0, 3, 1, 2))
 
 
-def mix_global_attn(
-    x: Tensor,
-    params: AttentionParams,
-    score_budget: int = DEFAULT_SCORE_BUDGET,
-    return_attn: bool = False,
-):
+def mix_global_attn(x: Tensor, params: AttentionParams) -> Tensor:
     """Multi-head scaled dot-product over all N = H*W positions.
 
     The learned positional embedding (C, H, W) is added to x before the
@@ -261,36 +247,23 @@ def mix_global_attn(
                 f"positional embedding shape {params.pos_emb.shape} does not match input {(c, h, w)}"
             )
         x = add(x, reshape(params.pos_emb, (1, c, h, w)))
-    return _attention(x, params, _budgeted_heads(x, score_budget), None, return_attn)
+    return _attention(x, params, _budgeted_heads(x), None)
 
 
-def mix_local_attn(
-    x: Tensor,
-    params: AttentionParams,
-    mask: NeighborhoodMask,
-    score_budget: int = DEFAULT_SCORE_BUDGET,
-    return_attn: bool = False,
-):
-    """Attention restricted to the K x K neighborhood via an additive -inf mask.
+def mix_local_attn(x: Tensor, params: AttentionParams, kernel: int) -> Tensor:
+    """Attention restricted to the K x K neighborhood via an additive -inf
+    mask, built for x's grid once the score budget admits it.
 
     No positional term: the restriction itself encodes locality, and the
     parameter count stays at the four projection matrices.
     """
-    b, c, h, w = x.shape
-    if (mask.height, mask.width) != (h, w):
-        raise ShapeError(f"mask built for {mask.height}x{mask.width}, input is {h}x{w}")
-    heads = _budgeted_heads(x, score_budget)
-    return _attention(x, params, heads, mask.to_additive(), return_attn)
+    heads = _budgeted_heads(x)
+    mask = build_neighborhood_mask(x.shape[2], x.shape[3], kernel)
+    return _attention(x, params, heads, mask.to_additive())
 
 
-def apply_mixer(
-    spec: MixerSpec,
-    params,
-    x: Tensor,
-    score_budget: int = DEFAULT_SCORE_BUDGET,
-) -> Tensor:
-    """Dispatch to the mixer named by spec.kind. Local attention checks the
-    score budget before it builds the neighborhood mask for x's grid."""
+def apply_mixer(spec: MixerSpec, params, x: Tensor) -> Tensor:
+    """Dispatch to the mixer named by spec.kind."""
     if spec.kind == "identity":
         return mix_identity(x)
     if spec.kind == "pooling":
@@ -300,11 +273,9 @@ def apply_mixer(
     if spec.kind == "grouped_conv":
         return mix_grouped_conv(x, params, spec.kernel)
     if spec.kind == "local_attn":
-        _budgeted_heads(x, score_budget)
-        mask = build_neighborhood_mask(x.shape[2], x.shape[3], spec.kernel)
-        return mix_local_attn(x, params, mask, score_budget)
+        return mix_local_attn(x, params, spec.kernel)
     if spec.kind == "global_attn":
-        return mix_global_attn(x, params, score_budget)
+        return mix_global_attn(x, params)
     raise ConfigError(f"unknown mixer kind {spec.kind!r}")
 
 

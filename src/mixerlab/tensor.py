@@ -34,6 +34,7 @@ from .errors import ConfigError, NumericsError, ShapeError
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+LAYER_NORM_EPS = 1e-6
 
 _state = threading.local()
 
@@ -85,9 +86,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -484,15 +482,13 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     return _op("log_softmax", y, [(x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True))])
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the channel axis (axis 1) per spatial location.
 
     For (B, C, H, W) input, every (b, h, w) column of C values is brought
     to zero mean / unit variance, then scaled and shifted per channel.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be > 0")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine shape must be ({c},)")
@@ -500,7 +496,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     y = xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape)
     gsum_axes = tuple(i for i in range(x.ndim) if i != 1)

@@ -5,7 +5,7 @@ per-layer gradient-norm monitoring."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,15 +73,13 @@ def ce_loss(
     targets: np.ndarray,
     weights: Optional[np.ndarray] = None,
     smoothing: float = 0.0,
-    ignore_index: Optional[int] = None,
 ) -> Tensor:
     """Smoothed, class-weighted cross-entropy.
 
     The target distribution puts (1 - eps) on the true class and
     eps/num_classes on every other class. Accepts (B, K) logits with (B,)
-    targets or (B, K, H, W) logits with (B, H, W) targets; rows whose
-    target equals ignore_index are excluded. Result is the weighted mean
-    over contributing elements.
+    targets or (B, K, H, W) logits with (B, H, W) targets. Result is the
+    weighted mean over elements.
     """
     if logits.ndim not in (2, 4):
         raise ConfigError(f"ce_loss expects 2D or 4D logits, got {logits.ndim}D")
@@ -90,28 +88,19 @@ def ce_loss(
     if flat_targets.shape[0] != flat_logits.shape[0]:
         raise ConfigError("logits and targets disagree on the number of elements")
 
-    valid = np.ones(flat_targets.shape[0], dtype=bool)
-    if ignore_index is not None:
-        valid = flat_targets != ignore_index
-    checked = flat_targets[valid]
-    if checked.size and ((checked < 0).any() or (checked >= k).any()):
+    if (flat_targets < 0).any() or (flat_targets >= k).any():
         raise DataError(f"target class ids must be in [0, {k})")
-    if not valid.any():
-        raise DataError("every element is ignored; nothing to average")
 
     q = np.full((flat_targets.shape[0], k), smoothing / k)
-    rows = np.arange(flat_targets.shape[0])
-    safe_targets = np.where(valid, flat_targets, 0)
-    q[rows, safe_targets] = 1.0 - smoothing
-    q[~valid] = 0.0
+    q[np.arange(flat_targets.shape[0]), flat_targets] = 1.0 - smoothing
 
     if weights is None:
-        row_w = valid.astype(np.float64)
+        row_w = np.ones(flat_targets.shape[0])
     else:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (k,):
             raise ConfigError(f"weights must have shape ({k},)")
-        row_w = np.where(valid, weights[safe_targets], 0.0)
+        row_w = weights[flat_targets]
 
     logp = log_softmax(flat_logits, axis=1)
     weighted_q = q * row_w[:, None]
@@ -332,25 +321,12 @@ def weighted_patch_sample(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradReport:
-    norms: dict[str, float]
-    alarmed: list[str] = field(default_factory=list)
-
-    @property
-    def max_norm(self) -> float:
-        return max(self.norms.values(), default=0.0)
-
-
-def grad_norm_monitor(model: MetaFormer, threshold: Optional[float] = None) -> GradReport:
-    """Per-layer gradient L2 norms (zero where no grad), with an optional alarm."""
-    norms = {}
-    for name, p in model.named_parameters().items():
-        norms[name] = 0.0 if p.grad is None else float(np.sqrt((p.grad * p.grad).sum()))
-    alarmed = []
-    if threshold is not None:
-        alarmed = sorted(name for name, val in norms.items() if val > threshold)
-    return GradReport(norms=norms, alarmed=alarmed)
+def grad_norm_monitor(model: MetaFormer) -> dict[str, float]:
+    """Per-layer gradient L2 norms by parameter name (zero where no grad)."""
+    return {
+        name: 0.0 if p.grad is None else float(np.sqrt((p.grad * p.grad).sum()))
+        for name, p in model.named_parameters().items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +398,14 @@ def train_classifier(
                     logits = model.forward_classify(Tensor(xb), training=True, rng=rng)
                     loss = ce_loss(logits, yb, weights, cfg.label_smoothing)
                 tape.backward(loss)
-                report = grad_norm_monitor(model)
+                norms = grad_norm_monitor(model)
                 opt.step(lr=lr_t)
                 row = {
                     "step": step,
                     "lr": lr_t,
                     "loss": float(loss.data),
                     "val_f1": "",
-                    "max_grad_norm": report.max_norm,
+                    "max_grad_norm": max(norms.values(), default=0.0),
                 }
                 is_epoch_end = start + cfg.batch_size >= n
                 if is_epoch_end and val is not None:

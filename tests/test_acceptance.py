@@ -32,7 +32,6 @@ from mixerlab.metaformer import Block, MetaFormer, ModelConfig, count_params
 from mixerlab.mixers import (
     AttentionParams,
     MixerSpec,
-    build_neighborhood_mask,
     mix_global_attn,
     mix_local_attn,
     warm_start_remap,
@@ -198,14 +197,14 @@ def test_criterion_4_attention_degeneracy():
                 pos_emb=Tensor(np.zeros((c, h, w)), requires_grad=True),
             )
             x = Tensor(rng.standard_normal((2, c, h, w)))
-            mask = build_neighborhood_mask(h, w, 2 * max(h, w) + 1)
+            kernel = 2 * max(h, w) + 1
             global_out = mix_global_attn(x, source).data
-            local_direct = mix_local_attn(x, source, mask).data
+            local_direct = mix_local_attn(x, source, kernel).data
             assert np.abs(local_direct - global_out).max() < 1e-10
             # warm start into fresh local parameters preserves the equality
             target = AttentionParams(wk=mk(), wv=mk(), wq=mk(), wu=mk())
             warm_start_remap(source, target)
-            local_warm = mix_local_attn(x, target, mask).data
+            local_warm = mix_local_attn(x, target, kernel).data
             assert np.abs(local_warm - global_out).max() < 1e-10
 
     _report(4, "local/global attention degeneracy", body)

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -456,6 +458,12 @@ seed = 1
         assert "gradient norms" in err
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, mixerlab.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestExitCodesAndConfig:
     def test_missing_config_is_2(self, tmp_path):
         assert run_cli("flops", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)) == 2
@@ -634,6 +642,21 @@ class TestInputBoundary:
         cfg = tmp_path / "eval.ini"
         cfg.write_text(f"[eval]\nscores_csv = {scores_csv}\n")
         assert run_cli("eval", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("label,metric", [(5, "auc"), (-1, "f1")])
+    def test_label_outside_score_columns_is_data_error(self, tmp_path, capsys, label, metric):
+        scores_csv = tmp_path / "scores.csv"
+        scores_csv.write_text(
+            "case_id,label,score_0,score_1\nc0,0,0.9,0.1\nc1,1,0.2,0.8\nc2,0,0.7,0.3\n"
+            f"c3,{label},0.4,0.6\n"
+        )
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\nmetric = {metric}\nscores_csv = {scores_csv}\n")
+        out = tmp_path / "o"
+        assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "labels must be in [0, 2)" in err
+        assert not (out / "metrics.csv").exists()
 
     def test_bad_wins_row_is_data_error(self, tmp_path):
         wins_csv = tmp_path / "wins.csv"

@@ -16,7 +16,9 @@ from mixerlab.evalrank import (
     A_WINS,
     B_WINS,
     TIE,
+    WILCOXON_EXACT_CASES,
     CaseScores,
+    _ranks,
     aggregate_geomean,
     auc_macro,
     bootstrap_auc_win,
@@ -100,6 +102,20 @@ def bootstrap_oracle(a, b, repeats=5000, alpha=0.05, seed=0):
 # ---------------------------------------------------------------------------
 # AUC
 # ---------------------------------------------------------------------------
+
+
+class TestRanks:
+    def test_bit_for_bit_with_rankdata(self):
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            shape = (n,) if trial % 2 else (int(rng.integers(1, 6)), n)
+            untied = rng.standard_normal(shape)
+            tied = rng.choice([-1.0, 0.0, 0.25, 0.25, 3.0], size=shape)
+            for values in (untied, tied):
+                want = rankdata(values, axis=-1)
+                got = _ranks(values)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), values
 
 
 class TestAuc:
@@ -301,11 +317,11 @@ class TestBootstrapMatchesOracle:
     def test_tournament_ranks_each_class_column_once(self, monkeypatch, repeats):
         calls = []
 
-        def counting_rankdata(*args, **kwargs):
+        def counting_ranks(values):
             calls.append(1)
-            return rankdata(*args, **kwargs)
+            return _ranks(values)
 
-        monkeypatch.setattr("mixerlab.evalrank.rankdata", counting_rankdata)
+        monkeypatch.setattr("mixerlab.evalrank._ranks", counting_ranks)
         subs = random_submissions(np.random.default_rng(22), 5, k=3)
         pairwise_wins(subs, repeats=repeats, seed=1)
         assert len(calls) == 5 * 3
@@ -366,13 +382,12 @@ class TestWilcoxon:
         from scipy.stats import wilcoxon as scipy_wilcoxon
 
         rng = np.random.default_rng(10)
-        a = rng.random(62)
-        b = a - rng.normal(0.05, 0.1, 62)
-        res = wilcoxon_signed_rank(a, b, exact_limit=62)
+        a = rng.random(WILCOXON_EXACT_CASES)
+        b = a - rng.normal(0.05, 0.1, WILCOXON_EXACT_CASES)
+        assert WILCOXON_EXACT_CASES == 25 and np.count_nonzero(a - b) == 25
+        res = wilcoxon_signed_rank(a, b)
         ref = scipy_wilcoxon(a, b, method="exact")
         assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-12)
-        with pytest.raises(ConfigError):
-            wilcoxon_signed_rank(a, b, exact_limit=63)
 
 
 # ---------------------------------------------------------------------------

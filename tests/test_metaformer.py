@@ -22,7 +22,7 @@ from mixerlab.metaformer import (
     parse_signature,
     warm_start_model,
 )
-from mixerlab.mixers import MixerSpec, build_neighborhood_mask, mix_local_attn
+from mixerlab.mixers import MixerSpec, mix_local_attn
 from mixerlab.tensor import (
     Registry,
     Tape,
@@ -131,7 +131,7 @@ class TestBlock:
         block.ls2.data[...] = 0.0  # and nothing of the channel MLP
         for hw in ((4, 4), (6, 6), (4, 4)):
             x = Tensor(rng.standard_normal((1, 16) + hw))
-            mixed = mix_local_attn(block.norm1(x), block.mixer_params, build_neighborhood_mask(*hw, 3))
+            mixed = mix_local_attn(block.norm1(x), block.mixer_params, 3)
             assert block.forward(x).data.tobytes() == add(x, mixed).data.tobytes(), hw
 
     def test_local_attn_refused_before_mask_is_built(self, monkeypatch):
@@ -140,7 +140,7 @@ class TestBlock:
         built = []
         monkeypatch.setattr(mixers, "build_neighborhood_mask", lambda *a: built.append(a))
         rng = np.random.default_rng(6)
-        # 96x96: one head over N = 9216 positions exceeds the default 2**26 budget
+        # 96x96: one head over N = 9216 positions exceeds the 2**26 budget
         block = Block(Registry(rng), "b", 16, MixerSpec("local_attn", 3), 4, 0.5, 0.0)
         with pytest.raises(CapacityError):
             block.forward(Tensor(rng.standard_normal((1, 16, 96, 96))))

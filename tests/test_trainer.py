@@ -95,13 +95,6 @@ class TestCeLoss:
             want = smoothed_ce_oracle(logits, targets, weights, eps)
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_ignore_index(self):
-        logits = np.random.default_rng(1).standard_normal((4, 3))
-        targets = np.array([0, 2, 1, 2])
-        keep = ce_loss(Tensor(logits[:2]), targets[:2], smoothing=0.0)
-        masked = ce_loss(Tensor(logits), np.array([0, 2, 9, 9]), smoothing=0.0, ignore_index=9)
-        assert float(masked.data) == pytest.approx(float(keep.data), abs=1e-12)
-
     def test_invalid_class_id(self):
         with pytest.raises(DataError):
             ce_loss(Tensor(np.zeros((2, 3))), np.array([0, 5]))
@@ -318,8 +311,8 @@ class TestGradMonitor:
 
     def test_zero_grads_zero_norms(self):
         model = self.make_model()
-        report = grad_norm_monitor(model)
-        assert all(v == 0.0 for v in report.norms.values())
+        norms = grad_norm_monitor(model)
+        assert all(v == 0.0 for v in norms.values())
 
     def test_three_four_five(self):
         model = self.make_model()
@@ -328,17 +321,7 @@ class TestGradMonitor:
         g = np.zeros(params[name].shape)
         g.flat[0], g.flat[1] = 3.0, 4.0
         params[name].grad = g
-        report = grad_norm_monitor(model)
-        assert report.norms[name] == pytest.approx(5.0)
-
-    def test_alarm_fires_iff_above_threshold(self):
-        model = self.make_model()
-        params = model.named_parameters()
-        params["head.bias"].grad = np.full(params["head.bias"].shape, 10.0)
-        report = grad_norm_monitor(model, threshold=5.0)
-        assert report.alarmed == ["head.bias"]
-        report = grad_norm_monitor(model, threshold=1e6)
-        assert report.alarmed == []
+        assert grad_norm_monitor(model)[name] == pytest.approx(5.0)
 
 
 class TestTrainingLoop:
