@@ -36,6 +36,7 @@ from .evalrank import (
     aggregate_geomean,
     auc_macro,
     csv_table,
+    csv_text,
     f1_macro,
     normalize_ranks,
     pairwise_wins,
@@ -183,7 +184,7 @@ def cmd_params(cfg: Config, out_dir: str) -> int:
     if sec["signatures"] is None:
         raise ConfigError("[params] needs `signatures`")
     entries = [e.strip() for e in sec["signatures"].split(";") if e.strip()]
-    rows = ["signature,backbone_ex_mixers,mixers,pos_emb,head,total"]
+    rows = [("signature", "backbone_ex_mixers", "mixers", "pos_emb", "head", "total")]
     for entry in entries:
         try:
             specs = parse_signature(entry)
@@ -196,11 +197,8 @@ def cmd_params(cfg: Config, out_dir: str) -> int:
         config = ModelConfig(signature=specs, **field_values(PARAMS_KEYS, sec))
         counts = count_params(MetaFormer(config, seed=cfg["run"]["seed"]))
         sig_label = format_signature(specs).replace(",", "|")
-        rows.append(
-            f"{sig_label},{counts['backbone_ex_mixers']},{counts['mixers']},"
-            f"{counts['pos_emb']},{counts['head']},{counts['total']}"
-        )
-    _write(out_dir, "params.csv", "\n".join(rows) + "\n")
+        rows.append([sig_label] + [counts[k] for k in rows[0][1:]])
+    _write(out_dir, "params.csv", csv_text(rows))
     return 0
 
 
@@ -255,10 +253,8 @@ def cmd_train(cfg: Config, out_dir: str) -> int:
     if result.best_state is not None:
         model = MetaFormer(config, arrays=result.best_state)
     ckpt.save_model(os.path.join(out_dir, "checkpoint.mxlc"), model)
-    summary = f"final_train_accuracy,{result.final_train_accuracy!r}\n"
-    if result.best_val_f1 is not None:
-        summary += f"best_val_f1,{result.best_val_f1!r}\n"
-    _write(out_dir, "train_summary.csv", summary)
+    summary = [("final_train_accuracy", result.final_train_accuracy), ("best_val_f1", result.best_val_f1)]
+    _write(out_dir, "train_summary.csv", csv_text(row for row in summary if row[1] is not None))
     return 0
 
 
@@ -288,7 +284,7 @@ def cmd_eval(cfg: Config, out_dir: str) -> int:
         value = auc_macro(cs.scores, cs.labels)
     else:
         value = f1_macro(cs.scores.argmax(axis=1), cs.labels)
-    _write(out_dir, "metrics.csv", f"metric,value\n{metric},{value!r}\n")
+    _write(out_dir, "metrics.csv", csv_text([("metric", "value"), (metric, value)]))
     return 0
 
 

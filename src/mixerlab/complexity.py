@@ -14,13 +14,13 @@ execute when the mixer runs.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .evalrank import csv_text
 from .metaformer import ModelConfig
 from .mixers import MIXER_KINDS, MixerKind, MixerSpec, apply_mixer, init_mixer_params
 from .tensor import Registry, Tensor, _executed_macs
@@ -94,13 +94,10 @@ def stage_sweep(config: ModelConfig, kernel: int = 3) -> list[CostReport]:
 
 
 def sweep_to_csv(reports: list[CostReport]) -> str:
-    buf = io.StringIO()
-    buf.write("stage,mixer,K,C,N,flops,params,macs\n")
-    for r in reports:
-        k = "" if r.kernel is None else str(r.kernel)
-        macs = "" if r.empirical_macs is None else str(r.empirical_macs)
-        buf.write(f"{r.stage},{r.kind},{k},{r.channels},{r.positions},{r.flops},{r.params},{macs}\n")
-    return buf.getvalue()
+    header = ("stage", "mixer", "K", "C", "N", "flops", "params", "macs")
+    return csv_text([header] + [
+        (r.stage, r.kind, r.kernel, r.channels, r.positions, r.flops, r.params, r.empirical_macs) for r in reports
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ averaging, and a geometric-mean aggregate across datasets.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -470,18 +469,27 @@ def sliding_window_infer(
 # ---------------------------------------------------------------------------
 
 
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """The one CSV writer: a ``\\n``-ended line per row, fields joined by
+    commas. ``None`` is an empty field, a float (``np.float64`` too) its
+    shortest round-trip ``repr``, anything else ``str``. The dialect has no
+    quoting, so a field holding a comma or a line break is a DataError."""
+    lines = []
+    for row in rows:
+        fields = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+        for f in fields:  # a line break is any place where csv_table's splitlines breaks
+            if "," in f or f.splitlines() not in ([], [f]):
+                raise DataError(f"CSV field {f!r} holds a comma or a line break")
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)
+
+
 def write_case_scores_csv(cs: CaseScores) -> str:
-    buf = io.StringIO()
     if cs.dsc is not None:
-        buf.write("case_id,dsc\n")
-        for cid, v in zip(cs.case_ids, cs.dsc):
-            buf.write(f"{cid},{float(v)!r}\n")
-    else:
-        k = cs.scores.shape[1]
-        buf.write("case_id,label," + ",".join(f"score_{i}" for i in range(k)) + "\n")
-        for cid, label, row in zip(cs.case_ids, cs.labels, cs.scores):
-            buf.write(f"{cid},{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+        return csv_text([("case_id", "dsc"), *zip(cs.case_ids, cs.dsc)])
+    header = ["case_id", "label"] + [f"score_{i}" for i in range(cs.scores.shape[1])]
+    rows = [[cid, int(label), *scores] for cid, label, scores in zip(cs.case_ids, cs.labels, cs.scores)]
+    return csv_text([header] + rows)
 
 
 def csv_table(text: str, source: str) -> tuple[list[str], list[list[str]]]:
@@ -528,20 +536,14 @@ def rank_table_csv(
     global_ranks: dict[str, float],
 ) -> str:
     """Leaderboard CSV: one row per submission, best global rank first."""
-    buf = io.StringIO()
-    cols = ["submission"]
+    header = ["submission"]
     for ds in dataset_order:
-        cols.extend([f"{ds}_wins", f"{ds}_rank"])
-    cols.append("global")
-    buf.write(",".join(cols) + "\n")
-    order = sorted(global_ranks, key=lambda s: (-global_ranks[s], s))
-    for sub in order:
+        header.extend([f"{ds}_wins", f"{ds}_rank"])
+    rows = [header + ["global"]]
+    for sub in sorted(global_ranks, key=lambda s: (-global_ranks[s], s)):
         row = [sub]
         for ds in dataset_order:
-            wins = wins_per_dataset[ds].get(sub)
             rank = ranks_per_dataset[ds].get(sub)
-            row.append("" if wins is None else str(wins))
-            row.append("" if rank is None else repr(round(float(rank), 6)))
-        row.append(repr(round(float(global_ranks[sub]), 6)))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+            row.extend([wins_per_dataset[ds].get(sub), None if rank is None else round(float(rank), 6)])
+        rows.append(row + [round(float(global_ranks[sub]), 6)])
+    return csv_text(rows)

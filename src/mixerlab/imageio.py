@@ -7,6 +7,8 @@ dumped raw as little-endian float64 behind a one-line ASCII header
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataError
@@ -55,14 +57,20 @@ def write_pgm(path: str, image: np.ndarray):
     _write_pnm(path, "P5", arr)
 
 
-def read_pgm(path: str) -> np.ndarray:
+def _read_pnm(path: str, magic: bytes, channels: int) -> np.ndarray:
+    """The (H, W, channels) bytes of a binary PNM file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, pos = _read_pnm_header(data, b"P5")
-    body = data[pos : pos + width * height]
-    if len(body) != width * height:
-        raise DataError(f"{path}: truncated PGM body")
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width).copy()
+    width, height, pos = _read_pnm_header(data, magic)
+    size = channels * width * height
+    body = data[pos : pos + size]
+    if len(body) != size:
+        raise DataError(f"{path}: truncated {'PGM' if channels == 1 else 'PPM'} body")
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, channels)
+
+
+def read_pgm(path: str) -> np.ndarray:
+    return _read_pnm(path, b"P5", 1)[:, :, 0].copy()
 
 
 def write_ppm(path: str, image: np.ndarray):
@@ -74,13 +82,7 @@ def write_ppm(path: str, image: np.ndarray):
 
 
 def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, pos = _read_pnm_header(data, b"P6")
-    body = data[pos : pos + 3 * width * height]
-    if len(body) != 3 * width * height:
-        raise DataError(f"{path}: truncated PPM body")
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).transpose(2, 0, 1).copy()
+    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1).copy()
 
 
 def read_image_as_float(path: str) -> np.ndarray:
@@ -106,14 +108,14 @@ def write_raw_f64(path: str, arr: np.ndarray):
 
 def read_raw_f64(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        parts = header.split()
-        if not parts or parts[0] != "mixerlab-f64":
-            raise DataError(f"{path}: not a mixerlab raw float dump")
-        ndim = int(parts[1])
-        shape = tuple(int(v) for v in parts[2 : 2 + ndim])
+        parts = fh.readline().split()
         body = fh.read()
-    n = int(np.prod(shape)) if shape else 1
-    if len(body) != 8 * n:
+    if not parts or parts[0] != b"mixerlab-f64":
+        raise DataError(f"{path}: not a mixerlab raw float dump")
+    fields = parts[1:]
+    if not fields or not all(f.isdigit() for f in fields) or int(fields[0]) != len(fields) - 1:
+        raise DataError(f"{path}: raw float dump header must be `mixerlab-f64 <ndim> <dims...>`")
+    shape = tuple(int(f) for f in fields[1:])
+    if len(body) != 8 * math.prod(shape):
         raise DataError(f"{path}: truncated raw float dump")
     return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(shape)

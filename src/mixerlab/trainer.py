@@ -11,9 +11,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError
-from .evalrank import f1_macro
+from .evalrank import csv_text, f1_macro
 from .metaformer import MetaFormer
-from .tensor import Tape, Tensor, log_softmax, mul, reshape, softmax, transpose, tsum
+from .tensor import Tape, Tensor, add, div, log_softmax, mul, reshape, softmax, sub, transpose, tsum
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -148,9 +148,9 @@ def dice_loss(
     inter = tsum(mul(probs, onehot), axis=(0, 2, 3))
     psum = tsum(probs, axis=(0, 2, 3))
     tsum_const = onehot.sum(axis=(0, 2, 3))
-    dice = (mul(inter, 2.0) + smooth) / (psum + (tsum_const + smooth))
+    dice = div(add(mul(inter, 2.0), smooth), add(psum, tsum_const + smooth))
     mean_dice = mul(tsum(mul(dice, keep.astype(np.float64))), 1.0 / keep.sum())
-    return 1.0 - mean_dice
+    return sub(1.0, mean_dice)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def train_classifier(
 
     log_fh = open(log_path, "w") if log_path else None
     if log_fh:
-        log_fh.write("step,lr,loss,val_f1,max_grad_norm\n")
+        log_fh.write(csv_text([("step", "lr", "loss", "val_f1", "max_grad_norm")]))
 
     step = 0
     done = False
@@ -416,8 +416,7 @@ def train_classifier(
                         best_state = model.state()
                 history.append(row)
                 if log_fh:
-                    log_fh.write(f"{row['step']},{row['lr']!r},{row['loss']!r},"
-                                 f"{row['val_f1']},{row['max_grad_norm']!r}\n")
+                    log_fh.write(csv_text([row.values()]))
                 step += 1
                 if step >= total_steps:
                     done = True

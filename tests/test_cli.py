@@ -16,7 +16,7 @@ from mixerlab.checkpoint import load_arrays, load_model, save_arrays, save_model
 from mixerlab import cli
 from mixerlab.cli import SCHEMA, load_config, main, resolved_ini
 from mixerlab.errors import DataError
-from mixerlab.imageio import read_pgm, read_ppm, write_pgm, write_ppm
+from mixerlab.imageio import read_pgm, read_ppm, read_raw_f64, write_pgm, write_ppm, write_raw_f64
 from mixerlab.metaformer import MetaFormer, ModelConfig
 from mixerlab.mixers import MixerSpec
 from mixerlab.tensor import Tensor
@@ -296,6 +296,20 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: submission 'odd' on 'seg': ") and err.count("\n") == 1
 
+    def test_submission_name_with_a_comma_is_data_error(self, tmp_path, capsys):
+        # the name would become one more field of its rank_table.csv row
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        for sub in ("a,x", "b"):
+            (scores_dir / f"ds__{sub}.csv").write_text("case_id,dsc\nc0,0.5\nc1,0.7\nc2,0.6\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = scores\nscores_dir = {scores_dir}\ncomparator = wilcoxon\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: CSV field 'a,x' holds a comma or a line break\n"
+        assert not (out / "rank_table.csv").exists() and not (out / "resolved_config.ini").exists()
+
     @pytest.mark.parametrize("odd_file", ["dsc_only", "other_labels", "label_out_of_range"])
     def test_bootstrap_input_error_names_the_submission(self, tmp_path, capsys, odd_file):
         scores_dir = tmp_path / "scores"
@@ -427,6 +441,51 @@ class TestImageWriters:
         write_ppm(str(tmp_path / "i.ppm"), rgb)
         np.testing.assert_array_equal(read_pgm(str(tmp_path / "m.pgm")), mask)
         np.testing.assert_array_equal(read_ppm(str(tmp_path / "i.ppm")), rgb)
+
+
+class TestImageAndRawReaders:
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 7), (7, 3)])
+    def test_pgm_and_ppm_round_trip_any_shape(self, tmp_path, hw):
+        rng = np.random.default_rng(9)
+        mask, rgb = rng.integers(0, 256, hw), rng.integers(0, 256, (3,) + hw)
+        write_pgm(str(tmp_path / "m.pgm"), mask)
+        write_ppm(str(tmp_path / "i.ppm"), rgb)
+        np.testing.assert_array_equal(read_pgm(str(tmp_path / "m.pgm")), mask)
+        np.testing.assert_array_equal(read_ppm(str(tmp_path / "i.ppm")), rgb)
+
+    @pytest.mark.parametrize("write,read,image,kind", [
+        (write_pgm, read_pgm, np.zeros((4, 5)), "PGM"),
+        (write_ppm, read_ppm, np.zeros((3, 4, 5)), "PPM"),
+    ])
+    def test_truncated_body_is_data_error(self, tmp_path, write, read, image, kind):
+        path = tmp_path / "image"
+        write(str(path), image)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match=f"truncated {kind} body$"):
+            read(str(path))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    def test_raw_f64_round_trip(self, tmp_path, shape):
+        arr = np.random.default_rng(2).standard_normal(shape)
+        write_raw_f64(str(tmp_path / "a.f64"), arr)
+        back = read_raw_f64(str(tmp_path / "a.f64"))
+        assert back.shape == shape and back.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("header", [
+        b"mixerlab-f64 x 3",     # ndim not an integer
+        b"mixerlab-f64",         # no ndim
+        b"mixerlab-f64 1 \xff",  # not ASCII
+        b"mixerlab-f64 2 3",     # declares 2 dimensions, gives 1
+        b"mixerlab-f64 1",       # declares 1 dimension, gives 0
+        b"mixerlab-f64 1 -3",    # negative dimension
+        b"mixerlab-f64 1 2.5",   # non-integer dimension
+        b"\xff\xfe 1 3",         # not the magic word
+    ])
+    def test_malformed_raw_f64_header_is_data_error(self, tmp_path, header):
+        path = tmp_path / "a.f64"
+        path.write_bytes(header + b"\n" + np.zeros(3).tobytes())
+        with pytest.raises(DataError):
+            read_raw_f64(str(path))
 
 
 class TestNumericAbort:

@@ -2,6 +2,7 @@
 published ranking fixtures, and sliding-window blending."""
 
 import itertools
+import struct
 import warnings
 
 import numpy as np
@@ -22,6 +23,8 @@ from mixerlab.evalrank import (
     aggregate_geomean,
     auc_macro,
     bootstrap_auc_win,
+    csv_table,
+    csv_text,
     dsc,
     f1_macro,
     gaussian_importance,
@@ -654,3 +657,51 @@ class TestCsvRoundTrips:
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):
             read_case_scores_csv("who,knows\n1,2\n", "m", "ds")
+
+
+_CSV_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+def _assert_field_round_trips(field: str, value):
+    if value is None:
+        assert field == ""
+    elif isinstance(value, float):
+        assert struct.pack("<d", float(field)) == struct.pack("<d", value)
+    else:
+        assert int(field) == value
+
+
+class TestCsvText:
+    def test_field_spellings(self):
+        assert csv_text([("a", None, 7, 0.1, np.float64(0.5)), ("b", "", -1, -0.0, 1e308)]) == (
+            "a,,7,0.1,0.5\nb,,-1,-0.0,1e+308\n"
+        )
+
+    @given(st.integers(2, 5).flatmap(
+        lambda n: st.lists(st.lists(_CSV_VALUES, min_size=n, max_size=n), max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_table_reads_back_every_field(self, rows):
+        width = 2 if not rows else len(rows[0])
+        header = [f"col{i}" for i in range(width)]
+        found, back = csv_table(csv_text([header] + rows), "t")
+        assert found == header and len(back) == len(rows)
+        for fields, values in zip(back, rows):
+            for field, value in zip(fields, values):
+                _assert_field_round_trips(field, value)
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, 5e-324, 2.5e-310, 1e308, np.float64(-0.0), np.float64(5e-324), np.float64(0.1)]
+    )
+    def test_float_edge_values_round_trip(self, value):
+        _, back = csv_table(csv_text([("case_id", "v"), ("c0", value)]), "t")
+        _assert_field_round_trips(back[0][1], value)
+
+    @pytest.mark.parametrize("field", ["a,x", "a\nx", "a\rx", "x\n", "a\x85x", "a\u2028x"])
+    def test_comma_or_line_break_in_a_field_is_data_error(self, field):
+        with pytest.raises(DataError, match="holds a comma or a line break$"):
+            csv_text([("case_id", "dsc"), (field, 0.5)])

@@ -211,7 +211,7 @@ class TestForwardClassify:
         fd = (score(x0 + h * direction) - score(x0 - h * direction)) / (2 * h)
         xt = Tensor(x0, requires_grad=True)
         with Tape() as tape:
-            loss = tsum(model.forward_classify(xt) * probe)
+            loss = tsum(mul(model.forward_classify(xt), probe))
         tape.backward(loss)
         analytic = float((xt.grad * direction).sum())
         assert abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8) < 1e-4
