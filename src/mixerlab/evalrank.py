@@ -113,24 +113,31 @@ def f1_macro(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     return float(np.mean(f1s))
 
 
+def dice_classes(pred: np.ndarray, true: np.ndarray, k: int) -> np.ndarray:
+    """(k,) bool: the classes a Dice mean scores, the nonzero ones present
+    in the hard prediction ``pred`` or in the target ``true`` (ids in [0, k))."""
+    keep = (np.bincount(pred.reshape(-1), minlength=k) > 0) | (np.bincount(true.reshape(-1), minlength=k) > 0)
+    keep[0] = False
+    return keep
+
+
 def dsc(pred_mask: np.ndarray, true_mask: np.ndarray) -> float:
-    """Per-case Dice: mean over foreground (nonzero) classes, skipping
-    classes empty in both the prediction and the target."""
+    """Per-case Dice: mean over the foreground (nonzero) classes present in
+    the prediction or in the target."""
     pred = np.asarray(pred_mask)
     true = np.asarray(true_mask)
     if pred.size == 0 or pred.shape != true.shape:
         raise DataError("dsc needs equal-shape non-empty masks")
-    classes = np.union1d(np.unique(pred), np.unique(true))
-    classes = classes[classes != 0]
+    if any(m.dtype.kind not in "biu" or m.min() < 0 for m in (pred, true)):
+        raise DataError("mask class ids must be non-negative integers")
+    classes = np.flatnonzero(dice_classes(pred, true, int(max(pred.max(), true.max())) + 1))
+    if not classes.size:
+        raise DataError("no class to score (all empty)")
     vals = []
     for cls in classes:
         a = pred == cls
         b = true == cls
-        if not a.any() and not b.any():
-            continue
         vals.append(2.0 * np.logical_and(a, b).sum() / (a.sum() + b.sum()))
-    if not vals:
-        raise DataError("no class to score (all empty)")
     return float(np.mean(vals))
 
 
@@ -473,13 +480,16 @@ def csv_text(rows: Iterable[Iterable]) -> str:
     """The one CSV writer: a ``\\n``-ended line per row, fields joined by
     commas. ``None`` is an empty field, a float (``np.float64`` too) its
     shortest round-trip ``repr``, anything else ``str``. The dialect has no
-    quoting, so a field holding a comma or a line break is a DataError."""
+    quoting, so a field holding a comma, a line break or a blank at either
+    end is a DataError."""
     lines = []
     for row in rows:
         fields = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
         for f in fields:  # a line break is any place where csv_table's splitlines breaks
             if "," in f or f.splitlines() not in ([], [f]):
                 raise DataError(f"CSV field {f!r} holds a comma or a line break")
+            if f != f.strip():  # csv_table strips each line, so an edge field would lose it
+                raise DataError(f"CSV field {f!r} starts or ends with a blank")
         lines.append(",".join(fields) + "\n")
     return "".join(lines)
 

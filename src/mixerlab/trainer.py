@@ -4,6 +4,7 @@ per-layer gradient-norm monitoring."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -11,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError
-from .evalrank import csv_text, f1_macro
+from .evalrank import csv_text, dice_classes, f1_macro
 from .metaformer import MetaFormer
 from .tensor import Tape, Tensor, add, div, log_softmax, mul, reshape, softmax, sub, transpose, tsum
 
@@ -83,6 +84,8 @@ def ce_loss(
     """
     if logits.ndim not in (2, 4):
         raise ConfigError(f"ce_loss expects 2D or 4D logits, got {logits.ndim}D")
+    if logits.data.size == 0:
+        raise DataError("ce_loss needs at least one element")
     k, flat_targets = logits.shape[1], np.asarray(targets).reshape(-1)
     flat_logits = logits if logits.ndim == 2 else reshape(transpose(logits, (0, 2, 3, 1)), (-1, k))
     if flat_targets.shape[0] != flat_logits.shape[0]:
@@ -108,16 +111,11 @@ def ce_loss(
     return mul(total, -1.0 / row_w.sum())
 
 
-def dice_loss(
-    logits: Tensor,
-    target_mask: np.ndarray,
-    ignore_background: bool = True,
-    smooth: float = DICE_SMOOTH,
-) -> Tensor:
-    """1 - mean soft Dice over foreground classes.
+def dice_loss(logits: Tensor, target_mask: np.ndarray) -> Tensor:
+    """1 - mean soft Dice over the classes ``dice_classes`` picks: the
+    foreground classes in the target or in the hard prediction.
 
-    Softmax runs internally over the class axis; a class with an empty
-    target and an empty hard prediction is skipped from the mean.
+    Softmax runs internally over the class axis.
     """
     target_mask = np.asarray(target_mask)
     if logits.ndim != 4:
@@ -129,26 +127,15 @@ def dice_loss(
         raise DataError(f"mask class ids must be in [0, {k})")
 
     probs = softmax(logits, axis=1)
-    onehot = np.zeros((b, k, h, w))
-    bidx, hidx, widx = np.meshgrid(np.arange(b), np.arange(h), np.arange(w), indexing="ij")
-    onehot[bidx, target_mask, hidx, widx] = 1.0
-
-    hard = probs.data.argmax(axis=1)
-    keep = np.ones(k, dtype=bool)
-    if ignore_background:
-        keep[0] = False
-    for c in range(k):
-        target_empty = not (target_mask == c).any()
-        pred_empty = not (hard == c).any()
-        if target_empty and pred_empty:
-            keep[c] = False
+    onehot = (target_mask[:, None] == np.arange(k)[:, None, None]).astype(np.float64)
+    keep = dice_classes(probs.data.argmax(axis=1), target_mask, k)
     if not keep.any():
         raise DataError("no class left to score in dice_loss")
 
     inter = tsum(mul(probs, onehot), axis=(0, 2, 3))
     psum = tsum(probs, axis=(0, 2, 3))
     tsum_const = onehot.sum(axis=(0, 2, 3))
-    dice = div(add(mul(inter, 2.0), smooth), add(psum, tsum_const + smooth))
+    dice = div(add(mul(inter, 2.0), DICE_SMOOTH), add(psum, tsum_const + DICE_SMOOTH))
     mean_dice = mul(tsum(mul(dice, keep.astype(np.float64))), 1.0 / keep.sum())
     return sub(1.0, mean_dice)
 
@@ -180,17 +167,16 @@ def adamw_step(
 
 
 class AdamW:
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.1):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.1):
         self.params = dict(params)
-        self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros(p.shape) for name, p in self.params.items()}
         self.v = {name: np.zeros(p.shape) for name, p in self.params.items()}
 
-    def step(self, lr: Optional[float] = None):
-        """Apply one update; aborts (no mutation) on any non-finite gradient."""
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float):
+        """Apply one update of step size ``lr``; aborts (no mutation) on any
+        non-finite gradient."""
         bad = [
             name
             for name, p in self.params.items()
@@ -285,35 +271,27 @@ def weighted_patch_sample(
     """
     ph, pw = patch_hw
     masks = [np.asarray(m) for m in masks]
-    counts: dict[int, int] = {}
+    grids = []  # (rows, columns) of candidate corners, per image
     for m in masks:
-        vals, cnt = np.unique(m, return_counts=True)
-        for vv, cc in zip(vals, cnt):
-            counts[int(vv)] = counts.get(int(vv), 0) + int(cc)
-    cls_weight = {c: 1.0 / math.sqrt(n) for c, n in counts.items()}
-
-    cand_weights = []
-    cand_coords = []
-    for idx, m in enumerate(masks):
         h, w = m.shape
         if ph > h or pw > w:
             raise DataError(f"patch {ph}x{pw} larger than image {h}x{w}")
-        tops = np.arange(h - ph + 1)
-        lefts = np.arange(w - pw + 1)
-        cy = tops[:, None] + ph // 2
-        cx = lefts[None, :] + pw // 2
-        centers = m[cy, cx]
-        wgt = np.vectorize(cls_weight.get)(centers).astype(np.float64)
-        tt, ll = np.meshgrid(tops, lefts, indexing="ij")
-        cand_weights.append(wgt.reshape(-1))
-        cand_coords.append(
-            np.stack([np.full(tt.size, idx), tt.reshape(-1), ll.reshape(-1)], axis=1)
-        )
-    probs = np.concatenate(cand_weights)
+        grids.append((h - ph + 1, w - pw + 1))
+    classes = np.concatenate([m.reshape(-1) for m in masks])
+    if classes.dtype.kind not in "biu" or (classes < 0).any():
+        raise DataError("mask class ids must be non-negative integers")
+    with np.errstate(divide="ignore"):  # absent classes: never a center
+        cls_weight = 1.0 / np.sqrt(np.bincount(classes))
+    rows, cols = np.array(grids).T
+    centers = (m[ph // 2 : ph // 2 + r, pw // 2 : pw // 2 + c] for m, r, c in zip(masks, rows, cols))
+    probs = np.concatenate([cls_weight[c].reshape(-1) for c in centers])
     probs = probs / probs.sum()
-    coords = np.concatenate(cand_coords, axis=0)
-    chosen = rng.choice(coords.shape[0], size=n_samples, p=probs)
-    return coords[chosen]
+    chosen = rng.choice(probs.shape[0], size=n_samples, p=probs)
+    sizes = rows * cols
+    ends = np.cumsum(sizes)
+    image = np.searchsorted(ends, chosen, side="right")
+    top, left = np.divmod(chosen - (ends - sizes)[image], cols[image])
+    return np.stack([image, top, left], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,58 +350,51 @@ def train_classifier(
     warmup_steps = min(cfg.warmup_epochs * steps_per_epoch, max(0, total_steps - 1))
 
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.named_parameters(), weight_decay=cfg.weight_decay)
     history: list[dict] = []
     best_f1: Optional[float] = None
     best_state: Optional[dict] = None
 
-    log_fh = open(log_path, "w") if log_path else None
-    if log_fh:
-        log_fh.write(csv_text([("step", "lr", "loss", "val_f1", "max_grad_norm")]))
-
-    step = 0
-    done = False
-    try:
-        while not done:
+    def batches():
+        """(case indices, ends an epoch) per step; one permutation per epoch."""
+        while True:
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                xb = images[batch]
-                if cfg.augment_sigma > 0:
-                    xb = np.stack([affine_augment(im, rng, cfg.augment_sigma) for im in xb])
-                yb = labels[batch]
-                lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr, cfg.min_lr)
-                model.zero_grad()
-                with Tape() as tape:
-                    logits = model.forward_classify(Tensor(xb), training=True, rng=rng)
-                    loss = ce_loss(logits, yb, weights, cfg.label_smoothing)
-                tape.backward(loss)
-                norms = grad_norm_monitor(model)
-                opt.step(lr=lr_t)
-                row = {
-                    "step": step,
-                    "lr": lr_t,
-                    "loss": float(loss.data),
-                    "val_f1": "",
-                    "max_grad_norm": max(norms.values(), default=0.0),
-                }
-                is_epoch_end = start + cfg.batch_size >= n
-                if is_epoch_end and val is not None:
-                    vf1 = f1_macro(predict_labels(model, val[0]), np.asarray(val[1]))
-                    row["val_f1"] = vf1
-                    if best_f1 is None or vf1 > best_f1:
-                        best_f1 = vf1
-                        best_state = model.state()
-                history.append(row)
-                if log_fh:
-                    log_fh.write(csv_text([row.values()]))
-                step += 1
-                if step >= total_steps:
-                    done = True
-                    break
-    finally:
+                yield order[start : start + cfg.batch_size], start + cfg.batch_size >= n
+
+    # zip reads the step range first, so the last step draws no permutation
+    with open(log_path, "w") if log_path else contextlib.nullcontext() as log_fh:
         if log_fh:
-            log_fh.close()
+            log_fh.write(csv_text([("step", "lr", "loss", "val_f1", "max_grad_norm")]))
+        for step, (batch, epoch_end) in zip(range(total_steps), batches()):
+            xb = images[batch]
+            if cfg.augment_sigma > 0:
+                xb = np.stack([affine_augment(im, rng, cfg.augment_sigma) for im in xb])
+            yb = labels[batch]
+            lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr, cfg.min_lr)
+            model.zero_grad()
+            with Tape() as tape:
+                logits = model.forward_classify(Tensor(xb), training=True, rng=rng)
+                loss = ce_loss(logits, yb, weights, cfg.label_smoothing)
+            tape.backward(loss)
+            norms = grad_norm_monitor(model)
+            opt.step(lr=lr_t)
+            row = {
+                "step": step,
+                "lr": lr_t,
+                "loss": float(loss.data),
+                "val_f1": "",
+                "max_grad_norm": max(norms.values(), default=0.0),
+            }
+            if epoch_end and val is not None:
+                vf1 = f1_macro(predict_labels(model, val[0]), np.asarray(val[1]))
+                row["val_f1"] = vf1
+                if best_f1 is None or vf1 > best_f1:
+                    best_f1 = vf1
+                    best_state = model.state()
+            history.append(row)
+            if log_fh:
+                log_fh.write(csv_text([row.values()]))
 
     acc = float((predict_labels(model, images) == labels).mean())
     return TrainResult(history, acc, best_f1, best_state)

@@ -310,6 +310,20 @@ class TestRankCommand:
         assert err == "data error: CSV field 'a,x' holds a comma or a line break\n"
         assert not (out / "rank_table.csv").exists() and not (out / "resolved_config.ini").exists()
 
+    def test_submission_name_with_an_edge_blank_is_data_error(self, tmp_path, capsys):
+        # csv_table strips each line, so ` a` would read back as `a`
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        for sub in (" a", "b"):
+            (scores_dir / f"ds__{sub}.csv").write_text("case_id,dsc\nc0,0.5\nc1,0.7\nc2,0.6\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = scores\nscores_dir = {scores_dir}\ncomparator = wilcoxon\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: CSV field ' a' starts or ends with a blank\n"
+        assert not (out / "rank_table.csv").exists() and not (out / "resolved_config.ini").exists()
+
     @pytest.mark.parametrize("odd_file", ["dsc_only", "other_labels", "label_out_of_range"])
     def test_bootstrap_input_error_names_the_submission(self, tmp_path, capsys, odd_file):
         scores_dir = tmp_path / "scores"

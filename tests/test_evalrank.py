@@ -192,6 +192,22 @@ class TestF1AndDsc:
         with pytest.raises(DataError):
             dsc(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("pred", [np.array([[1, -1]]), np.array([[1.0, 0.0]])])
+    def test_class_ids_not_non_negative_integers_rejected(self, pred):
+        with pytest.raises(DataError, match="non-negative integers"):
+            dsc(pred, np.array([[1, 0]]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dsc_bit_equal_to_union_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        pred, true = rng.integers(0, k, (2, 6, 5)) * (rng.random((2, 6, 5)) < 0.7)
+        # the old rule: the sorted union of both masks' nonzero class ids
+        classes = np.union1d(np.unique(pred), np.unique(true))
+        vals = [2.0 * np.logical_and(pred == c, true == c).sum() / ((pred == c).sum() + (true == c).sum())
+                for c in classes[classes != 0]]
+        assert dsc(pred, true) == float(np.mean(vals))
+
 
 # ---------------------------------------------------------------------------
 # bootstrap comparator
@@ -704,4 +720,10 @@ class TestCsvText:
     @pytest.mark.parametrize("field", ["a,x", "a\nx", "a\rx", "x\n", "a\x85x", "a\u2028x"])
     def test_comma_or_line_break_in_a_field_is_data_error(self, field):
         with pytest.raises(DataError, match="holds a comma or a line break$"):
+            csv_text([("case_id", "dsc"), (field, 0.5)])
+
+    @pytest.mark.parametrize("field", [" a", "a ", "\ta", "a\xa0", " "])
+    def test_blank_at_a_field_edge_is_data_error(self, field):
+        # csv_table strips each line, so the first and last fields would lose it
+        with pytest.raises(DataError, match="starts or ends with a blank$"):
             csv_text([("case_id", "dsc"), (field, 0.5)])

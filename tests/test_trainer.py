@@ -12,8 +12,9 @@ from conftest import fd_grad, rel_err, tape_grads
 from mixerlab.errors import ConfigError, DataError, NumericsError
 from mixerlab.metaformer import MetaFormer, ModelConfig
 from mixerlab.mixers import MixerSpec
-from mixerlab.tensor import Tensor
+from mixerlab.tensor import Tensor, add, div, mul, softmax, sub, tsum
 from mixerlab.trainer import (
+    DICE_SMOOTH,
     AdamW,
     TrainConfig,
     adamw_step,
@@ -46,6 +47,54 @@ def smoothed_ce_oracle(logits, targets, weights, eps):
         total += -w * float((q * logp).sum())
         wsum += w
     return total / wsum
+
+
+def dice_loss_oracle(logits, mask):
+    """Reference soft Dice loss: a meshgrid one-hot and a per-class
+    presence loop, background skipped."""
+    b, k, h, w = logits.shape
+    probs = softmax(logits, axis=1)
+    onehot = np.zeros((b, k, h, w))
+    bidx, hidx, widx = np.meshgrid(np.arange(b), np.arange(h), np.arange(w), indexing="ij")
+    onehot[bidx, mask, hidx, widx] = 1.0
+    hard = probs.data.argmax(axis=1)
+    keep = np.ones(k, dtype=bool)
+    keep[0] = False
+    for c in range(k):
+        if not (mask == c).any() and not (hard == c).any():
+            keep[c] = False
+    inter = tsum(mul(probs, onehot), axis=(0, 2, 3))
+    psum = tsum(probs, axis=(0, 2, 3))
+    tsum_const = onehot.sum(axis=(0, 2, 3))
+    dice = div(add(mul(inter, 2.0), DICE_SMOOTH), add(psum, tsum_const + DICE_SMOOTH))
+    mean_dice = mul(tsum(mul(dice, keep.astype(np.float64))), 1.0 / keep.sum())
+    return sub(1.0, mean_dice)
+
+
+def weighted_patch_sample_oracle(masks, patch_hw, rng, n_samples=1):
+    """The sampler as a count dict, a per-center lookup and an (N, 3)
+    coordinate table of every candidate corner."""
+    ph, pw = patch_hw
+    masks = [np.asarray(m) for m in masks]
+    counts = {}
+    for m in masks:
+        vals, cnt = np.unique(m, return_counts=True)
+        for vv, cc in zip(vals, cnt):
+            counts[int(vv)] = counts.get(int(vv), 0) + int(cc)
+    cls_weight = {c: 1.0 / math.sqrt(n) for c, n in counts.items()}
+    cand_weights, cand_coords = [], []
+    for idx, m in enumerate(masks):
+        h, w = m.shape
+        tops = np.arange(h - ph + 1)
+        lefts = np.arange(w - pw + 1)
+        centers = m[tops[:, None] + ph // 2, lefts[None, :] + pw // 2]
+        cand_weights.append(np.vectorize(cls_weight.get)(centers).astype(np.float64).reshape(-1))
+        tt, ll = np.meshgrid(tops, lefts, indexing="ij")
+        cand_coords.append(np.stack([np.full(tt.size, idx), tt.reshape(-1), ll.reshape(-1)], axis=1))
+    probs = np.concatenate(cand_weights)
+    probs = probs / probs.sum()
+    coords = np.concatenate(cand_coords, axis=0)
+    return coords[rng.choice(coords.shape[0], size=n_samples, p=probs)]
 
 
 class TestClassWeights:
@@ -99,6 +148,12 @@ class TestCeLoss:
         with pytest.raises(DataError):
             ce_loss(Tensor(np.zeros((2, 3))), np.array([0, 5]))
 
+    @pytest.mark.parametrize("logits_shape", [(0, 3), (0, 3, 2, 2)])
+    def test_zero_elements_is_data_error(self, logits_shape):
+        targets = np.zeros((0,) + logits_shape[2:], dtype=np.int64)
+        with pytest.raises(DataError, match="at least one element"):
+            ce_loss(Tensor(np.zeros(logits_shape)), targets)
+
     def test_segmentation_layout_and_gradient(self):
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((2, 3, 2, 2))
@@ -121,32 +176,32 @@ class TestDiceLoss:
         logits = np.zeros((1, 2, 2, 2))
         logits[0, 1] = np.where(mask[0] == 1, 40.0, -40.0)
         logits[0, 0] = -logits[0, 1]
-        loss = dice_loss(Tensor(logits), mask, ignore_background=False)
+        loss = dice_loss(Tensor(logits), mask)
         assert float(loss.data) < 1e-4
 
     def test_uniform_half_vs_hand_oracle(self):
         # 4-pixel balanced binary mask, logits all equal -> p = 1/2 everywhere
         mask = np.array([[[0, 0], [1, 1]]])
         logits = Tensor(np.zeros((1, 2, 2, 2)))
-        delta = 1e-5
-        got = float(dice_loss(logits, mask, ignore_background=False, smooth=delta).data)
+        delta = DICE_SMOOTH
+        got = float(dice_loss(logits, mask).data)
         per_class = (2 * (0.5 * 2) + delta) / (0.5 * 4 + 2 + delta)
-        want = 1.0 - per_class  # both classes identical by symmetry
+        want = 1.0 - per_class  # background is skipped; class 1 alone
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_class_empty_in_target_and_prediction_skipped(self):
         mask = np.array([[[1, 1], [1, 1]]])
         logits = np.zeros((1, 3, 2, 2))
         logits[0, 1] = 40.0  # class 2 never predicted, never in target
-        a = float(dice_loss(Tensor(logits), mask, ignore_background=True).data)
-        b = float(dice_loss(Tensor(logits[:, :2]), mask, ignore_background=True).data)
+        a = float(dice_loss(Tensor(logits), mask).data)
+        b = float(dice_loss(Tensor(logits[:, :2]), mask).data)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((1, 2, 2, 2))
         mask = np.array([[[0, 1], [1, 0]]])
-        delta = 1e-5
+        delta = DICE_SMOOTH
 
         def run(arrs):
             z = arrs[0]
@@ -154,38 +209,55 @@ class TestDiceLoss:
             p = e / e.sum(axis=1, keepdims=True)
             onehot = np.stack([(mask == 0), (mask == 1)], axis=1).astype(float)
             dices = []
-            for c in range(2):
+            for c in (1,):  # the foreground class; background is never scored
                 inter = (p[:, c] * onehot[:, c]).sum()
                 dices.append((2 * inter + delta) / (p[:, c].sum() + onehot[:, c].sum() + delta))
             return 1.0 - float(np.mean(dices))
 
         want = fd_grad(run, [logits.copy()])
         x = Tensor(logits, requires_grad=True)
-        got = tape_grads(lambda ts: dice_loss(ts[0], mask, ignore_background=False), [x])
+        got = tape_grads(lambda ts: dice_loss(ts[0], mask), [x])
         assert rel_err(got[0], want[0]) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_value_and_gradient_bit_equal_to_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((2, 3, 5, 4))
+        mask = rng.integers(0, 3 if seed % 2 else 2, (2, 5, 4))  # odd seeds: class 2 in the target
+        x = Tensor(logits, requires_grad=True)
+        got = tape_grads(lambda ts: dice_loss(ts[0], mask), [x])
+        want = tape_grads(lambda ts: dice_loss_oracle(ts[0], mask), [Tensor(logits, requires_grad=True)])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert dice_loss(Tensor(logits), mask).data.tobytes() == dice_loss_oracle(Tensor(logits), mask).data.tobytes()
+
+    def test_no_class_to_score_is_data_error(self):
+        logits = np.zeros((1, 2, 2, 2))
+        logits[0, 0] = 40.0  # predicts background everywhere, target is all background
+        with pytest.raises(DataError, match="no class left"):
+            dice_loss(Tensor(logits), np.zeros((1, 2, 2), dtype=int))
 
 
 class TestAdamW:
     def test_zero_grads_no_decay_keeps_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        opt = AdamW({"p": p}, lr=1.0, weight_decay=0.0)
-        opt.step()
+        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt.step(lr=1.0)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_decoupled_decay_scales_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        opt = AdamW({"p": p}, lr=1.0, weight_decay=0.1)
-        opt.step()
+        opt = AdamW({"p": p}, weight_decay=0.1)
+        opt.step(lr=1.0)
         np.testing.assert_allclose(p.data, [0.9, -1.8], atol=1e-12)
 
     def test_quadratic_convergence(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.05, weight_decay=0.0)
+        opt = AdamW({"p": p}, weight_decay=0.0)
         for _ in range(2000):
             p.grad = 2.0 * (p.data - 1.5)
-            opt.step()
+            opt.step(lr=0.05)
             if abs(p.data[0] - 1.5) < 1e-6:
                 break
         assert abs(p.data[0] - 1.5) < 1e-6
@@ -193,9 +265,9 @@ class TestAdamW:
     def test_nonfinite_grad_aborts_without_mutation(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.nan])
-        opt = AdamW({"p": p}, lr=1.0, weight_decay=0.5)
+        opt = AdamW({"p": p}, weight_decay=0.5)
         with pytest.raises(NumericsError):
-            opt.step()
+            opt.step(lr=1.0)
         np.testing.assert_array_equal(p.data, [1.0])
 
     def test_functional_core_matches_class(self):
@@ -203,13 +275,13 @@ class TestAdamW:
         data = rng.standard_normal(3)
         grads = [rng.standard_normal(3) for _ in range(5)]
         p = Tensor(data.copy(), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.1)
+        opt = AdamW({"p": p}, weight_decay=0.1)
         raw = data.copy()
         m = np.zeros(3)
         v = np.zeros(3)
         for t, g in enumerate(grads, start=1):
             p.grad = g.copy()
-            opt.step()
+            opt.step(lr=0.01)
             adamw_step(raw, g, m, v, t, 0.01, 0.1)
         np.testing.assert_allclose(p.data, raw, atol=1e-15)
 
@@ -295,6 +367,31 @@ class TestWeightedPatchSample:
     def test_patch_too_large(self):
         with pytest.raises(DataError):
             weighted_patch_sample([np.zeros((4, 4), dtype=int)], (5, 5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mask", [np.array([[0, -1], [1, 0]]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    def test_class_ids_not_non_negative_integers_are_data_error(self, mask):
+        with pytest.raises(DataError, match="non-negative integers"):
+            weighted_patch_sample([mask], (1, 1), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_picks_equal_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        shape = tuple(int(v) for v in rng.integers(1, 9, 2))  # one size for all images: some are non-square
+        masks = [rng.integers(0, k, shape) for _ in range(seed % 3 + 1)]
+        # 1x1 patches, image-sized patches, and anything between
+        patch = [(1, 1), shape, tuple(int(rng.integers(1, v + 1)) for v in shape)][seed // 3 % 3]
+        got = weighted_patch_sample(masks, patch, np.random.default_rng(seed), n_samples=50)
+        want = weighted_patch_sample_oracle(masks, patch, np.random.default_rng(seed), n_samples=50)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_images_of_different_sizes_equal_oracle(self):
+        rng = np.random.default_rng(40)
+        masks = [rng.integers(0, 3, (5, 9)), rng.integers(0, 3, (7, 4)), rng.integers(0, 3, (4, 4))]
+        got = weighted_patch_sample(masks, (3, 2), np.random.default_rng(41), n_samples=500)
+        want = weighted_patch_sample_oracle(masks, (3, 2), np.random.default_rng(41), n_samples=500)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert set(got[:, 0]) == {0, 1, 2}
 
 
 class TestGradMonitor:
