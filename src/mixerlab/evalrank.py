@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DataError
 
@@ -297,7 +296,7 @@ def wilcoxon_signed_rank(
         if var <= 0:
             return WilcoxonResult(TIE, 1.0, w_pos, w_neg, n)
         z = (w_pos - mu) / math.sqrt(var)
-        p = float(2.0 * ndtr(-abs(z)))
+        p = math.erfc(abs(z) / math.sqrt(2.0))
 
     if p < alpha and w_pos != w_neg:
         verdict = A_WINS if w_pos > w_neg else B_WINS

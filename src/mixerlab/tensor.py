@@ -28,7 +28,6 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import ConfigError, NumericsError, ShapeError
 
@@ -254,20 +253,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     return _op("add", a.data + b.data,
-               [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))])
+               [(a, lambda g, s=a.shape: _unbroadcast(g, s)), (b, lambda g, s=b.shape: _unbroadcast(g, s))])
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     return _op("sub", a.data - b.data,
-               [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(-g, b.shape))])
+               [(a, lambda g, s=a.shape: _unbroadcast(g, s)), (b, lambda g, s=b.shape: _unbroadcast(-g, s))])
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     return _op("mul", a.data * b.data, [
-        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+        (a, lambda g, s=a.shape, y=b.data: _unbroadcast(g * y, s)),
+        (b, lambda g, s=b.shape, x=a.data: _unbroadcast(g * x, s)),
     ])
 
 
@@ -276,8 +275,8 @@ def div(a, b) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = a.data / b.data
     return _op("div", y, [
-        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
+        (a, lambda g, s=a.shape, v=b.data: _unbroadcast(g / v, s)),
+        (b, lambda g, s=b.shape, u=a.data, v=b.data: _unbroadcast(-g * u / (v * v), s)),
     ])
 
 
@@ -314,12 +313,58 @@ def sqrt(a) -> Tensor:
     return _op("sqrt", y, [(a, lambda g: g * 0.5 / y)])
 
 
+# Cephes ndtr.c (Moshier, after Cody 1969), as scipy.special.erf runs it: erf(x) = x T(x^2) / U(x^2)
+# on |x| <= 1, else sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|)); U, Q monic, Cephes' doubles in short form.
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051, 55592.30130103949)
+_ERF_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359)
+_ERF_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814, 196.5208329560771,
+          526.4451949954773, 934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_ERF_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+          1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+_ERF_BLOCK = 1 << 15  # elements per pass, so a pass's buffers stay in cache
+
+
+def _horner(v: np.ndarray, coefs: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = np.multiply(v, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= v
+    return np.add(out, coefs[-1], out=out)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf, bit-equal to scipy.special.erf on |x| <= 1, else within 1 ulp; consumes ``x``."""
+    flat = x.reshape(-1)
+    z, p, q = np.empty((3, min(x.size, _ERF_BLOCK)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge or infinite x is overwritten
+        for lo in range(0, x.size, _ERF_BLOCK):
+            xb = flat[lo : lo + _ERF_BLOCK]
+            zb = np.multiply(xb, xb, out=z[: xb.size])
+            big = np.flatnonzero(zb > 1.0)  # their |x| <= 1 form is overwritten below
+            xs = xb[big]
+            xb *= _horner(zb, _ERF_T, p[: xb.size])
+            xb /= _horner(zb, _ERF_U, q[: xb.size])
+            if big.size:
+                t = np.minimum(np.abs(xs), 8.0)  # 1 - erfc(x) rounds to 1 from 8 on
+                xb[big] = np.copysign(1.0 - np.exp(-(t * t)) * _horner(t, _ERF_P) / _horner(t, _ERF_Q), xs)
+    return flat.reshape(x.shape)
+
+
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth everywhere, so finite differences apply."""
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    return _op("gelu", x * cdf, [(a, lambda g: g * (cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI)))])
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))  # numpy adds and scales the erf temporary in place
+
+    def grad_x(g):  # g * (cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi))) in one buffer
+        d = np.multiply(x, -0.5) * x
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x
+        d += cdf
+        return np.multiply(d, g, out=d)
+
+    return _op("gelu", x * cdf, [(a, grad_x)])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +374,7 @@ def gelu(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _op("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
+    return _op("reshape", a.data.reshape(shape), [(a, lambda g, s=a.shape: g.reshape(s))])
 
 
 def transpose(a, axes) -> Tensor:
@@ -362,17 +407,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     kept = keepdims or axis is None  # g broadcasts against a as it is
     return _op("sum", a.data.sum(axis=axis, keepdims=keepdims),
-               [(a, lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axis), a.shape).copy())])
+               [(a, lambda g, s=a.shape: np.broadcast_to(g if kept else np.expand_dims(g, axis), s).copy())])
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = int(np.prod([a.shape[i] for i in ax]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    ax = range(a.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / math.prod(a.shape[i] for i in ax))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +702,7 @@ def global_avg_pool(x) -> Tensor:
         raise ShapeError("global_avg_pool expects (B, C, H, W)")
     _, _, h, w = x.shape
     return _op("global_avg_pool", x.data.mean(axis=(2, 3)),
-               [(x, lambda g: np.broadcast_to(g[:, :, None, None] / (h * w), x.shape).copy())])
+               [(x, lambda g, s=x.shape: np.broadcast_to(g[:, :, None, None] / (h * w), s).copy())])
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes, round trips."""
 
+import json
 import os
 import struct
 import subprocess
@@ -531,10 +532,37 @@ seed = 1
         assert "gradient norms" in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, mixerlab.cli; sys.exit('scipy.stats' in sys.modules)"
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """scipy is a test oracle only: with every scipy import refused, a tiny
+    train, an infer and a bootstrap and a Wilcoxon rank all exit 0."""
+    (tmp_path / "train.ini").write_text(TINY_MODEL + "[train]\nepochs = 1\nbatch_size = 8\nmax_steps = 2\n"
+                                        "[data]\nkind = synthetic\nn = 16\n")
+    _, ckpt = seg_checkpoint(tmp_path)
+    write_ppm(str(tmp_path / "image.ppm"), np.zeros((3, 40, 40), dtype=np.uint8))
+    (tmp_path / "infer.ini").write_text(f"[infer]\ncheckpoint = {ckpt}\nimage = {tmp_path / 'image.ppm'}\n")
+    rng = np.random.default_rng(0)
+    # 30 cases: the Wilcoxon test takes its normal approximation
+    for comparator, header, n in (("bootstrap", "label,score_0,score_1", 20), ("wilcoxon", "dsc", 30)):
+        scores = tmp_path / comparator
+        scores.mkdir()
+        for sub in ("a", "b", "c"):
+            values = enumerate(rng.random(n).tolist())
+            rows = [f"c{i},{i % 2},{v!r},{1 - v!r}" if n == 20 else f"c{i},{v!r}" for i, v in values]
+            (scores / f"ds__{sub}.csv").write_text("\n".join([f"case_id,{header}"] + rows) + "\n")
+        (tmp_path / f"{comparator}.ini").write_text(
+            f"[rank]\nmode = scores\nscores_dir = {scores}\ncomparator = {comparator}\nrepeats = 100\n")
+    runs = [[cmd, "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / f"out_{name}")]
+            for cmd, name in (("train", "train"), ("infer", "infer"), ("rank", "bootstrap"), ("rank", "wilcoxon"))]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy or of a submodule now raises ImportError\n"
+            "from mixerlab import cli\n"
+            "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0], done.stderr
+    assert (tmp_path / "out_infer" / "mask.pgm").exists()
+    assert (tmp_path / "out_wilcoxon" / "rank_table.csv").exists()
 
 
 class TestExitCodesAndConfig:

@@ -2,6 +2,7 @@
 published ranking fixtures, and sliding-window blending."""
 
 import itertools
+import math
 import struct
 import warnings
 
@@ -392,6 +393,27 @@ class TestWilcoxon:
 
         ref = scipy_wilcoxon(a, b, zero_method="wilcox", correction=False, mode="approx")
         assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+    def test_normal_tail_matches_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        for z in np.linspace(0.0, 8.0, 8001):
+            want = 2.0 * float(ndtr(-z))
+            assert math.erfc(z / math.sqrt(2.0)) == pytest.approx(want, rel=1e-12, abs=0.0), z
+
+    def test_first_normal_approximation_case_matches_scipy(self):
+        from scipy.stats import wilcoxon as scipy_wilcoxon
+
+        n = WILCOXON_EXACT_CASES + 1
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            a = rng.integers(0, 64, n) / 64.0
+            b = a - rng.choice([-3, -2, -1, 1, 2, 3, 4, 5], n) / 64.0  # exact, so |a - b| ties
+            assert np.unique(np.abs(a - b)).size < n
+            res = wilcoxon_signed_rank(a, b)
+            assert res.n_effective == n
+            ref = scipy_wilcoxon(a, b, zero_method="wilcox", correction=False, mode="approx")
+            assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-12)
 
     def test_all_zero_differences_tie(self):
         res = wilcoxon_signed_rank([1.0, 1.0], [1.0, 1.0])

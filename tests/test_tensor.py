@@ -3,13 +3,15 @@ against central finite differences, and the tape contract."""
 
 import gc
 import inspect
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from conftest import fd_grad, rel_err, tape_grads
-from mixerlab import tensor
+from mixerlab import metaformer, tensor
 from mixerlab.errors import ConfigError, NumericsError, ShapeError
 from mixerlab.metaformer import MetaFormer, ModelConfig, parse_signature
 from mixerlab.tensor import (
@@ -928,6 +930,51 @@ class TestTapeRelease:
         assert sum(g is not None for g in want.values()) > 20
         assert gradients(Tape.backward) == want
 
+    @pytest.mark.parametrize("op", [add, sub, mul, div])
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_constant_operand_freed_during_the_forward(self, op, constant_first, no_cyclic_gc):
+        x = Tensor(np.full((2, 3), 1.5), requires_grad=True)
+        with Tape() as tape:
+            c = Tensor(np.full((2, 1), 2.0))
+            ref = weakref.ref(c)
+            loss = tsum(op(c, x) if constant_first else op(x, c))
+            del c
+            assert ref() is None
+        tape.backward(loss)
+        assert x.grad.shape == (2, 3)
+
+    def test_drop_path_mask_freed_during_the_forward(self, monkeypatch, no_cyclic_gc):
+        masks = []
+
+        def watched(data, requires_grad=False):  # metaformer builds only the drop-path masks
+            t = Tensor(data, requires_grad)
+            masks.append(weakref.ref(t))
+            return t
+
+        model = tiny_multi_mixer(RELEASE_SIGNATURES[0])
+        monkeypatch.setattr(metaformer, "Tensor", watched)
+        with Tape() as tape:
+            loss = ce_loss(tiny_logits(model), np.array([0, 2]), None, smoothing=0.1)
+            assert len(masks) >= 4
+            assert all(ref() is None for ref in masks)
+        tape.backward(loss)
+
+    @pytest.mark.parametrize("run", [
+        lambda x, c: add(x, c), lambda x, c: sub(c, x), lambda x, c: mul(x, c), lambda x, c: div(c, x),
+        lambda x, c: reshape(x, (2, 12)), lambda x, c: tsum(x, axis=1), lambda x, c: global_avg_pool(x),
+    ], ids=["add", "sub", "mul", "div", "reshape", "tsum", "global_avg_pool"])
+    def test_gradient_closures_hold_arrays_not_tensors(self, run):
+        def held(fn):
+            return [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+
+        x = Tensor(np.full((2, 3, 2, 2), 1.5), requires_grad=True)
+        c = Tensor(np.full((2, 3, 2, 2), 2.0), requires_grad=True)
+        with Tape() as tape:
+            run(x, c)
+        (_, backward_fn), = tape._records
+        (live,) = [v for v in held(backward_fn) if isinstance(v, list)]
+        assert live and not [v for _, vjp in live for v in held(vjp) if isinstance(v, Tensor)]
+
 
 class TestNumericsPolicy:
     def test_forward_nan_raises(self):
@@ -1108,3 +1155,74 @@ class TestShapeOps:
         x = Tensor(xv, True)
         got = tape_grads(lambda ts: tsum(gelu(ts[0])), [x])
         assert rel_err(got[0], want[0]) < 1e-7
+
+
+class TestErf:
+    """``tensor._erf`` against scipy.special.erf, which evaluates the same Cephes forms."""
+
+    @staticmethod
+    def ulps(a, b):
+        return np.abs(a.view(np.int64) - b.view(np.int64))
+
+    @staticmethod
+    def erf(x):
+        """``tensor._erf`` of a copy of ``x``, with every warning an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return tensor._erf(x.copy())
+
+    def test_dense_grid_bit_equal_inside_one_ulp_outside(self):
+        x = np.linspace(-8.0, 8.0, 2_000_001)
+        got, want = self.erf(x), scipy_erf(x)
+        inside = np.abs(x) <= 1.0
+        assert np.array_equal(got[inside], want[inside])
+        assert self.ulps(got, want).max() <= 1
+
+    @pytest.mark.parametrize("n", [1, 2, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
+    def test_block_edges(self, n):
+        x = np.random.default_rng(n).standard_normal(n) * 2.0
+        got = self.erf(x)
+        assert got.shape == (n,)
+        assert self.ulps(got, scipy_erf(x)).max() <= 1
+        # a block's result does not depend on the block it sits in
+        np.testing.assert_array_equal(got[-1:], self.erf(x[-1:]))
+
+    def test_shapes_and_non_contiguous_inputs(self):
+        x = np.random.default_rng(4).standard_normal((3, 5, 40, 70)) * 1.5
+        for view in (lambda a: a.transpose(3, 1, 0, 2), lambda a: a[:, ::2, :, 1::3], lambda a: a[..., 0],
+                     np.asfortranarray):
+            v = view(x.copy())  # _erf consumes it
+            want = scipy_erf(v)
+            got = tensor._erf(v)
+            assert not v.flags.c_contiguous and got.shape == v.shape and self.ulps(got, want).max() <= 1
+        want = scipy_erf(x)
+        got = tensor._erf(x)  # C-contiguous: the result takes the input's buffer
+        assert np.shares_memory(got, x) and got.shape == x.shape and self.ulps(got, want).max() <= 1
+        assert self.erf(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_special_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        got, want = self.erf(x), scipy_erf(x)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(got[6:10], [scipy_erf(1.0), -scipy_erf(1.0), 1.0, -1.0])
+
+    def test_gelu_bit_equal_to_the_scipy_expression(self):
+        x = np.concatenate([np.linspace(-1.4, 1.4, 20001), np.random.default_rng(5).standard_normal(20000)])
+        g = np.random.default_rng(6).standard_normal(x.size)
+        cdf = 0.5 * (1.0 + scipy_erf(x * (1.0 / np.sqrt(2.0))))
+        want_y = x * cdf
+        want_g = g * (cdf + x * (np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))))
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(gelu(t), g))
+        got_y = gelu(x).data
+        tape.backward(loss)
+        inside = np.abs(x * (1.0 / np.sqrt(2.0))) <= 1.0
+        assert inside.sum() > 20000
+        np.testing.assert_array_equal(got_y[inside], want_y[inside])
+        np.testing.assert_array_equal(t.grad[inside], want_g[inside])
+        # outside, one ulp of erf moves cdf by at most 2^-54
+        np.testing.assert_allclose(got_y, want_y, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(t.grad, want_g, rtol=0, atol=1e-15)
