@@ -9,8 +9,11 @@ Recording: each op hands ``_op`` one (input, gradient function) pair per
 input. On the thread-local active ``Tape`` (entered via ``with Tape():``),
 the pairs whose input requires grad are recorded with the output, so a
 backward runs only the gradients it needs. Without an active tape, ops
-just compute. A consumed or aborted tape releases every record and detaches
-its outputs, so reference counting, not the cyclic GC, frees a pass's
+just compute. A record names tensors by identity nodes that refer to them
+weakly, and gradient functions keep arrays, not tensors, so an array lives
+as long as the forward code or a gradient function references it. A
+consumed or aborted tape releases every record and detaches its surviving
+outputs, so reference counting, not the cyclic GC, frees a pass's
 activations. ``conv2d`` and ``avg_pool2d`` read every K x K window through
 one strided view of the padded input and send window gradients back through
 its adjoint (``_windows``, ``_add_windows``); ``conv2d`` copies the view into
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,13 +70,14 @@ class Tensor:
     can update parameters in place between recorded passes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._tape: Optional["Tape"] = None
+        self._node: Optional[_Node] = None
 
     @property
     def shape(self):
@@ -91,20 +96,36 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+class _Node(weakref.ref):
+    """A tensor's place on tapes: it hashes by identity and, called, gives the
+    tensor while it lives, so no record keeps an output's array alive."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+
+def _node_of(t: Tensor) -> _Node:
+    if t._node is None:
+        t._node = _Node(t)
+    return t._node
+
+
 class Tape:
     """Wengert list of primitive applications.
 
     Ops are appended in execution order, so walking the records backwards
-    visits nodes in reverse topological order. A tape can be consumed by
-    ``backward`` exactly once; re-recording requires a fresh tape. Tapes
-    are not shareable across threads (the active tape is thread-local).
-    ``backward`` releases each record as it visits it, and leaving the
-    ``with`` block on an exception releases them all; either way each
-    released output is detached (its ``_tape`` is None).
+    visits nodes in reverse topological order. A record is (output node,
+    backward closure); the node refers to the output weakly. A tape can be
+    consumed by ``backward`` exactly once; re-recording requires a fresh
+    tape. Tapes are not shareable across threads (the active tape is
+    thread-local). ``backward`` releases each record as it visits it, and
+    leaving the ``with`` block on an exception releases them all; either way
+    each surviving output is detached (its ``_tape`` is None).
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable]] = []
+        self._records: list[tuple[_Node, Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -116,8 +137,9 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _state.tape = None
         if exc_type is not None:  # an aborted forward frees what it recorded
-            for out, _ in self._records:
-                out._tape = None
+            for node, _ in self._records:
+                if (out := node()) is not None:
+                    out._tape = None
             self._records.clear()
         return False
 
@@ -126,7 +148,7 @@ class Tape:
             raise ConfigError("tape already consumed by backward; record on a fresh tape")
         out.requires_grad = True
         out._tape = self
-        self._records.append((out, backward_fn))
+        self._records.append((_node_of(out), backward_fn))
 
     def backward(self, loss: Tensor):
         """Populate ``grad`` on every requires_grad leaf reachable from loss."""
@@ -138,21 +160,24 @@ class Tape:
             raise ConfigError("loss was not recorded on this tape")
         self._consumed = True
 
-        # Tensor hashes by identity. Each record, and its output's gradient,
-        # is popped on its own visit, after all its consumers (recorded later)
+        # grads is keyed by node. Each record, and its output's gradient, is
+        # popped on its own visit, after all its consumers (recorded later)
         # have added to it: what grads holds at the end belongs to leaves, and
-        # each activation and closure is freed as soon as the walk passes it.
-        grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
+        # each closure is freed as soon as the walk passes it. A leaf that
+        # nobody holds any more gets no grad.
+        grads: dict[_Node, np.ndarray] = {loss._node: np.ones((), dtype=np.float64)}
         while self._records:
-            out, backward_fn = self._records.pop()
-            out._tape = None
-            g = grads.pop(out, None)
+            node, backward_fn = self._records.pop()
+            if (out := node()) is not None:
+                out._tape = None
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            for t, gt in backward_fn(g):
-                grads[t] = grads[t] + gt if t in grads else np.array(gt, dtype=np.float64, copy=True)
-        for t, g in grads.items():
-            t.grad = g if t.grad is None else t.grad + g
+            for n, gt in backward_fn(g):
+                grads[n] = grads[n] + gt if n in grads else np.array(gt, dtype=np.float64, copy=True)
+        for n, g in grads.items():
+            if (t := n()) is not None:
+                t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor):
@@ -227,11 +252,12 @@ def _op(name: str, data: np.ndarray, vjps: Sequence[tuple[Optional[Tensor], Call
     out.requires_grad = False
     out.grad = None
     out._tape = None
+    out._node = None
     tape = _active_tape()
     if tape is not None:
-        live = [(t, vjp) for t, vjp in vjps if t is not None and t.requires_grad]
+        live = [(_node_of(t), vjp) for t, vjp in vjps if t is not None and t.requires_grad]
         if live:
-            tape.record(out, lambda g: [(t, vjp(g)) for t, vjp in live])
+            tape.record(out, lambda g: [(n, vjp(g)) for n, vjp in live])
     return out
 
 
@@ -289,7 +315,7 @@ def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore", over="ignore"):
         y = a.data**p
-    return _op("power", y, [(a, lambda g: g * p * a.data ** (p - 1.0))])
+    return _op("power", y, [(a, lambda g, x=a.data: g * p * x ** (p - 1.0))])
 
 
 def exp(a) -> Tensor:
@@ -303,7 +329,7 @@ def log(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(a.data)
-    return _op("log", y, [(a, lambda g: g / a.data)])
+    return _op("log", y, [(a, lambda g, x=a.data: g / x)])
 
 
 def sqrt(a) -> Tensor:
@@ -427,8 +453,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} vs {b.shape}")
     return _op("matmul", a.data @ b.data, [
-        (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
-        (b, lambda g: np.swapaxes(a.data, -1, -2) @ g),
+        (a, lambda g, y=b.data: g @ np.swapaxes(y, -1, -2)),
+        (b, lambda g, x=a.data: np.swapaxes(x, -1, -2) @ g),
     ])
 
 
@@ -453,7 +479,7 @@ def linear(x, weight, bias=None) -> Tensor:
             raise ShapeError(f"linear bias shape {bias.shape} != ({cout},)")
         y = y + bias.data
     return _op("linear", y, [
-        (x, lambda g: (g.reshape(bsz, m, cout) @ weight.data).reshape(x.shape)),
+        (x, lambda g, w=weight.data, s=x.shape: (g.reshape(bsz, m, cout) @ w).reshape(s)),
         (weight, lambda g: g.reshape(bsz, m, cout).reshape(-1, cout).T @ xs.reshape(-1, cin)),
         (bias, lambda g: g.reshape(-1, cout).sum(axis=0)),
     ])
@@ -510,18 +536,19 @@ def layer_norm(x, gamma, beta) -> Tensor:
     xhat = xc * inv
     y = xhat * gamma.data.reshape(bshape) + beta.data.reshape(bshape)
     gsum_axes = tuple(i for i in range(x.ndim) if i != 1)
+    xd, gd = x.data, gamma.data.reshape(bshape)
 
     # each pair recomputes xhat = (x - mu) * inv rather than keep it
     def grad_x(g):
-        xhat = (x.data - mu) * inv
-        gy = g * gamma.data.reshape(bshape)
+        xhat = (xd - mu) * inv
+        gy = g * gd
         mean_gy = gy.mean(axis=1, keepdims=True)
         mean_gyx = (gy * xhat).mean(axis=1, keepdims=True)
         return inv * (gy - mean_gy - xhat * mean_gyx)
 
     return _op("layer_norm", y, [
         (x, grad_x),
-        (gamma, lambda g: (g * ((x.data - mu) * inv)).sum(axis=gsum_axes)),
+        (gamma, lambda g: (g * ((xd - mu) * inv)).sum(axis=gsum_axes)),
         (beta, lambda g: g.sum(axis=gsum_axes)),
     ])
 
@@ -555,8 +582,11 @@ _COLUMN_BYTES = 1 << 25  # per column block: a K=127 conv needs 3-26 GB of colum
 def _windows(padded: np.ndarray, k: int, stride: int, writeable: bool = False) -> np.ndarray:
     """View (..., K, K, Ho, Wo) of ``padded`` (..., Hp, Wp), read-only unless ``writeable``:
     [..., ky, kx, i, j] is padded[..., i*stride + ky, j*stride + kx]."""
-    view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(-2, -1), writeable=writeable)
-    return np.moveaxis(view[..., ::stride, ::stride, :, :], (-2, -1), (-4, -3))
+    *lead, hp, wp = padded.shape
+    sh, sw = padded.strides[-2:]
+    shape = (*lead, k, k, (hp - k) // stride + 1, (wp - k) // stride + 1)
+    strides = padded.strides[:-2] + (sh, sw, sh * stride, sw * stride)
+    return np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=writeable)
 
 
 def _add_windows(out: np.ndarray, wgrad: np.ndarray, stride: int):
@@ -641,9 +671,9 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
             _add_windows(gxp[b, gs, :, r.start * stride : (r.stop - 1) * stride + k], gwin, stride)
         return gxp.reshape(bsz, cin, hp, wp)[:, :, padding : padding + h, padding : padding + w]
 
-    def grad_kernel(g):
+    def grad_kernel(g, xd=x.data):
         # rebuild the columns rather than keep them alive until backward
-        xw = _windows(_pad(x.data, padding).reshape(bsz, groups, cg, hp, wp), k, stride)
+        xw = _windows(_pad(xd, padding).reshape(bsz, groups, cg, hp, wp), k, stride)
         gg = g.reshape(bsz, groups, og, ho * wo)
         dw = np.zeros_like(wm) if len(blocks) != 1 else None  # one block: its GEMM sums the samples
         for b, gs, r in blocks:

@@ -3,6 +3,7 @@ against central finite differences, and the tape contract."""
 
 import gc
 import inspect
+import tracemalloc
 import warnings
 import weakref
 
@@ -14,7 +15,9 @@ from conftest import fd_grad, rel_err, tape_grads
 from mixerlab import metaformer, tensor
 from mixerlab.errors import ConfigError, NumericsError, ShapeError
 from mixerlab.metaformer import MetaFormer, ModelConfig, parse_signature
+from mixerlab.mixers import MixerSpec, apply_mixer, head_count, init_mixer_params
 from mixerlab.tensor import (
+    Registry,
     Tape,
     Tensor,
     add,
@@ -172,20 +175,28 @@ def run_with_grads(op, *arrays):
 
 def backward_oracle(tape, loss):
     """The reverse walk as it was before records were released: visit every
-    record in reverse and keep them all, so the tape's outputs and closures
-    stay alive after it."""
+    (output node, closure) record in reverse and keep them all, so the tape's
+    closures stay alive after it. Gradients are keyed by node, and a leaf
+    gets its grad if it is still alive."""
     tape._consumed = True
-    grads = {loss: np.ones((), dtype=np.float64)}
-    for out, backward_fn in reversed(tape._records):
-        g = grads.pop(out, None)
+    grads = {loss._node: np.ones((), dtype=np.float64)}
+    for node, backward_fn in reversed(tape._records):
+        g = grads.pop(node, None)
         if g is None:
             continue
-        for t, gt in backward_fn(g):
-            if t is None or not t.requires_grad:
-                continue
-            grads[t] = grads[t] + gt if t in grads else np.array(gt, dtype=np.float64, copy=True)
-    for t, g in grads.items():
-        t.grad = g if t.grad is None else t.grad + g
+        for n, gt in backward_fn(g):
+            grads[n] = grads[n] + gt if n in grads else np.array(gt, dtype=np.float64, copy=True)
+    for n, g in grads.items():
+        t = n()
+        if t is not None:
+            t.grad = g if t.grad is None else t.grad + g
+
+
+def windows_oracle(padded, k, stride, writeable=False):
+    """tensor._windows as three numpy calls: a sliding_window_view, a strided
+    slice of its window origins and a move of the tap axes to the front."""
+    view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(-2, -1), writeable=writeable)
+    return np.moveaxis(view[..., ::stride, ::stride, :, :], (-2, -1), (-4, -3))
 
 
 def assert_rows_match_single_runs(op, x):
@@ -446,6 +457,21 @@ class TestAvgPool2d:
 # ---------------------------------------------------------------------------
 # linear
 # ---------------------------------------------------------------------------
+
+
+class TestWindows:
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(2, 3, 9, 11), (2, 2, 3, 10, 7)])
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_one_strided_view_equals_the_three_call_oracle(self, k, stride, shape, writeable):
+        grid = np.random.default_rng(19).standard_normal(shape)
+        for padded in (grid, grid[..., 1:, ::-1]):  # a contiguous and a strided, offset grid
+            got, want = tensor._windows(padded, k, stride, writeable), windows_oracle(padded, k, stride, writeable)
+            assert (got.shape, got.strides) == (want.shape, want.strides)
+            assert got.flags.writeable == want.flags.writeable == writeable
+            np.testing.assert_array_equal(got, want)
+            assert np.shares_memory(got, padded)
 
 
 class TestLinear:
@@ -720,6 +746,47 @@ class TestGlobalAvgPool:
         assert rel_err(got[0], want[0]) < 1e-6
 
 
+# every public op: (op name a NumericsError carries, op over input tensors, input shapes)
+OP_CASES = {
+    "add": ("add", add, [(2, 3), (3,)]),
+    "sub": ("sub", sub, [(2, 3), (2, 3)]),
+    "mul": ("mul", mul, [(2, 3), (2, 1)]),
+    "div": ("div", div, [(2, 3), (2, 3)]),
+    "neg": ("neg", neg, [(2, 3)]),
+    "power": ("power", lambda a: power(a, 2.0), [(2, 3)]),
+    "exp": ("exp", exp, [(2, 3)]),
+    "log": ("log", log, [(2, 3)]),
+    "sqrt": ("sqrt", sqrt, [(2, 3)]),
+    "gelu": ("gelu", gelu, [(2, 3)]),
+    "reshape": ("reshape", lambda a: reshape(a, (3, 2)), [(2, 3)]),
+    "transpose": ("transpose", lambda a: transpose(a, (1, 0)), [(2, 3)]),
+    "concat": ("concat", lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    # piece 0: the contract plants its NaN in the input's first entry
+    "split": ("split", lambda a: split(a, 3, axis=1)[0], [(2, 3)]),
+    "tsum": ("sum", lambda a: tsum(a, axis=1), [(2, 3)]),
+    "tmean": ("sum", tmean, [(2, 3)]),
+    "matmul": ("matmul", matmul, [(2, 3, 4), (2, 4, 2)]),
+    "linear": ("linear", linear, [(2, 5, 3), (4, 3), (4,)]),
+    "softmax": ("softmax", softmax, [(2, 3)]),
+    "log_softmax": ("log_softmax", log_softmax, [(2, 3)]),
+    "layer_norm": ("layer_norm", layer_norm, [(2, 3, 4, 4), (3,), (3,)]),
+    "conv2d": (
+        "conv2d",
+        lambda x, w, b: conv2d(x, w, b, stride=2, padding=1, groups=2),
+        [(2, 4, 5, 5), (6, 2, 3, 3), (6,)],
+    ),
+    "avg_pool2d": ("avg_pool2d", lambda x: avg_pool2d(x, 3, stride=2, padding=1), [(2, 2, 5, 5)]),
+    "global_avg_pool": ("global_avg_pool", global_avg_pool, [(2, 2, 5, 5)]),
+    "bilinear_resize": ("bilinear_resize", lambda x: bilinear_resize(x, 7, 3), [(2, 2, 5, 5)]),
+    "bilinear_resize:same_size": ("bilinear_resize", lambda x: bilinear_resize(x, 5, 5), [(2, 2, 5, 5)]),
+}
+
+
+def op_inputs(shapes, grad_at=None):
+    rng = np.random.default_rng(21)
+    return [Tensor(rng.uniform(0.5, 1.5, s), requires_grad=i == grad_at) for i, s in enumerate(shapes)]
+
+
 # ---------------------------------------------------------------------------
 # tape and backward contract
 # ---------------------------------------------------------------------------
@@ -959,21 +1026,74 @@ class TestTapeRelease:
             assert all(ref() is None for ref in masks)
         tape.backward(loss)
 
-    @pytest.mark.parametrize("run", [
-        lambda x, c: add(x, c), lambda x, c: sub(c, x), lambda x, c: mul(x, c), lambda x, c: div(c, x),
-        lambda x, c: reshape(x, (2, 12)), lambda x, c: tsum(x, axis=1), lambda x, c: global_avg_pool(x),
-    ], ids=["add", "sub", "mul", "div", "reshape", "tsum", "global_avg_pool"])
-    def test_gradient_closures_hold_arrays_not_tensors(self, run):
+    @pytest.mark.parametrize("case", sorted(OP_CASES))
+    def test_gradient_closures_hold_arrays_not_tensors(self, case):
         def held(fn):
             return [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
 
-        x = Tensor(np.full((2, 3, 2, 2), 1.5), requires_grad=True)
-        c = Tensor(np.full((2, 3, 2, 2), 2.0), requires_grad=True)
+        _, op, shapes = OP_CASES[case]
         with Tape() as tape:
-            run(x, c)
-        (_, backward_fn), = tape._records
-        (live,) = [v for v in held(backward_fn) if isinstance(v, list)]
-        assert live and not [v for _, vjp in live for v in held(vjp) if isinstance(v, Tensor)]
+            op(*[Tensor(t.data, requires_grad=True) for t in op_inputs(shapes)])
+        assert tape._records
+        for _, backward_fn in tape._records:
+            (live,) = [v for v in held(backward_fn) if isinstance(v, list)]
+            assert live and not [v for _, vjp in live for v in held(vjp) if isinstance(v, Tensor)]
+
+    def test_score_matrix_freed_during_the_forward(self, no_cyclic_gc):
+        rng = np.random.default_rng(31)
+        qv, kv, probe = rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 3, 5)), rng.standard_normal((2, 5, 5))
+
+        def gradients(walk):
+            q, k = Tensor(qv, requires_grad=True), Tensor(kv, requires_grad=True)
+            with Tape() as tape:
+                scores = matmul(q, k)
+                refs = [weakref.ref(scores), weakref.ref(scores.data)]
+                attn = softmax(scores)
+                del scores
+                assert [ref() for ref in refs] == [None, None]
+                loss = tsum(mul(attn, probe))
+            walk(tape, loss)
+            return q.grad.tobytes(), k.grad.tobytes()
+
+        assert gradients(Tape.backward) == gradients(backward_oracle)
+
+    def test_leaf_nobody_holds_gets_no_grad(self, no_cyclic_gc):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            leaf = Tensor([3.0, 4.0], requires_grad=True)
+            ref = weakref.ref(leaf)
+            loss = tsum(mul(x, leaf))
+            del leaf
+        assert ref() is None
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+
+    def test_aborted_forward_detaches_every_surviving_output(self, no_cyclic_gc):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        kept = []
+        with pytest.raises(NumericsError):
+            with Tape():
+                kept.append(mul(x, 2.0))
+                kept.append(neg(exp(kept[0])))  # the exp output dies here
+                log(kept[1])
+        assert len(kept) == 2 and all(t.requires_grad and t._tape is None for t in kept)
+
+    @pytest.mark.parametrize("kind", ["global_attn", "local_attn:3"])
+    def test_attention_forward_holds_under_two_score_matrices(self, kind, no_cyclic_gc):
+        name, _, k = kind.partition(":")
+        spec = MixerSpec(name, int(k or 3))
+        params = init_mixer_params(spec, 16, Registry(np.random.default_rng(0)))
+        x = Tensor(np.random.default_rng(1).standard_normal((1, 16, 16, 16)), requires_grad=True)
+        score_bytes = 1 * head_count(16) * (16 * 16) ** 2 * 8  # B * M * N^2 float64
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = apply_mixer(spec, params, x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * score_bytes, f"{held / score_bytes:.2f} score matrices held by {out}"
 
 
 class TestNumericsPolicy:
@@ -994,47 +1114,6 @@ class TestNumericsPolicy:
         y = add(Tensor([1.0]), Tensor([2.0]))
         with pytest.raises(ValueError):
             y.data[0] = 5.0
-
-
-# every public op: (op name a NumericsError carries, op over input tensors, input shapes)
-OP_CASES = {
-    "add": ("add", add, [(2, 3), (3,)]),
-    "sub": ("sub", sub, [(2, 3), (2, 3)]),
-    "mul": ("mul", mul, [(2, 3), (2, 1)]),
-    "div": ("div", div, [(2, 3), (2, 3)]),
-    "neg": ("neg", neg, [(2, 3)]),
-    "power": ("power", lambda a: power(a, 2.0), [(2, 3)]),
-    "exp": ("exp", exp, [(2, 3)]),
-    "log": ("log", log, [(2, 3)]),
-    "sqrt": ("sqrt", sqrt, [(2, 3)]),
-    "gelu": ("gelu", gelu, [(2, 3)]),
-    "reshape": ("reshape", lambda a: reshape(a, (3, 2)), [(2, 3)]),
-    "transpose": ("transpose", lambda a: transpose(a, (1, 0)), [(2, 3)]),
-    "concat": ("concat", lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
-    # piece 0: the contract plants its NaN in the input's first entry
-    "split": ("split", lambda a: split(a, 3, axis=1)[0], [(2, 3)]),
-    "tsum": ("sum", lambda a: tsum(a, axis=1), [(2, 3)]),
-    "tmean": ("sum", tmean, [(2, 3)]),
-    "matmul": ("matmul", matmul, [(2, 3, 4), (2, 4, 2)]),
-    "linear": ("linear", linear, [(2, 5, 3), (4, 3), (4,)]),
-    "softmax": ("softmax", softmax, [(2, 3)]),
-    "log_softmax": ("log_softmax", log_softmax, [(2, 3)]),
-    "layer_norm": ("layer_norm", layer_norm, [(2, 3, 4, 4), (3,), (3,)]),
-    "conv2d": (
-        "conv2d",
-        lambda x, w, b: conv2d(x, w, b, stride=2, padding=1, groups=2),
-        [(2, 4, 5, 5), (6, 2, 3, 3), (6,)],
-    ),
-    "avg_pool2d": ("avg_pool2d", lambda x: avg_pool2d(x, 3, stride=2, padding=1), [(2, 2, 5, 5)]),
-    "global_avg_pool": ("global_avg_pool", global_avg_pool, [(2, 2, 5, 5)]),
-    "bilinear_resize": ("bilinear_resize", lambda x: bilinear_resize(x, 7, 3), [(2, 2, 5, 5)]),
-    "bilinear_resize:same_size": ("bilinear_resize", lambda x: bilinear_resize(x, 5, 5), [(2, 2, 5, 5)]),
-}
-
-
-def op_inputs(shapes, grad_at=None):
-    rng = np.random.default_rng(21)
-    return [Tensor(rng.uniform(0.5, 1.5, s), requires_grad=i == grad_at) for i, s in enumerate(shapes)]
 
 
 class TestOpContract:
