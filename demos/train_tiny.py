@@ -21,8 +21,8 @@ for kind in ("identity", "pooling", "conv", "grouped_conv", "local_attn", "globa
         num_classes=2,
     )
     model = MetaFormer(config, seed=11)
-    cfg = TrainConfig(epochs=40, batch_size=16, warmup_epochs=5, seed=13)
-    result = train_classifier(model, images, labels, cfg, max_steps=160)
+    cfg = TrainConfig(epochs=40, batch_size=16, warmup_epochs=5, seed=13, max_steps=160)
+    result = train_classifier(model, images, labels, cfg)
     first = result.history[0]["loss"]
     last = result.history[-1]["loss"]
     print(

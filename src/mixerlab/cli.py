@@ -68,7 +68,8 @@ TRAIN_KEYS = owned_by(
     Key("label_smoothing", FLOAT),
     Key("class_weight_clamp", FLOAT),
     Key("augment_sigma", FLOAT),
-) + (Key("max_steps", COUNT),)
+    Key("max_steps", COUNT),
+)
 
 # params counts S12-layout models; of the [model] keys it takes only these
 PARAMS_KEYS = (Key("signatures", TEXT),) + tuple(
@@ -242,7 +243,7 @@ def cmd_train(cfg: Config, out_dir: str) -> int:
     try:
         result = train_classifier(
             model, images, labels, tc, val=val,
-            log_path=os.path.join(out_dir, "train_log.csv"), max_steps=cfg["train"]["max_steps"],
+            log_path=os.path.join(out_dir, "train_log.csv"),
         )
     except NumericsError:
         worst = sorted(grad_norm_monitor(model).items(), key=lambda kv: -kv[1])[:8]
@@ -292,7 +293,9 @@ def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
     per_dataset: dict[str, dict[str, int]] = {}
     try:
         for sub, ds, wins in _csv_rows(path, "submission,dataset,wins"):
-            per_dataset.setdefault(ds, {})[sub] = int(wins)
+            if sub in per_dataset.setdefault(ds, {}):
+                raise DataError(f"{path}: submission {sub!r} repeats on dataset {ds!r}")
+            per_dataset[ds][sub] = int(wins)
     except ValueError:
         raise DataError(f"{path}: wins must be integers") from None
     return per_dataset

@@ -518,7 +518,7 @@ def csv_table(text: str, source: str) -> tuple[list[str], list[list[str]]]:
 
 def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores:
     """Parse ``case_id,dsc`` or ``case_id,label,score_0,...`` rows; a
-    malformed row or a non-finite value is a DataError."""
+    malformed row, a repeated case_id or a non-finite value is a DataError."""
     source = f"case scores of {submission!r} on {dataset!r}"
     header, rows = csv_table(text, source)
     if header != ["case_id", "dsc"] and (
@@ -526,6 +526,9 @@ def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores
     ):
         raise DataError(f"{source}: unrecognized header {header}")
     ids = [row[0] for row in rows]
+    if len(set(ids)) < len(ids):
+        repeated = next(cid for i, cid in enumerate(ids) if cid in ids[:i])
+        raise DataError(f"{source}: case_id {repeated!r} repeats")
     try:
         values = np.array([[float(v) for v in row[1:]] for row in rows]).reshape(len(rows), len(header) - 1)
         labels = np.array([int(row[1]) for row in rows]) if header[1] == "label" else None

@@ -18,7 +18,7 @@ import numpy as np
 from .config import FLOAT, HW, INT, INTS, TEXT, Key, ValueType
 from .config import field_values, format_section, owned_by, read_ini
 from .errors import ConfigError, ShapeError
-from .mixers import MixerSpec, apply_mixer, head_count, init_mixer_params, warm_start_remap
+from .mixers import MixerSpec, apply_mixer, head_count, init_mixer_params
 from .tensor import (
     Registry,
     Tensor,
@@ -36,10 +36,9 @@ from .tensor import (
     transpose,
 )
 
-# patch embedding geometry: (kernel, stride, padding); stage 0 downsamples
-# by four, later stages halve
-PATCH_EMBED_STAGE0 = (7, 4, 2)
-PATCH_EMBED_LATER = (3, 2, 1)
+# per-stage patch embedding geometry (kernel, stride, padding): stage 0
+# downsamples by four, later stages halve
+PATCH_EMBEDS = ((7, 4, 2), (3, 2, 1), (3, 2, 1), (3, 2, 1))
 
 
 def parse_signature(text: str) -> tuple[MixerSpec, ...]:
@@ -82,10 +81,10 @@ class ModelConfig:
                 head_count(c)  # raises if the head split does not work out
 
     def stage_hw(self) -> list[tuple[int, int]]:
-        """Spatial size per stage: input/4, then halved at each stage entry."""
+        """Spatial size per stage: the input divided by each patch embedding's stride in turn."""
         h, w = self.input_hw
         out = []
-        for i, factor in enumerate((4, 2, 2, 2)):
+        for i, (_, factor, _) in enumerate(PATCH_EMBEDS):
             if h % factor or w % factor:
                 raise ConfigError(
                     f"stage {i} needs input divisible by {factor}, got {h}x{w} (no implicit crop)")
@@ -125,37 +124,23 @@ MODEL_KEYS = owned_by(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Norm:
-    gamma: Tensor
-    beta: Tensor
-
-    @staticmethod
-    def create(params: Registry, prefix: str, c: int) -> "Norm":
-        return Norm(params.new(f"{prefix}.gamma", (c,), 1.0), params.new(f"{prefix}.beta", (c,), 0.0))
+    def __init__(self, params: Registry, prefix: str, c: int):
+        self.gamma = params.new(f"{prefix}.gamma", (c,), 1.0)
+        self.beta = params.new(f"{prefix}.beta", (c,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
 
 
-@dataclass
 class ChannelMlp:
     """Pointwise two-layer MLP over the channel axis of (B, C, H, W)."""
 
-    fc1_w: Tensor
-    fc1_b: Tensor
-    fc2_w: Tensor
-    fc2_b: Tensor
-
-    @staticmethod
-    def create(params: Registry, prefix: str, c: int, ratio: int) -> "ChannelMlp":
-        hidden = ratio * c
-        return ChannelMlp(
-            params.new(f"{prefix}.fc1.weight", (hidden, c)),
-            params.new(f"{prefix}.fc1.bias", (hidden,), 0.0),
-            params.new(f"{prefix}.fc2.weight", (c, hidden)),
-            params.new(f"{prefix}.fc2.bias", (c,), 0.0),
-        )
+    def __init__(self, params: Registry, prefix: str, c: int, ratio: int):
+        self.fc1_w = params.new(f"{prefix}.fc1.weight", (ratio * c, c))
+        self.fc1_b = params.new(f"{prefix}.fc1.bias", (ratio * c,), 0.0)
+        self.fc2_w = params.new(f"{prefix}.fc2.weight", (c, ratio * c))
+        self.fc2_b = params.new(f"{prefix}.fc2.bias", (c,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         t = transpose(x, (0, 2, 3, 1))
@@ -165,18 +150,13 @@ class ChannelMlp:
         return transpose(t, (0, 3, 1, 2))
 
 
-@dataclass
 class PatchEmbed:
-    kernel: Tensor
-    bias: Tensor
-    stride: int
-    padding: int
-
-    @staticmethod
-    def create(params: Registry, prefix: str, cin: int, cout: int, k: int, stride: int,
-               padding: int) -> "PatchEmbed":
-        kernel = params.new(f"{prefix}.kernel", (cout, cin, k, k))
-        return PatchEmbed(kernel, params.new(f"{prefix}.bias", (cout,), 0.0), stride, padding)
+    def __init__(self, params: Registry, prefix: str, cin: int, cout: int, k: int, stride: int,
+                 padding: int):
+        self.kernel = params.new(f"{prefix}.kernel", (cout, cin, k, k))
+        self.bias = params.new(f"{prefix}.bias", (cout,), 0.0)
+        self.stride = stride
+        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
@@ -207,13 +187,13 @@ class Block:
                  layerscale_init: float, droppath_p: float, pos_emb: Optional[Tensor] = None):
         self.channels = c
         self.spec = spec
-        self.norm1 = Norm.create(params, f"{prefix}.norm1", c)
+        self.norm1 = Norm(params, f"{prefix}.norm1", c)
         self.mixer_params = init_mixer_params(spec, c, params, f"{prefix}.mixer")
         if pos_emb is not None:  # shared by the blocks of a stage, which makes it
             self.mixer_params.pos_emb = pos_emb
         self.ls1 = params.new(f"{prefix}.layerscale1", (c,), layerscale_init)
-        self.norm2 = Norm.create(params, f"{prefix}.norm2", c)
-        self.mlp = ChannelMlp.create(params, f"{prefix}.mlp", c, mlp_ratio)
+        self.norm2 = Norm(params, f"{prefix}.norm2", c)
+        self.mlp = ChannelMlp(params, f"{prefix}.mlp", c, mlp_ratio)
         self.ls2 = params.new(f"{prefix}.layerscale2", (c,), layerscale_init)
         self.droppath_p = droppath_p
 
@@ -227,7 +207,6 @@ class Block:
         return add(x, _drop_path(branch, self.droppath_p, training, rng))
 
 
-@dataclass
 class SegDecoder:
     """SegFormer's all-MLP decoder: each stage projected to ``dim`` channels (P_i, b_i),
     upsampled to the stage-0 grid, concatenated and fused, then GELU, a pointwise classifier
@@ -235,26 +214,16 @@ class SegDecoder:
     + sum_i up((W_i P_i) f_i + W_i b_i)``, W_i the i-th ``dim`` columns of ``fuse.weight``: no
     map of 4 * dim channels is built. Constant feature maps give spatially constant logits."""
 
-    projs: list  # per-stage (weight, bias)
-    fuse_w: Tensor
-    fuse_b: Tensor
-    cls_w: Tensor
-    cls_b: Tensor
-
-    @staticmethod
-    def create(params: Registry, prefix: str, stage_channels, dim: int, num_classes: int) -> "SegDecoder":
-        projs = [
+    def __init__(self, params: Registry, prefix: str, stage_channels, dim: int, num_classes: int):
+        self.projs = [  # per-stage (weight, bias)
             (params.new(f"{prefix}.proj{i}.weight", (dim, c)),
              params.new(f"{prefix}.proj{i}.bias", (dim,), 0.0))
             for i, c in enumerate(stage_channels)
         ]
-        return SegDecoder(
-            projs=projs,
-            fuse_w=params.new(f"{prefix}.fuse.weight", (dim, 4 * dim)),
-            fuse_b=params.new(f"{prefix}.fuse.bias", (dim,), 0.0),
-            cls_w=params.new(f"{prefix}.classifier.weight", (num_classes, dim)),
-            cls_b=params.new(f"{prefix}.classifier.bias", (num_classes,), 0.0),
-        )
+        self.fuse_w = params.new(f"{prefix}.fuse.weight", (dim, 4 * dim))
+        self.fuse_b = params.new(f"{prefix}.fuse.bias", (dim,), 0.0)
+        self.cls_w = params.new(f"{prefix}.classifier.weight", (num_classes, dim))
+        self.cls_b = params.new(f"{prefix}.classifier.bias", (num_classes,), 0.0)
 
     def __call__(self, features: list[Tensor], out_hw: tuple[int, int]) -> Tensor:
         (h0, w0), dim = features[0].shape[2:], self.fuse_b.shape[0]
@@ -283,15 +252,12 @@ class MetaFormer:
         chans = config.stage_channels
         stage_hw = config.stage_hw()
 
-        self.patch_embeds = []
-        cin = 3  # RGB
-        for i, cout in enumerate(chans):
-            k, s, p = PATCH_EMBED_STAGE0 if i == 0 else PATCH_EMBED_LATER
-            self.patch_embeds.append(PatchEmbed.create(params, f"patch_embed{i}", cin, cout, k, s, p))
-            cin = cout
+        self.patch_embeds = [  # stage 0 takes RGB
+            PatchEmbed(params, f"patch_embed{i}", cin, cout, *PATCH_EMBEDS[i])
+            for i, (cin, cout) in enumerate(zip((3,) + chans[:3], chans))
+        ]
 
         total_blocks = sum(config.stage_depths)
-        self.pos_embs: list[Optional[Tensor]] = []
         self.stages: list[list[Block]] = []
         block_index = 0
         for i in range(4):
@@ -299,7 +265,6 @@ class MetaFormer:
             pos = None
             if spec.kind == "global_attn":
                 pos = params.new(f"stage{i}.pos_emb", (chans[i],) + stage_hw[i])
-            self.pos_embs.append(pos)
             blocks = []
             for j in range(config.stage_depths[i]):
                 p = config.stochastic_depth_max * block_index / max(total_blocks - 1, 1)
@@ -308,14 +273,14 @@ class MetaFormer:
                 block_index += 1
             self.stages.append(blocks)
 
-        self.final_norm = Norm.create(params, "final_norm", chans[3])
+        self.final_norm = Norm(params, "final_norm", chans[3])
         if config.head == "classify":
             self.head_w = params.new("head.weight", (config.num_classes, chans[3]))
             self.head_b = params.new("head.bias", (config.num_classes,), 0.0)
             self.decoder = None
         else:
             self.head_w = self.head_b = None
-            self.decoder = SegDecoder.create(params, "decoder", chans, config.decoder_dim, config.num_classes)
+            self.decoder = SegDecoder(params, "decoder", chans, config.decoder_dim, config.num_classes)
         self._params = params.tensors
         if arrays is not None:
             self._check(arrays)
@@ -398,22 +363,3 @@ def mixer_param_delta(config: ModelConfig) -> int:
     return sum(depth * spec.param_count(c)
                for c, depth, spec in zip(config.stage_channels, config.stage_depths, config.signature))
 
-
-def warm_start_model(source: MetaFormer, target: MetaFormer) -> MetaFormer:
-    """Per-stage transfer of attention projections from a global-attention
-    source model into an attention-mixer target model."""
-    for i in range(4):
-        src_spec = source.config.signature[i]
-        dst_spec = target.config.signature[i]
-        if src_spec.kind != "global_attn" or not dst_spec.is_attention:
-            continue
-        if len(source.stages[i]) != len(target.stages[i]):
-            raise ShapeError(f"stage {i}: source and target depth differ")
-        for src_block, dst_block in zip(source.stages[i], target.stages[i]):
-            remapped = warm_start_remap(src_block.mixer_params, dst_block.mixer_params)
-            dst_block.mixer_params = remapped
-        if dst_spec.kind == "global_attn" and source.pos_embs[i] is not None:
-            if target.pos_embs[i].shape != source.pos_embs[i].shape:
-                raise ShapeError(f"stage {i}: positional embedding shapes differ")
-            target.pos_embs[i].data[...] = source.pos_embs[i].data
-    return target

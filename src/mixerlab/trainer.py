@@ -33,6 +33,7 @@ class TrainConfig:
     class_weight_clamp: float = 10.0
     seed: int = 0
     augment_sigma: float = 0.0  # 0 disables affine augmentation
+    max_steps: Optional[int] = None  # None: every step of every epoch
 
     def __post_init__(self):
         if not (self.lr > self.min_lr > 0):
@@ -43,6 +44,8 @@ class TrainConfig:
             raise ConfigError("class weight clamp must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError("max_steps must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,6 @@ def train_classifier(
     cfg: TrainConfig,
     val: Optional[tuple[np.ndarray, np.ndarray]] = None,
     log_path: Optional[str] = None,
-    max_steps: Optional[int] = None,
 ) -> TrainResult:
     """The classification recipe: AdamW, warmup+cosine, smoothed weighted CE.
 
@@ -345,8 +347,8 @@ def train_classifier(
 
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
-    if max_steps is not None:
-        total_steps = min(total_steps, max_steps)
+    if cfg.max_steps is not None:
+        total_steps = min(total_steps, cfg.max_steps)
     warmup_steps = min(cfg.warmup_epochs * steps_per_epoch, max(0, total_steps - 1))
 
     rng = np.random.default_rng(cfg.seed)

@@ -275,8 +275,8 @@ def test_criterion_6_training_sanity():
         images, labels = make_two_class_blobs(64, hw=(32, 32), seed=7)
         for kind in ("identity", "pooling", "conv", "grouped_conv", "local_attn", "global_attn"):
             model = MetaFormer(tiny_config(kind), seed=11)
-            cfg = TrainConfig(epochs=75, batch_size=16, warmup_epochs=5, seed=13)
-            result = train_classifier(model, images, labels, cfg, max_steps=300)
+            cfg = TrainConfig(epochs=75, batch_size=16, warmup_epochs=5, seed=13, max_steps=300)
+            result = train_classifier(model, images, labels, cfg)
             assert len(result.history) <= 300
             assert result.final_train_accuracy >= 0.95, (kind, result.final_train_accuracy)
 

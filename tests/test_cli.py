@@ -297,6 +297,28 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: submission 'odd' on 'seg': ") and err.count("\n") == 1
 
+    def test_repeated_case_id_is_data_error(self, tmp_path, capsys):
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        for sub in ("a", "b"):
+            (scores_dir / f"seg__{sub}.csv").write_text("case_id,dsc\nc0,0.5\nc1,0.7\nc1,0.6\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = scores\nscores_dir = {scores_dir}\ncomparator = wilcoxon\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == "data error: case scores of 'a' on 'seg': case_id 'c1' repeats\n"
+        assert not (out / "rank_table.csv").exists()
+
+    def test_repeated_wins_pair_is_data_error(self, tmp_path, capsys):
+        wins_csv = tmp_path / "wins.csv"
+        wins_csv.write_text("submission,dataset,wins\na,d,1\nb,d,0\na,d,5\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = wins\nwins_csv = {wins_csv}\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {wins_csv}: submission 'a' repeats on dataset 'd'\n"
+        assert not (out / "rank_table.csv").exists()
+
     def test_submission_name_with_a_comma_is_data_error(self, tmp_path, capsys):
         # the name would become one more field of its rank_table.csv row
         scores_dir = tmp_path / "scores"

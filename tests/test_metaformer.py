@@ -20,9 +20,8 @@ from mixerlab.metaformer import (
     format_signature,
     mixer_param_delta,
     parse_signature,
-    warm_start_model,
 )
-from mixerlab.mixers import MixerSpec, mix_local_attn
+from mixerlab.mixers import MixerSpec, mix_local_attn, warm_start_remap
 from mixerlab.tensor import (
     Registry,
     Tape,
@@ -238,7 +237,7 @@ class TestForwardSegment:
         # the decoder is pointwise + bilinear, so per-channel-constant stage
         # features must come out spatially constant
         rng = np.random.default_rng(80)
-        dec = SegDecoder.create(Registry(rng), "decoder", (8, 16, 24, 32), 16, 3)
+        dec = SegDecoder(Registry(rng), "decoder", (8, 16, 24, 32), 16, 3)
         feats = [
             Tensor(np.broadcast_to(rng.standard_normal((1, c, 1, 1)), (1, c, hw, hw)).copy())
             for c, hw in zip((8, 16, 24, 32), (8, 4, 2, 1))
@@ -257,7 +256,7 @@ class TestForwardSegment:
     def test_decoder_flip_equivariance(self):
         # pointwise maps + half-pixel bilinear resampling commute with flips
         rng = np.random.default_rng(9)
-        dec = SegDecoder.create(Registry(rng), "decoder", (8, 16, 24, 32), 16, 3)
+        dec = SegDecoder(Registry(rng), "decoder", (8, 16, 24, 32), 16, 3)
         feats = [Tensor(rng.standard_normal((1, c, hw, hw))) for c, hw in zip((8, 16, 24, 32), (8, 4, 2, 1))]
         flipped = [Tensor(f.data[:, :, :, ::-1].copy()) for f in feats]
         a = dec(feats, (32, 32)).data
@@ -274,7 +273,7 @@ class TestDecoderFold:
     def decoder(self, seed, dim=12):
         rng = np.random.default_rng(seed)
         params = Registry(rng)
-        dec = SegDecoder.create(params, "decoder", self.CHANNELS, dim, 3)
+        dec = SegDecoder(params, "decoder", self.CHANNELS, dim, 3)
         for t in params.tensors.values():  # biases too, which start at zero
             t.data[...] = rng.standard_normal(t.shape) * 0.3
         return dec, params.tensors
@@ -667,21 +666,7 @@ class TestCheckpoint:
 
         reloaded = load_model(path)
         dst = MetaFormer(tiny_config("local_attn", kernel=3), seed=11)
-        warm_start_model(reloaded, dst)
         for i in range(4):
             for sb, db in zip(reloaded.stages[i], dst.stages[i]):
+                warm_start_remap(sb.mixer_params, db.mixer_params)
                 assert db.mixer_params.wq.data.tobytes() == sb.mixer_params.wq.data.tobytes()
-
-    def test_warm_start_width_mismatch(self):
-        src = MetaFormer(tiny_config("global_attn"), seed=12)
-        bad = ModelConfig(
-            stage_channels=(16, 32, 48, 64),
-            stage_depths=(1, 1, 1, 1),
-            signature=tuple(MixerSpec("local_attn", 3) for _ in range(4)),
-            input_hw=(32, 32),
-            head="classify",
-            num_classes=2,
-        )
-        dst = MetaFormer(bad, seed=13)
-        with pytest.raises(ShapeError):
-            warm_start_model(src, dst)

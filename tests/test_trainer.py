@@ -434,9 +434,9 @@ class TestTrainingLoop:
         )
         model = MetaFormer(cfg, seed=1)
         images, labels = make_two_class_blobs(48, seed=2)
-        tc = TrainConfig(epochs=5, batch_size=16, warmup_epochs=1, seed=3)
+        tc = TrainConfig(epochs=5, batch_size=16, warmup_epochs=1, seed=3, max_steps=15)
         log = tmp_path / "train.csv"
-        result = train_classifier(model, images, labels, tc, log_path=str(log), max_steps=15)
+        result = train_classifier(model, images, labels, tc, log_path=str(log))
         first, last = result.history[0]["loss"], result.history[-1]["loss"]
         assert last < first
         lines = log.read_text().strip().split("\n")
@@ -467,6 +467,8 @@ class TestTrainingLoop:
             TrainConfig(label_smoothing=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(class_weight_clamp=0.5)
+        with pytest.raises(ConfigError):
+            TrainConfig(max_steps=0)
 
 
 class TestPrediction:
