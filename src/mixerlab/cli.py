@@ -112,22 +112,12 @@ SCHEMA = {
     "run": (Key("seed", NONNEG, 0),),
 }
 
-# the sections each command reads, in resolved_config.ini order
-_SECTIONS = {
-    "flops": ("model", "flops", "run"),
-    "params": ("params", "run"),
-    "train": ("model", "train", "data", "run"),
-    "eval": ("eval", "data", "run"),
-    "rank": ("rank", "run"),
-    "infer": ("infer", "run"),
-}
-
 Config = dict[str, dict[str, Any]]
 
 
 def load_config(path: str, command: str) -> Config:
     """Typed values of every section ``command`` reads, defaults filled in."""
-    schema = {section: SCHEMA[section] for section in _SECTIONS[command]}
+    schema = {section: SCHEMA[section] for section in _COMMANDS[command][1]}
     return read_ini(_read_text(path, ConfigError), schema)
 
 
@@ -149,12 +139,15 @@ def _read_text(path: str, error: type[MixerlabError] = DataError) -> str:
 
 
 def _csv_rows(path: str, header: str) -> list[list[str]]:
-    """The non-empty rows of a CSV file that starts with ``header``."""
+    """The rows of a CSV file that starts with ``header``: at least one, and no empty field."""
     found, rows = csv_table(_read_text(path), path)
     if found != header.split(","):
         raise DataError(f"{path} must start with {header!r}")
     if not rows:
         raise DataError(f"{path}: no rows")
+    for row in rows:
+        if "" in row:
+            raise DataError(f"{path}: row {','.join(row)!r} has an empty field")
     return rows
 
 
@@ -170,17 +163,16 @@ def _write(out_dir: str, name: str, content: str | bytes):
 # ---------------------------------------------------------------------------
 
 
-def cmd_flops(cfg: Config, out_dir: str) -> int:
+def cmd_flops(cfg: Config, out_dir: str):
     config = ModelConfig(**field_values(MODEL_KEYS, cfg["model"]))
     reports = stage_sweep(config, kernel=cfg["flops"]["kernel"])
     _write(out_dir, "flops.csv", sweep_to_csv(reports))
     series = {kind: [r.flops for r in reports if r.kind == kind] for kind in KINDS}
     svg = grouped_bar_svg("token-mixer FLOPs per stage", [f"stage{i}" for i in range(4)], series)
     _write(out_dir, "flops.svg", svg)
-    return 0
 
 
-def cmd_params(cfg: Config, out_dir: str) -> int:
+def cmd_params(cfg: Config, out_dir: str):
     sec = cfg["params"]
     if sec["signatures"] is None:
         raise ConfigError("[params] needs `signatures`")
@@ -200,7 +192,6 @@ def cmd_params(cfg: Config, out_dir: str) -> int:
         sig_label = format_signature(specs).replace(",", "|")
         rows.append([sig_label] + [counts[k] for k in rows[0][1:]])
     _write(out_dir, "params.csv", csv_text(rows))
-    return 0
 
 
 def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
@@ -220,18 +211,17 @@ def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
         raise DataError(f"{labels_csv}: labels must be integers") from None
     if ((labels < 0) | (labels >= config.num_classes)).any():
         raise DataError(f"{labels_csv}: labels must be in [0, {config.num_classes})")
-    images = []
-    for rel, _ in rows:
-        full = os.path.join(image_dir, rel)
-        if not os.path.isfile(full):
-            raise DataError(f"image not found: {full}")
-        images.append(read_image_as_float(full))
+    paths = [os.path.normpath(rel) for rel, _ in rows]
+    if len(set(paths)) < len(paths):
+        repeated = next(p for i, p in enumerate(paths) if p in paths[:i])
+        raise DataError(f"{labels_csv}: image {repeated!r} repeats")
+    images = [read_image_as_float(os.path.join(image_dir, rel)) for rel, _ in rows]
     if len({im.shape for im in images}) > 1:
         raise DataError(f"{image_dir}: images differ in size")
     return np.stack(images), labels, None
 
 
-def cmd_train(cfg: Config, out_dir: str) -> int:
+def cmd_train(cfg: Config, out_dir: str):
     seed = cfg["run"]["seed"]
     config = ModelConfig(**field_values(MODEL_KEYS, cfg["model"]))
     if config.head != "classify":
@@ -256,10 +246,9 @@ def cmd_train(cfg: Config, out_dir: str) -> int:
     ckpt.save_model(os.path.join(out_dir, "checkpoint.mxlc"), model)
     summary = [("final_train_accuracy", result.final_train_accuracy), ("best_val_f1", result.best_val_f1)]
     _write(out_dir, "train_summary.csv", csv_text(row for row in summary if row[1] is not None))
-    return 0
 
 
-def cmd_eval(cfg: Config, out_dir: str) -> int:
+def cmd_eval(cfg: Config, out_dir: str):
     sec = cfg["eval"]
     if sec["scores_csv"] is not None:
         text = _read_text(sec["scores_csv"])
@@ -269,8 +258,6 @@ def cmd_eval(cfg: Config, out_dir: str) -> int:
     else:
         if sec["checkpoint"] is None:
             raise ConfigError("[eval] needs either scores_csv or checkpoint")
-        if not os.path.isfile(sec["checkpoint"]):
-            raise DataError(f"checkpoint not found: {sec['checkpoint']}")
         model = ckpt.load_model(sec["checkpoint"])
         if model.config.head != "classify":
             raise ConfigError("eval needs a classification checkpoint")
@@ -286,7 +273,6 @@ def cmd_eval(cfg: Config, out_dir: str) -> int:
     else:
         value = f1_macro(cs.scores.argmax(axis=1), cs.labels)
     _write(out_dir, "metrics.csv", csv_text([("metric", "value"), (metric, value)]))
-    return 0
 
 
 def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
@@ -301,7 +287,7 @@ def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
     return per_dataset
 
 
-def cmd_rank(cfg: Config, out_dir: str) -> int:
+def cmd_rank(cfg: Config, out_dir: str):
     sec = cfg["rank"]
     if sec["mode"] == "wins":
         if sec["wins_csv"] is None:
@@ -311,8 +297,6 @@ def cmd_rank(cfg: Config, out_dir: str) -> int:
         scores_dir = sec["scores_dir"]
         if scores_dir is None:
             raise ConfigError("[rank] mode=scores needs scores_dir")
-        if not os.path.isdir(scores_dir):
-            raise DataError(f"scores dir not found: {scores_dir}")
         comparator = sec["comparator"]
         kwargs = {"alpha": sec["alpha"]}
         if comparator == "bootstrap":
@@ -323,7 +307,7 @@ def cmd_rank(cfg: Config, out_dir: str) -> int:
                 continue
             stem = name[:-4]
             ds, sep, sub = stem.partition("__")
-            if not sep:
+            if not (ds and sep and sub):
                 raise DataError(f"scores file {name!r} must be named <dataset>__<submission>.csv")
             text = _read_text(os.path.join(scores_dir, name))
             grouped.setdefault(ds, []).append(read_case_scores_csv(text, sub, ds))
@@ -346,22 +330,19 @@ def cmd_rank(cfg: Config, out_dir: str) -> int:
         "rank_table.csv",
         rank_table_csv(datasets, wins_per_dataset, ranks_per_dataset, global_ranks),
     )
-    return 0
 
 
-def cmd_infer(cfg: Config, out_dir: str) -> int:
+def cmd_infer(cfg: Config, out_dir: str):
     sec = cfg["infer"]
     for key in ("checkpoint", "image"):
         if sec[key] is None:
             raise ConfigError(f"[infer] needs {key}")
-        if not os.path.isfile(sec[key]):
-            raise DataError(f"{key} not found: {sec[key]}")
+    image = read_image_as_float(sec["image"])  # first, so a missing image exits 3 whatever the checkpoint
     model = ckpt.load_model(sec["checkpoint"])
     if model.config.head != "segment":
         raise ConfigError("infer needs a segmentation checkpoint")
     if model.config.num_classes > 256:
         raise ConfigError(f"infer writes an 8-bit mask: at most 256 classes, not {model.config.num_classes}")
-    image = read_image_as_float(sec["image"])
 
     def predict(patch: np.ndarray) -> np.ndarray:
         return model.forward_segment(Tensor(patch[None])).data[0]
@@ -372,16 +353,16 @@ def cmd_infer(cfg: Config, out_dir: str) -> int:
     write_pgm(os.path.join(out_dir, "mask.pgm"), mask)
     if sec["save_logits"]:
         write_raw_f64(os.path.join(out_dir, "logits.f64"), logits)
-    return 0
 
 
+# each command and the sections it reads, in resolved_config.ini order
 _COMMANDS = {
-    "flops": cmd_flops,
-    "params": cmd_params,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "rank": cmd_rank,
-    "infer": cmd_infer,
+    "flops": (cmd_flops, ("model", "flops", "run")),
+    "params": (cmd_params, ("params", "run")),
+    "train": (cmd_train, ("model", "train", "data", "run")),
+    "eval": (cmd_eval, ("eval", "data", "run")),
+    "rank": (cmd_rank, ("rank", "run")),
+    "infer": (cmd_infer, ("infer", "run")),
 }
 
 
@@ -401,9 +382,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             cfg["run"]["seed"] = parse_value(NONNEG, args.seed, "--seed")
-        rc = _COMMANDS[args.command](cfg, args.out)
+        _COMMANDS[args.command][0](cfg, args.out)
         _write(args.out, "resolved_config.ini", resolved_ini(cfg))
-        return rc
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

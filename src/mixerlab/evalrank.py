@@ -96,20 +96,19 @@ def auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(_auc_vector(scores, labels, np.arange(labels.shape[0])[None])[0])
 
 
+def _mean_dice(pred: np.ndarray, true: np.ndarray, classes) -> float:
+    """Mean over ``classes`` of 2·TP / (2·TP + FP + FN), which is a class's
+    F1 and also its Dice; each class must occur in ``pred`` or ``true``."""
+    return float(np.mean([2.0 * ((pred == c) & (true == c)).sum() / ((pred == c).sum() + (true == c).sum())
+                          for c in classes]))
+
+
 def f1_macro(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     pred = np.asarray(pred_labels)
     true = np.asarray(true_labels)
     if pred.size == 0 or pred.shape != true.shape:
         raise DataError("f1_macro needs equal-length non-empty label arrays")
-    classes = np.union1d(np.unique(pred), np.unique(true))
-    f1s = []
-    for cls in classes:
-        tp = int(((pred == cls) & (true == cls)).sum())
-        fp = int(((pred == cls) & (true != cls)).sum())
-        fn = int(((pred != cls) & (true == cls)).sum())
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(f1s))
+    return _mean_dice(pred, true, np.union1d(pred, true))
 
 
 def dice_classes(pred: np.ndarray, true: np.ndarray, k: int) -> np.ndarray:
@@ -132,12 +131,7 @@ def dsc(pred_mask: np.ndarray, true_mask: np.ndarray) -> float:
     classes = np.flatnonzero(dice_classes(pred, true, int(max(pred.max(), true.max())) + 1))
     if not classes.size:
         raise DataError("no class to score (all empty)")
-    vals = []
-    for cls in classes:
-        a = pred == cls
-        b = true == cls
-        vals.append(2.0 * np.logical_and(a, b).sum() / (a.sum() + b.sum()))
-    return float(np.mean(vals))
+    return _mean_dice(pred, true, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,6 @@ def sliding_window_infer(
     patch_hw: tuple[int, int],
     overlap: float = 0.25,
     sigma: Optional[float] = None,
-    uniform_weights: bool = False,
 ) -> np.ndarray:
     """Tile the image with ``overlap``, weight per-patch logits with the
     Gaussian importance map, and blend by the accumulated weight.
@@ -455,9 +448,7 @@ def sliding_window_infer(
 
     stride_h = max(1, int(round(ph * (1.0 - overlap))))
     stride_w = max(1, int(round(pw * (1.0 - overlap))))
-    weight = (
-        np.ones((ph, pw)) if uniform_weights else gaussian_importance(patch_hw, sigma)
-    )
+    weight = gaussian_importance(patch_hw, sigma)
     num = None
     den = np.zeros((h, w))
     for top in _axis_starts(h, ph, stride_h):
@@ -518,7 +509,8 @@ def csv_table(text: str, source: str) -> tuple[list[str], list[list[str]]]:
 
 def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores:
     """Parse ``case_id,dsc`` or ``case_id,label,score_0,...`` rows; a
-    malformed row, a repeated case_id or a non-finite value is a DataError."""
+    malformed row, an empty or repeated case_id or a non-finite value is a
+    DataError."""
     source = f"case scores of {submission!r} on {dataset!r}"
     header, rows = csv_table(text, source)
     if header != ["case_id", "dsc"] and (
@@ -526,6 +518,8 @@ def read_case_scores_csv(text: str, submission: str, dataset: str) -> CaseScores
     ):
         raise DataError(f"{source}: unrecognized header {header}")
     ids = [row[0] for row in rows]
+    if "" in ids:
+        raise DataError(f"{source}: empty case_id")
     if len(set(ids)) < len(ids):
         repeated = next(cid for i, cid in enumerate(ids) if cid in ids[:i])
         raise DataError(f"{source}: case_id {repeated!r} repeats")

@@ -357,9 +357,3 @@ def count_params(model: MetaFormer) -> dict[str, int]:
     buckets["total"] = sum(buckets.values())
     return buckets
 
-
-def mixer_param_delta(config: ModelConfig) -> int:
-    """Closed-form mixer parameters summed over every block placement."""
-    return sum(depth * spec.param_count(c)
-               for c, depth, spec in zip(config.stage_channels, config.stage_depths, config.signature))
-

@@ -85,10 +85,6 @@ class MixerSpec:
     def is_attention(self) -> bool:
         return MIXER_KINDS[self.kind].is_attention
 
-    def param_count(self, channels: int) -> int:
-        """Trainable parameters the mixer itself adds (positional embedding excluded)."""
-        return MIXER_KINDS[self.kind].params(channels, self.kernel)
-
 
 def head_count(channels: int) -> int:
     """Head count M = C // HEADS_DIVISOR, floored at one head.

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes, round trips."""
 
+import errno
 import json
 import os
 import struct
@@ -105,6 +106,22 @@ class TestParamsCommand:
         assert run_cli("params", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
 
+def image_dir_config(tmp_path, rows):
+    """A train config on `kind = image_dir`: 32x32 images c0.ppm and c1.ppm,
+    and a labels CSV with ``rows`` (``path,label`` lines)."""
+    rng = np.random.default_rng(6)
+    for name in ("c0.ppm", "c1.ppm"):
+        write_ppm(str(tmp_path / name), (rng.random((3, 32, 32)) * 255).astype(np.uint8))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("path,label\n" + "".join(f"{row}\n" for row in rows))
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(
+        TINY_MODEL + f"[train]\nepochs = 1\nbatch_size = 2\n"
+        f"[data]\nkind = image_dir\nimage_dir = {tmp_path}\nlabels_csv = {labels}\n"
+    )
+    return cfg, labels
+
+
 class TestTrainEvalCommands:
     def train_cfg(self, tmp_path, seed=5):
         cfg = tmp_path / "train.ini"
@@ -173,6 +190,37 @@ n = 24
         out = tmp_path / "out"
         assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == "config error: eval needs a classification checkpoint\n"
+        assert not out.exists()
+
+    def test_image_dir_dataset_trains(self, tmp_path):
+        cfg, _ = image_dir_config(tmp_path, ["c0.ppm,0", "./c1.ppm,1"])
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "checkpoint.mxlc").exists()
+
+    @pytest.mark.parametrize("second", ["c0.ppm,1", "./c0.ppm,1", "c0.ppm,0"])
+    def test_labels_csv_listing_an_image_twice_is_data_error(self, tmp_path, capsys, second):
+        cfg, labels = image_dir_config(tmp_path, ["c0.ppm,0", "c1.ppm,1", second])
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {labels}: image 'c0.ppm' repeats\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", [",0", "c1.ppm,"])
+    def test_labels_csv_with_an_empty_field_is_data_error(self, tmp_path, capsys, row):
+        cfg, labels = image_dir_config(tmp_path, ["c0.ppm,0", row])
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {labels}: row {row!r} has an empty field\n"
+        assert not out.exists()
+
+    def test_empty_case_id_is_data_error(self, tmp_path, capsys):
+        scores_csv = tmp_path / "scores.csv"
+        scores_csv.write_text("case_id,label,score_0,score_1\nc0,0,0.9,0.1\n,1,0.2,0.8\n")
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\nmetric = f1\nscores_csv = {scores_csv}\n")
+        out = tmp_path / "o"
+        assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == "data error: case scores of 'model' on 'dataset': empty case_id\n"
         assert not out.exists()
 
     def test_eval_perfect_oracle_scores(self, tmp_path):
@@ -319,6 +367,30 @@ class TestRankCommand:
         assert capsys.readouterr().err == f"data error: {wins_csv}: submission 'a' repeats on dataset 'd'\n"
         assert not (out / "rank_table.csv").exists()
 
+    def test_empty_submission_in_wins_csv_is_data_error(self, tmp_path, capsys):
+        wins_csv = tmp_path / "wins.csv"
+        wins_csv.write_text("submission,dataset,wins\na,ds,2\n,ds,1\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = wins\nwins_csv = {wins_csv}\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {wins_csv}: row ',ds,1' has an empty field\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["ds__.csv", "__a.csv", "ds.csv"])
+    def test_scores_file_without_both_names_is_data_error(self, tmp_path, capsys, name):
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        for file_name in ("ds__b.csv", name):
+            (scores_dir / file_name).write_text("case_id,dsc\nc0,0.5\nc1,0.7\nc2,0.6\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nmode = scores\nscores_dir = {scores_dir}\ncomparator = wilcoxon\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        want = f"data error: scores file {name!r} must be named <dataset>__<submission>.csv\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     def test_submission_name_with_a_comma_is_data_error(self, tmp_path, capsys):
         # the name would become one more field of its rank_table.csv row
         scores_dir = tmp_path / "scores"
@@ -458,6 +530,65 @@ class TestInferCommand:
         assert run_cli("infer", "--config", str(cfg), "--out", str(out)) == 0
         direct = model.forward_segment(Tensor(img[None].astype(np.float64) / 255.0)).data[0]
         np.testing.assert_array_equal(read_pgm(str(out / "mask.pgm")), direct.argmax(axis=0))
+
+
+class TestMissingInputFiles:
+    """An input path that names nothing, or the wrong kind of file, exits 3
+    with one line naming the path and the system's reason, and writes no
+    output."""
+
+    def expect_data_error(self, tmp_path, capsys, command, config, path, code):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {path}: {os.strerror(code)}\n"
+        assert not out.exists()
+
+    def test_eval_missing_checkpoint(self, tmp_path, capsys):
+        nope = tmp_path / "nope.mxlc"
+        config = f"[eval]\ncheckpoint = {nope}\n[data]\nkind = synthetic\nn = 8\n"
+        self.expect_data_error(tmp_path, capsys, "eval", config, nope, errno.ENOENT)
+
+    @pytest.mark.parametrize("missing", ["checkpoint", "image", "both"])
+    def test_infer_missing_checkpoint_or_image(self, tmp_path, capsys, missing):
+        _, ckpt_path = seg_checkpoint(tmp_path)
+        _, img_path = TestInferCommand().write_image(tmp_path, (32, 32))
+        if missing in ("checkpoint", "both"):
+            ckpt_path = tmp_path / "nope.mxlc"
+        if missing in ("image", "both"):
+            img_path = tmp_path / "nope.ppm"
+        config = f"[infer]\ncheckpoint = {ckpt_path}\nimage = {img_path}\n"
+        named = ckpt_path if missing == "checkpoint" else img_path
+        self.expect_data_error(tmp_path, capsys, "infer", config, named, errno.ENOENT)
+
+    def test_infer_missing_image_with_a_classification_checkpoint(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "classify.mxlc"
+        save_model(str(ckpt_path), MetaFormer(ModelConfig.from_ini(TINY_MODEL), seed=1))
+        nope = tmp_path / "nope.ppm"
+        config = f"[infer]\ncheckpoint = {ckpt_path}\nimage = {nope}\n"
+        self.expect_data_error(tmp_path, capsys, "infer", config, nope, errno.ENOENT)
+
+    def test_infer_directory_as_checkpoint(self, tmp_path, capsys):
+        _, img_path = TestInferCommand().write_image(tmp_path, (32, 32))
+        config = f"[infer]\ncheckpoint = {tmp_path}\nimage = {img_path}\n"
+        self.expect_data_error(tmp_path, capsys, "infer", config, tmp_path, errno.EISDIR)
+
+    def test_train_missing_image(self, tmp_path, capsys):
+        cfg, _ = image_dir_config(tmp_path, ["c0.ppm,0", "c2.ppm,1"])
+        config = cfg.read_text()
+        self.expect_data_error(tmp_path, capsys, "train", config, tmp_path / "c2.ppm", errno.ENOENT)
+
+    def test_rank_missing_scores_dir(self, tmp_path, capsys):
+        nope = tmp_path / "nope"
+        config = f"[rank]\nmode = scores\nscores_dir = {nope}\n"
+        self.expect_data_error(tmp_path, capsys, "rank", config, nope, errno.ENOENT)
+
+    def test_rank_file_as_scores_dir(self, tmp_path, capsys):
+        afile = tmp_path / "afile.csv"
+        afile.write_text("case_id,dsc\nc0,0.5\n")
+        config = f"[rank]\nmode = scores\nscores_dir = {afile}\n"
+        self.expect_data_error(tmp_path, capsys, "rank", config, afile, errno.ENOTDIR)
 
 
 class TestImageWriters:

@@ -8,6 +8,7 @@ import pytest
 
 from mixerlab.errors import CapacityError, ConfigError, ShapeError
 from mixerlab.mixers import (
+    MIXER_KINDS,
     AttentionParams,
     MixerSpec,
     apply_mixer,
@@ -94,7 +95,7 @@ class TestMixerSpec:
         ],
     )
     def test_param_counts_match_table_terms(self, kind, kernel, c, want):
-        assert MixerSpec(kind, kernel=kernel).param_count(c) == want
+        assert MIXER_KINDS[kind].params(c, kernel) == want
 
 
 class TestIdentity:
@@ -105,7 +106,7 @@ class TestIdentity:
         assert y is x
 
     def test_zero_parameters(self):
-        assert MixerSpec("identity").param_count(64) == 0
+        assert MIXER_KINDS["identity"].params(64, 3) == 0
 
 
 class TestPooling:
@@ -115,7 +116,7 @@ class TestPooling:
         np.testing.assert_allclose(y.data[:, :, 1:-1, 1:-1], 4.2, atol=1e-12)
 
     def test_zero_parameters(self):
-        assert MixerSpec("pooling", kernel=5).param_count(64) == 0
+        assert MIXER_KINDS["pooling"].params(64, 5) == 0
 
     def test_matches_frozen_uniform_grouped_conv(self):
         rng = np.random.default_rng(1)
@@ -283,7 +284,7 @@ class TestGlobalAttention:
 
     def test_param_count_with_positional_embedding(self):
         c, n = 64, 49
-        assert MixerSpec("global_attn").param_count(c) == 4 * c * c
+        assert MIXER_KINDS["global_attn"].params(c, 3) == 4 * c * c
         params = make_attn_params(c, hw=(7, 7), seed=12, with_pos=True)
         total = sum(t.size for t in (params.wk, params.wv, params.wq, params.wu, params.pos_emb))
         assert total == 4 * c * c + n * c
