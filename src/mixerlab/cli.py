@@ -195,7 +195,11 @@ def cmd_params(cfg: Config, out_dir: str):
 
 
 def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
-    if data["kind"] == "synthetic":
+    kind, others = data["kind"], {"synthetic": ("image_dir", "labels_csv"), "image_dir": ("n", "val_n")}
+    for key in SCHEMA["data"]:
+        if key.name in others[kind] and data[key.name] != key.default:
+            raise ConfigError(f"[data] {key.name} is not read with kind = {kind}")
+    if kind == "synthetic":
         images, labels = make_two_class_blobs(data["n"], hw=config.input_hw, seed=seed)
         val = None
         if data["val_n"] > 0:

@@ -1,11 +1,11 @@
 """Static cost accounting for the six mixers, plus an executed MAC count.
 
-The published FLOPs and parameter expressions are evaluated verbatim from
-the rows of ``mixers.MIXER_KINDS``: a block's FLOPs are the kind's mixer
-term plus NC^2, its parameters the mixer's own plus C^2, one
-multiply-accumulate counting as the written factor 2. The NC^2
-channel-MLP share undercounts a ratio-4 MLP; we reproduce the published
-accounting rather than re-deriving it.
+The published FLOPs expressions are evaluated verbatim from the rows of
+``mixers.MIXER_KINDS``, and a mixer's parameter term is the size of its
+row's weights: a block's FLOPs are the kind's mixer term plus NC^2, its
+parameters the mixer's own plus C^2, one multiply-accumulate counting as the
+written factor 2. The NC^2 channel-MLP share undercounts a ratio-4 MLP; we
+reproduce the published accounting rather than re-deriving it.
 
 ``empirical_mac_count`` checks the kernel-mixer terms against the
 multiply-accumulates that the library's own ``conv2d`` and ``avg_pool2d``

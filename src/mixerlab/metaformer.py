@@ -190,7 +190,7 @@ class Block:
         self.norm1 = Norm(params, f"{prefix}.norm1", c)
         self.mixer_params = init_mixer_params(spec, c, params, f"{prefix}.mixer")
         if pos_emb is not None:  # shared by the blocks of a stage, which makes it
-            self.mixer_params.pos_emb = pos_emb
+            self.mixer_params["pos_emb"] = pos_emb
         self.ls1 = params.new(f"{prefix}.layerscale1", (c,), layerscale_init)
         self.norm2 = Norm(params, f"{prefix}.norm2", c)
         self.mlp = ChannelMlp(params, f"{prefix}.mlp", c, mlp_ratio)
@@ -244,7 +244,7 @@ class MetaFormer:
     """The four-stage model. Its parameters draw from ``seed`` in creation
     order, or, given ``arrays`` (name -> array, as a checkpoint holds them),
     take their values from those arrays and draw nothing (see ``Registry``);
-    arrays that do not match ``config`` by name and shape raise ShapeError."""
+    an array that is missing, of the wrong shape or unused raises ShapeError."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, arrays: Optional[dict] = None):
         self.config = config
@@ -282,8 +282,9 @@ class MetaFormer:
             self.head_w = self.head_b = None
             self.decoder = SegDecoder(params, "decoder", chans, config.decoder_dim, config.num_classes)
         self._params = params.tensors
-        if arrays is not None:
-            self._check(arrays)
+        extra = sorted(set(arrays or ()) - set(self._params))
+        if extra:
+            raise ShapeError(f"arrays the model does not use: {extra[:4]}")
 
     # -- forward ----------------------------------------------------------
 
@@ -327,16 +328,6 @@ class MetaFormer:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
-
-    def _check(self, state: dict[str, np.ndarray]):
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ShapeError(f"state mismatch: missing={sorted(missing)[:4]} extra={sorted(extra)[:4]}")
-        for name, t in self._params.items():
-            shape = np.shape(state[name])
-            if shape != t.shape:
-                raise ShapeError(f"parameter {name}: checkpoint shape {shape} != model shape {t.shape}")
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}

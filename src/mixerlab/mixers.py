@@ -3,12 +3,14 @@
 Every mixer maps (B, C, H, W) -> (B, C, H, W) without touching resolution
 or channel count; everything else in a block (norms, channel MLP,
 residuals) stays fixed. Kernel-based mixers run stride 1 with padding
-(K-1)/2 and no bias. ``MIXER_KINDS`` holds what the paper publishes per
-kind: kernel use, attention or not, parameter count and FLOPs term.
+(K-1)/2 and no bias. ``MIXER_KINDS`` holds every fact about a kind:
+kernel use, attention or not, its weights (name -> shape), whose total
+size is its parameter count, and the published FLOPs term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,26 +35,40 @@ from .tensor import (
 @dataclass(frozen=True)
 class MixerKind:
     """One row of the paper's cost table: whether the mixer takes a kernel
-    K, whether it is attention, its own trainable parameters as a function
-    of (C, K), and its FLOPs mixer term (the published FLOPs expression
-    without the NC^2 channel-MLP share) as a function of (C, N, K). The
-    formulas accept any K; only MixerSpec validates it."""
+    K, whether it is attention, its trainable weights as a function of
+    (C, K) (name -> shape, in creation order), and its FLOPs mixer term (the
+    published FLOPs expression without the NC^2 channel-MLP share) as a
+    function of (C, N, K). The functions accept any K; only MixerSpec
+    validates it."""
 
     uses_kernel: bool
     is_attention: bool
-    params: Callable[[int, Optional[int]], int]
+    weights: Callable[[int, Optional[int]], dict[str, tuple[int, ...]]]
     flops: Callable[[int, int, Optional[int]], int]
+
+    def params(self, c: int, k: Optional[int]) -> int:
+        """Trainable parameter count: the total size of the weights."""
+        return sum(math.prod(shape) for shape in self.weights(c, k).values())
+
+
+PROJECTIONS = ("wk", "wv", "wq", "wu")  # attention's key, value, query and head-merging maps
+
+
+def _projections(c: int, k: Optional[int]) -> dict[str, tuple[int, ...]]:
+    return dict.fromkeys(PROJECTIONS, (c, c))
 
 
 # every fact about a mixer kind, in the paper's cost order
 MIXER_KINDS = {
-    "identity": MixerKind(False, False, lambda c, k: 0, lambda c, n, k: 0),
-    "pooling": MixerKind(True, False, lambda c, k: 0, lambda c, n, k: n * k * k * c),
-    "grouped_conv": MixerKind(True, False, lambda c, k: k * k * c, lambda c, n, k: n * 2 * k * k * c),
-    "local_attn": MixerKind(True, True, lambda c, k: 4 * c * c,
+    "identity": MixerKind(False, False, lambda c, k: {}, lambda c, n, k: 0),
+    "pooling": MixerKind(True, False, lambda c, k: {}, lambda c, n, k: n * k * k * c),
+    "grouped_conv": MixerKind(True, False, lambda c, k: {"kernel": (c, 1, k, k)},
+                              lambda c, n, k: n * 2 * k * k * c),
+    "local_attn": MixerKind(True, True, _projections,
                             lambda c, n, k: 4 * n * c * c + n * k * k * c + n + 2 * n * k * k),
-    "conv": MixerKind(True, False, lambda c, k: k * k * c * c, lambda c, n, k: n * 2 * k * k * c * c),
-    "global_attn": MixerKind(False, True, lambda c, k: 4 * c * c,
+    "conv": MixerKind(True, False, lambda c, k: {"kernel": (c, c, k, k)},
+                      lambda c, n, k: n * 2 * k * k * c * c),
+    "global_attn": MixerKind(False, True, _projections,
                              lambda c, n, k: 4 * n * c * c + n * n * c + n + 2 * n * n),
 }
 
@@ -139,36 +155,12 @@ def build_neighborhood_mask(height: int, width: int, kernel: int) -> Neighborhoo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConvMixerParams:
-    kernel: Tensor  # (Cout, Cin/groups, K, K), bias-free
-
-
-@dataclass
-class AttentionParams:
-    """Projections for the key/value/query roles plus the head-merging map."""
-
-    wk: Tensor
-    wv: Tensor
-    wq: Tensor
-    wu: Tensor
-    pos_emb: Optional[Tensor] = None  # (C, H, W), global attention only
-
-
 def init_mixer_params(spec: MixerSpec, channels: int, registry: Registry, prefix: str = "mixer"):
-    """Trainable parameters for one mixer placement, made in ``registry``
-    under ``prefix`` (None if the mixer has none). Global attention's
-    positional embedding is shared by the blocks of a stage, so the stage
-    makes it."""
-    c, k = channels, spec.kernel
-    if spec.kind == "conv":
-        return ConvMixerParams(registry.new(f"{prefix}.kernel", (c, c, k, k)))
-    if spec.kind == "grouped_conv":
-        return ConvMixerParams(registry.new(f"{prefix}.kernel", (c, 1, k, k)))
-    if spec.is_attention:
-        head_count(c)  # validate head split early
-        return AttentionParams(*(registry.new(f"{prefix}.{w}", (c, c)) for w in ("wk", "wv", "wq", "wu")))
-    return None
+    """The kind's weights for one mixer placement, made in ``registry`` under
+    ``prefix`` and keyed by short name. Global attention's positional
+    embedding is shared by the blocks of a stage, so the stage makes it."""
+    shapes = MIXER_KINDS[spec.kind].weights(channels, spec.kernel)
+    return {name: registry.new(f"{prefix}.{name}", shape) for name, shape in shapes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +176,13 @@ def mix_pool(x: Tensor, kernel: int) -> Tensor:
     return avg_pool2d(x, kernel, stride=1, padding=(kernel - 1) // 2)
 
 
-def mix_conv(x: Tensor, params: ConvMixerParams, kernel: int) -> Tensor:
-    return conv2d(x, params.kernel, stride=1, padding=(kernel - 1) // 2)
+def mix_conv(x: Tensor, params: dict[str, Tensor], kernel: int) -> Tensor:
+    return conv2d(x, params["kernel"], stride=1, padding=(kernel - 1) // 2)
 
 
-def mix_grouped_conv(x: Tensor, params: ConvMixerParams, kernel: int) -> Tensor:
+def mix_grouped_conv(x: Tensor, params: dict[str, Tensor], kernel: int) -> Tensor:
     c = x.shape[1]
-    return conv2d(x, params.kernel, stride=1, padding=(kernel - 1) // 2, groups=c)
+    return conv2d(x, params["kernel"], stride=1, padding=(kernel - 1) // 2, groups=c)
 
 
 def _budgeted_heads(x: Tensor) -> int:
@@ -205,15 +197,16 @@ def _budgeted_heads(x: Tensor) -> int:
     return m
 
 
-def _attention(x: Tensor, params: AttentionParams, heads: int, additive_mask: Optional[np.ndarray]) -> Tensor:
+def _attention(x: Tensor, params: dict[str, Tensor], heads: int,
+               additive_mask: Optional[np.ndarray]) -> Tensor:
     b, c, h, w = x.shape
     n = h * w
     m = heads
     d = c // m
     tokens = reshape(transpose(x, (0, 2, 3, 1)), (b, n, c))
-    q = linear(tokens, params.wq)
-    k = linear(tokens, params.wk)
-    v = linear(tokens, params.wv)
+    q = linear(tokens, params["wq"])
+    k = linear(tokens, params["wk"])
+    v = linear(tokens, params["wv"])
 
     def split_heads(t):
         return transpose(reshape(t, (b, n, m, d)), (0, 2, 1, 3))
@@ -226,27 +219,26 @@ def _attention(x: Tensor, params: AttentionParams, heads: int, additive_mask: Op
     attn = softmax(scores, axis=-1, additive_mask=additive_mask)
     ctx = matmul(attn, v)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, c))
-    out_tokens = linear(merged, params.wu)
+    out_tokens = linear(merged, params["wu"])
     return transpose(reshape(out_tokens, (b, h, w, c)), (0, 3, 1, 2))
 
 
-def mix_global_attn(x: Tensor, params: AttentionParams) -> Tensor:
+def mix_global_attn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Multi-head scaled dot-product over all N = H*W positions.
 
-    The learned positional embedding (C, H, W) is added to x before the
-    key/value/query projections.
+    The learned positional embedding (C, H, W), ``params["pos_emb"]`` if
+    present, is added to x before the key/value/query projections.
     """
     b, c, h, w = x.shape
-    if params.pos_emb is not None:
-        if params.pos_emb.shape != (c, h, w):
-            raise ShapeError(
-                f"positional embedding shape {params.pos_emb.shape} does not match input {(c, h, w)}"
-            )
-        x = add(x, reshape(params.pos_emb, (1, c, h, w)))
+    pos_emb = params.get("pos_emb")
+    if pos_emb is not None:
+        if pos_emb.shape != (c, h, w):
+            raise ShapeError(f"positional embedding shape {pos_emb.shape} does not match input {(c, h, w)}")
+        x = add(x, reshape(pos_emb, (1, c, h, w)))
     return _attention(x, params, _budgeted_heads(x), None)
 
 
-def mix_local_attn(x: Tensor, params: AttentionParams, kernel: int) -> Tensor:
+def mix_local_attn(x: Tensor, params: dict[str, Tensor], kernel: int) -> Tensor:
     """Attention restricted to the K x K neighborhood via an additive -inf
     mask, built for x's grid once the score budget admits it.
 
@@ -275,19 +267,17 @@ def apply_mixer(spec: MixerSpec, params, x: Tensor) -> Tensor:
     raise ConfigError(f"unknown mixer kind {spec.kind!r}")
 
 
-def warm_start_remap(source: AttentionParams, target: AttentionParams) -> AttentionParams:
+def warm_start_remap(source: dict[str, Tensor], target: dict[str, Tensor]) -> dict[str, Tensor]:
     """Copy the pretrained attention weight matrices from global to local attention.
 
     The four projections transfer verbatim; the local target has no
     positional-embedding slot to fill. Stage widths must match.
     """
-    for name in ("wk", "wv", "wq", "wu"):
-        src: Tensor = getattr(source, name)
-        dst: Tensor = getattr(target, name)
-        if src.shape != dst.shape:
+    for name in PROJECTIONS:
+        if source[name].shape != target[name].shape:
             raise ShapeError(
-                f"warm start {name}: source shape {src.shape} != target shape {dst.shape}"
+                f"warm start {name}: source shape {source[name].shape} != target shape {target[name].shape}"
             )
-    for name in ("wk", "wv", "wq", "wu"):
-        getattr(target, name).data[...] = getattr(source, name).data
+    for name in PROJECTIONS:
+        target[name].data[...] = source[name].data
     return target

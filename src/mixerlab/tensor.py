@@ -194,7 +194,7 @@ class Registry:
     draw N(0, 0.02^2) when ``fill`` is None, else the constant ``fill``. A
     registry over ``arrays`` (name -> array, as a checkpoint holds them)
     takes each value from there instead and draws nothing; a missing or
-    wrong-shaped array leaves zeros, for the caller's check to report. A
+    wrong-shaped array raises ShapeError naming the parameter. A
     float64, C-contiguous, writable array that owns its data becomes the
     tensor's storage as it is, so loaded weights are not held twice.
     """
@@ -209,7 +209,8 @@ class Registry:
         if self.arrays is not None:
             data = self.arrays.get(name)
             if data is None or data.shape != shape:
-                data = np.zeros(shape)
+                got = "has none" if data is None else f"shape {data.shape}"
+                raise ShapeError(f"parameter {name}: model shape {shape}, checkpoint {got}")
         elif fill is None:
             data = self.rng.standard_normal(shape) * 0.02
         else:

@@ -30,7 +30,6 @@ from mixerlab.evalrank import (
 )
 from mixerlab.metaformer import Block, MetaFormer, ModelConfig, count_params
 from mixerlab.mixers import (
-    AttentionParams,
     MixerSpec,
     mix_global_attn,
     mix_local_attn,
@@ -192,7 +191,7 @@ def test_criterion_4_attention_degeneracy():
             rng = np.random.default_rng(1000 + seed)
             h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             mk = lambda: Tensor(rng.standard_normal((c, c)) * 0.5, requires_grad=True)
-            source = AttentionParams(
+            source = dict(
                 wk=mk(), wv=mk(), wq=mk(), wu=mk(),
                 pos_emb=Tensor(np.zeros((c, h, w)), requires_grad=True),
             )
@@ -202,7 +201,7 @@ def test_criterion_4_attention_degeneracy():
             local_direct = mix_local_attn(x, source, kernel).data
             assert np.abs(local_direct - global_out).max() < 1e-10
             # warm start into fresh local parameters preserves the equality
-            target = AttentionParams(wk=mk(), wv=mk(), wq=mk(), wu=mk())
+            target = dict(wk=mk(), wv=mk(), wq=mk(), wu=mk())
             warm_start_remap(source, target)
             local_warm = mix_local_attn(x, target, kernel).data
             assert np.abs(local_warm - global_out).max() < 1e-10

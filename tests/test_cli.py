@@ -197,6 +197,30 @@ n = 24
         assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
         assert (tmp_path / "o" / "checkpoint.mxlc").exists()
 
+    @pytest.mark.parametrize("line", ["n = 999", "val_n = 2"])
+    def test_synthetic_data_key_with_image_dir_is_config_error(self, tmp_path, capsys, line):
+        cfg, _ = image_dir_config(tmp_path, ["c0.ppm,0", "c1.ppm,1"])
+        cfg.write_text(cfg.read_text() + line + "\n")
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"config error: [data] {key} is not read with kind = image_dir\n"
+        assert not (out / "resolved_config.ini").exists()
+
+    @pytest.mark.parametrize("key", ["image_dir", "labels_csv"])
+    def test_image_dir_data_key_with_synthetic_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(TINY_MODEL + f"[train]\nepochs = 1\n[data]\nn = 4\n{key} = {tmp_path}\n")
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: [data] {key} is not read with kind = synthetic\n"
+        assert not (out / "resolved_config.ini").exists()
+
+    def test_data_keys_at_their_defaults_are_accepted_with_image_dir(self, tmp_path):
+        cfg, _ = image_dir_config(tmp_path, ["c0.ppm,0", "c1.ppm,1"])
+        cfg.write_text(cfg.read_text() + "n = 128\nval_n = 0\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
     @pytest.mark.parametrize("second", ["c0.ppm,1", "./c0.ppm,1", "c0.ppm,0"])
     def test_labels_csv_listing_an_image_twice_is_data_error(self, tmp_path, capsys, second):
         cfg, labels = image_dir_config(tmp_path, ["c0.ppm,0", "c1.ppm,1", second])

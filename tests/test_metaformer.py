@@ -20,7 +20,7 @@ from mixerlab.metaformer import (
     format_signature,
     parse_signature,
 )
-from mixerlab.mixers import MixerSpec, mix_local_attn, warm_start_remap
+from mixerlab.mixers import MIXER_KINDS, MixerSpec, mix_local_attn, warm_start_remap
 from mixerlab.tensor import (
     Registry,
     Tape,
@@ -167,6 +167,16 @@ class TestBlock:
         tape.backward(loss)
         for n, e in zip(names, want):
             assert rel_err(params[n].grad, e) < 1e-4, n
+
+    @pytest.mark.parametrize("kind", list(MIXER_KINDS))
+    @pytest.mark.parametrize("c,k", [(16, 3), (32, 5)])
+    def test_block_registers_exactly_its_kinds_weights(self, kind, c, k):
+        registry = Registry(np.random.default_rng(0))
+        block = Block(registry, "stage1.block0", c, MixerSpec(kind, k), 4, 0.5, 0.0)
+        prefix = "stage1.block0.mixer."
+        built = [(n[len(prefix):], t.shape) for n, t in registry.tensors.items() if n.startswith(prefix)]
+        assert built == list(MIXER_KINDS[kind].weights(c, k).items())
+        assert [(n, t.shape) for n, t in block.mixer_params.items()] == built
 
     def test_droppath_requires_rng(self):
         rng = np.random.default_rng(4)
@@ -445,7 +455,7 @@ class TestSpatialInvariants:
         assert np.abs(a - b).max() < 1e-10
 
     def test_mixer_flip_equivariance_symmetric_kernels(self):
-        from mixerlab.mixers import ConvMixerParams, mix_conv, mix_grouped_conv, mix_pool
+        from mixerlab.mixers import mix_conv, mix_grouped_conv, mix_pool
 
         rng = np.random.default_rng(12)
         x = rng.standard_normal((1, 4, 8, 8))
@@ -455,13 +465,13 @@ class TestSpatialInvariants:
         assert np.abs(flip(y) - y2).max() < 1e-12
         w = rng.standard_normal((4, 4, 3, 3))
         w = 0.5 * (w + w[:, :, :, ::-1])  # symmetrize left-right
-        y = mix_conv(Tensor(x), ConvMixerParams(Tensor(w)), 3).data
-        y2 = mix_conv(Tensor(flip(x).copy()), ConvMixerParams(Tensor(w)), 3).data
+        y = mix_conv(Tensor(x), {"kernel": Tensor(w)}, 3).data
+        y2 = mix_conv(Tensor(flip(x).copy()), {"kernel": Tensor(w)}, 3).data
         assert np.abs(flip(y) - y2).max() < 1e-12
         wg = rng.standard_normal((4, 1, 3, 3))
         wg = 0.5 * (wg + wg[:, :, :, ::-1])
-        y = mix_grouped_conv(Tensor(x), ConvMixerParams(Tensor(wg)), 3).data
-        y2 = mix_grouped_conv(Tensor(flip(x).copy()), ConvMixerParams(Tensor(wg)), 3).data
+        y = mix_grouped_conv(Tensor(x), {"kernel": Tensor(wg)}, 3).data
+        y2 = mix_grouped_conv(Tensor(flip(x).copy()), {"kernel": Tensor(wg)}, 3).data
         assert np.abs(flip(y) - y2).max() < 1e-12
 
     def test_seed_determinism(self):
@@ -633,9 +643,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "mismatch,message",
         [
-            ("missing", "state mismatch: missing=['stage1.block0.mlp.fc2.bias'] extra=[]"),
-            ("extra", "state mismatch: missing=[] extra=['stage1.block0.mlp.fc3.bias']"),
-            ("wrong_shape", "parameter stage1.block0.mlp.fc2.bias: checkpoint shape (3,) != model shape (16,)"),
+            ("missing", "parameter stage1.block0.mlp.fc2.bias: model shape (16,), checkpoint has none"),
+            ("extra", "arrays the model does not use: ['stage1.block0.mlp.fc3.bias']"),
+            ("wrong_shape", "parameter stage1.block0.mlp.fc2.bias: model shape (16,), checkpoint shape (3,)"),
         ],
     )
     def test_arrays_that_do_not_match_the_config(self, tmp_path, mismatch, message):
@@ -653,6 +663,26 @@ class TestCheckpoint:
         with pytest.raises(ShapeError) as info:
             load_model(path)
         assert str(info.value) == message
+        if mismatch == "extra":
+            return
+        # every parameter, the mixers' weights and a positional embedding
+        # included, is checked as the model adopts its array
+        signature = parse_signature("conv:3,grouped_conv:3,local_attn:3,global_attn")
+        config = ModelConfig(signature=signature, **TINY)
+        model = MetaFormer(config, seed=9)
+        mixer_names = {"stage0.block0.mixer.kernel", "stage2.block0.mixer.wu", "stage3.pos_emb"}
+        assert mixer_names <= set(model.named_parameters())
+        for name, t in model.named_parameters().items():
+            arrays = model.state()
+            if mismatch == "missing":
+                del arrays[name]
+                got = "has none"
+            else:
+                arrays[name] = np.zeros(t.shape[:-1] + (t.shape[-1] + 1,))
+                got = f"shape {arrays[name].shape}"
+            with pytest.raises(ShapeError) as info:
+                MetaFormer(config, arrays=arrays)
+            assert str(info.value) == f"parameter {name}: model shape {t.shape}, checkpoint {got}"
 
     def test_warm_start_across_checkpoints(self, tmp_path):
         src_cfg = tiny_config("global_attn", input_hw=(32, 32))
@@ -665,4 +695,4 @@ class TestCheckpoint:
         for i in range(4):
             for sb, db in zip(reloaded.stages[i], dst.stages[i]):
                 warm_start_remap(sb.mixer_params, db.mixer_params)
-                assert db.mixer_params.wq.data.tobytes() == sb.mixer_params.wq.data.tobytes()
+                assert db.mixer_params["wq"].data.tobytes() == sb.mixer_params["wq"].data.tobytes()

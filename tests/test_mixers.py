@@ -9,7 +9,6 @@ import pytest
 from mixerlab.errors import CapacityError, ConfigError, ShapeError
 from mixerlab.mixers import (
     MIXER_KINDS,
-    AttentionParams,
     MixerSpec,
     apply_mixer,
     build_neighborhood_mask,
@@ -59,7 +58,7 @@ def make_attn_params(c, hw=None, seed=0, with_pos=False, zero_pos=False):
     if with_pos:
         data = np.zeros((c,) + hw) if zero_pos else rng.standard_normal((c,) + hw) * 0.5
         pos = Tensor(data, requires_grad=True)
-    return AttentionParams(wk=mk(), wv=mk(), wq=mk(), wu=mk(), pos_emb=pos)
+    return dict(wk=mk(), wv=mk(), wq=mk(), wu=mk(), pos_emb=pos)
 
 
 class TestMixerSpec:
@@ -141,9 +140,7 @@ class TestConvMixers:
         x = Tensor(rng.standard_normal((1, c, 5, 5)))
         delta = np.zeros((c, 1, k, k))
         delta[:, 0, 1, 1] = 1.0
-        from mixerlab.mixers import ConvMixerParams
-
-        y = mix_grouped_conv(x, ConvMixerParams(Tensor(delta)), k)
+        y = mix_grouped_conv(x, {"kernel": Tensor(delta)}, k)
         np.testing.assert_allclose(y.data, x.data, atol=1e-15)
 
     def test_block_diagonal_embedding_reproduces_grouped(self):
@@ -151,13 +148,11 @@ class TestConvMixers:
         c, k = 4, 3
         x = Tensor(rng.standard_normal((2, c, 5, 5)))
         wg = rng.standard_normal((c, 1, k, k))
-        from mixerlab.mixers import ConvMixerParams
-
-        grouped = mix_grouped_conv(x, ConvMixerParams(Tensor(wg)), k)
+        grouped = mix_grouped_conv(x, {"kernel": Tensor(wg)}, k)
         wf = np.zeros((c, c, k, k))
         for i in range(c):
             wf[i, i] = wg[i, 0]
-        full = mix_conv(x, ConvMixerParams(Tensor(wf)), k)
+        full = mix_conv(x, {"kernel": Tensor(wf)}, k)
         assert np.abs(grouped.data - full.data).max() < 1e-12
 
     def test_shape_preserved(self):
@@ -243,8 +238,8 @@ class TestGlobalAttention:
         rng = np.random.default_rng(7)
         xv = rng.standard_normal((1, c, 1, 1))
         y = mix_global_attn(Tensor(xv), params)
-        shifted = xv[0, :, 0, 0] + params.pos_emb.data[:, 0, 0]
-        want = params.wu.data @ (params.wv.data @ shifted)
+        shifted = xv[0, :, 0, 0] + params["pos_emb"].data[:, 0, 0]
+        want = params["wu"].data @ (params["wv"].data @ shifted)
         np.testing.assert_allclose(y.data[0, :, 0, 0], want, atol=1e-10)
 
     def test_vs_two_loop_oracle(self):
@@ -255,12 +250,12 @@ class TestGlobalAttention:
         got = mix_global_attn(Tensor(xv), params).data[0]
         want = attention_oracle(
             xv[0],
-            params.wk.data,
-            params.wv.data,
-            params.wq.data,
-            params.wu.data,
+            params["wk"].data,
+            params["wv"].data,
+            params["wq"].data,
+            params["wu"].data,
             heads=1,
-            pos=params.pos_emb.data,
+            pos=params["pos_emb"].data,
         )
         assert np.abs(got - want).max() < 1e-10
 
@@ -273,12 +268,12 @@ class TestGlobalAttention:
         for b in range(2):
             want = attention_oracle(
                 xv[b],
-                params.wk.data,
-                params.wv.data,
-                params.wq.data,
-                params.wu.data,
+                params["wk"].data,
+                params["wv"].data,
+                params["wq"].data,
+                params["wu"].data,
                 heads=2,
-                pos=params.pos_emb.data,
+                pos=params["pos_emb"].data,
             )
             assert np.abs(got[b] - want).max() < 1e-10
 
@@ -286,7 +281,7 @@ class TestGlobalAttention:
         c, n = 64, 49
         assert MIXER_KINDS["global_attn"].params(c, 3) == 4 * c * c
         params = make_attn_params(c, hw=(7, 7), seed=12, with_pos=True)
-        total = sum(t.size for t in (params.wk, params.wv, params.wq, params.wu, params.pos_emb))
+        total = sum(t.size for t in params.values())
         assert total == 4 * c * c + n * c
 
     def test_positional_embedding_shape_checked(self):
@@ -310,7 +305,7 @@ class TestLocalAttention:
         rng = np.random.default_rng(17)
         xv = rng.standard_normal((1, c, 2, 3))
         y = mix_local_attn(Tensor(xv), params, 1)
-        want = np.einsum("oc,chw->ohw", params.wu.data @ params.wv.data, xv[0])
+        want = np.einsum("oc,chw->ohw", params["wu"].data @ params["wv"].data, xv[0])
         np.testing.assert_allclose(y.data[0], want, atol=1e-10)
 
     def test_corner_pixel_vs_hand_restricted_oracle(self):
@@ -321,10 +316,10 @@ class TestLocalAttention:
         got = mix_local_attn(Tensor(xv), params, 3).data[0]
         want = attention_oracle(
             xv[0],
-            params.wk.data,
-            params.wv.data,
-            params.wq.data,
-            params.wu.data,
+            params["wk"].data,
+            params["wv"].data,
+            params["wq"].data,
+            params["wu"].data,
             heads=1,
             allowed=build_neighborhood_mask(h, w, 3).allowed,
         )
@@ -389,8 +384,8 @@ class TestWarmStartRemap:
         dst = make_attn_params(16, seed=44)
         warm_start_remap(src, dst)
         for name in ("wk", "wv", "wq", "wu"):
-            assert getattr(dst, name).data.tobytes() == getattr(src, name).data.tobytes()
-        assert dst.pos_emb is None
+            assert dst[name].data.tobytes() == src[name].data.tobytes()
+        assert dst.get("pos_emb") is None
 
     def test_remapped_local_matches_source_global(self):
         c, h, w = 16, 3, 3
