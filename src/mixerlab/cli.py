@@ -21,7 +21,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .charts import grouped_bar_svg
 from .complexity import KINDS, stage_sweep, sweep_to_csv
-from .config import BOOL, COUNT, FLOAT, FRACTION, INT, KERNEL, NONNEG, TEXT, Key, choice
+from .config import BOOL, COUNT, FLOAT, FRACTION, HW, INT, KERNEL, NONNEG, TEXT, Key, choice
 from .config import field_values, format_section, owned_by, parse_value, read_ini
 from .errors import (
     CapacityError,
@@ -72,7 +72,7 @@ TRAIN_KEYS = owned_by(
 )
 
 # params counts S12-layout models; of the [model] keys it takes only these
-PARAMS_KEYS = (Key("signatures", TEXT),) + tuple(
+PARAMS_KEYS = (Key("signatures", TEXT, required=True),) + tuple(
     k for k in MODEL_KEYS if k.field in ("head", "num_classes", "input_hw")
 )
 
@@ -81,29 +81,29 @@ SCHEMA = {
     "train": TRAIN_KEYS,
     "data": (
         Key("kind", choice("synthetic", "image_dir"), "synthetic"),
-        Key("n", COUNT, 128),
-        Key("val_n", NONNEG, 0),
-        Key("image_dir", TEXT),
-        Key("labels_csv", TEXT),
+        Key("n", COUNT, 128, when=("kind", "synthetic")),
+        Key("val_n", NONNEG, 0, when=("kind", "synthetic")),
+        Key("image_dir", TEXT, when=("kind", "image_dir"), required=True),
+        Key("labels_csv", TEXT, when=("kind", "image_dir"), required=True),
     ),
     "eval": (
         Key("metric", choice("auc", "f1"), "auc"),
         Key("scores_csv", TEXT),
-        Key("checkpoint", TEXT),
+        Key("checkpoint", TEXT, when=("scores_csv", None), required=True),
         Key("dataset", TEXT, "dataset"),
         Key("submission", TEXT, "model"),
     ),
     "rank": (
         Key("mode", choice("wins", "scores"), "wins"),
-        Key("wins_csv", TEXT),
-        Key("scores_dir", TEXT),
-        Key("comparator", choice("bootstrap", "wilcoxon"), "bootstrap"),
-        Key("repeats", INT, 5000),
-        Key("alpha", FRACTION, 0.05),
+        Key("wins_csv", TEXT, when=("mode", "wins"), required=True),
+        Key("scores_dir", TEXT, when=("mode", "scores"), required=True),
+        Key("comparator", choice("bootstrap", "wilcoxon"), "bootstrap", when=("mode", "scores")),
+        Key("repeats", INT, 5000, when=("comparator", "bootstrap")),
+        Key("alpha", FRACTION, 0.05, when=("mode", "scores")),
     ),
     "infer": (
-        Key("checkpoint", TEXT),
-        Key("image", TEXT),
+        Key("checkpoint", TEXT, required=True),
+        Key("image", TEXT, required=True),
         Key("overlap", FLOAT, 0.25),
         Key("save_logits", BOOL, False),
     ),
@@ -174,8 +174,6 @@ def cmd_flops(cfg: Config, out_dir: str):
 
 def cmd_params(cfg: Config, out_dir: str):
     sec = cfg["params"]
-    if sec["signatures"] is None:
-        raise ConfigError("[params] needs `signatures`")
     entries = [e.strip() for e in sec["signatures"].split(";") if e.strip()]
     rows = [("signature", "backbone_ex_mixers", "mixers", "pos_emb", "head", "total")]
     for entry in entries:
@@ -195,19 +193,13 @@ def cmd_params(cfg: Config, out_dir: str):
 
 
 def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
-    kind, others = data["kind"], {"synthetic": ("image_dir", "labels_csv"), "image_dir": ("n", "val_n")}
-    for key in SCHEMA["data"]:
-        if key.name in others[kind] and data[key.name] != key.default:
-            raise ConfigError(f"[data] {key.name} is not read with kind = {kind}")
-    if kind == "synthetic":
+    if data["kind"] == "synthetic":
         images, labels = make_two_class_blobs(data["n"], hw=config.input_hw, seed=seed)
         val = None
         if data["val_n"] > 0:
             val = make_two_class_blobs(data["val_n"], hw=config.input_hw, seed=seed + 1)
         return images, labels, val
     image_dir, labels_csv = data["image_dir"], data["labels_csv"]
-    if not image_dir or not labels_csv:
-        raise ConfigError("[data] kind=image_dir needs image_dir and labels_csv")
     rows = _csv_rows(labels_csv, "path,label")
     try:
         labels = np.array([int(label) for _, label in rows])
@@ -222,6 +214,8 @@ def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
     images = [read_image_as_float(os.path.join(image_dir, rel)) for rel, _ in rows]
     if len({im.shape for im in images}) > 1:
         raise DataError(f"{image_dir}: images differ in size")
+    if (hw := images[0].shape[1:]) != config.input_hw:
+        raise DataError(f"{image_dir}: images are {HW.format(hw)}, [model] input is {HW.format(config.input_hw)}")
     return np.stack(images), labels, None
 
 
@@ -255,13 +249,14 @@ def cmd_train(cfg: Config, out_dir: str):
 def cmd_eval(cfg: Config, out_dir: str):
     sec = cfg["eval"]
     if sec["scores_csv"] is not None:
+        for key in SCHEMA["data"]:
+            if cfg["data"][key.name] != key.default:
+                raise ConfigError(f"[data] {key.name} is not read with [eval] scores_csv set")
         text = _read_text(sec["scores_csv"])
         cs = read_case_scores_csv(text, sec["submission"], sec["dataset"])
         if cs.scores is None:
             raise DataError(f"{sec['scores_csv']}: eval needs label and score columns")
     else:
-        if sec["checkpoint"] is None:
-            raise ConfigError("[eval] needs either scores_csv or checkpoint")
         model = ckpt.load_model(sec["checkpoint"])
         if model.config.head != "classify":
             raise ConfigError("eval needs a classification checkpoint")
@@ -294,13 +289,9 @@ def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
 def cmd_rank(cfg: Config, out_dir: str):
     sec = cfg["rank"]
     if sec["mode"] == "wins":
-        if sec["wins_csv"] is None:
-            raise ConfigError("[rank] mode=wins needs wins_csv")
         wins_per_dataset = _read_wins_csv(sec["wins_csv"])
     else:
         scores_dir = sec["scores_dir"]
-        if scores_dir is None:
-            raise ConfigError("[rank] mode=scores needs scores_dir")
         comparator = sec["comparator"]
         kwargs = {"alpha": sec["alpha"]}
         if comparator == "bootstrap":
@@ -338,9 +329,6 @@ def cmd_rank(cfg: Config, out_dir: str):
 
 def cmd_infer(cfg: Config, out_dir: str):
     sec = cfg["infer"]
-    for key in ("checkpoint", "image"):
-        if sec[key] is None:
-            raise ConfigError(f"[infer] needs {key}")
     image = read_image_as_float(sec["image"])  # first, so a missing image exits 3 whatever the checkpoint
     model = ckpt.load_model(sec["checkpoint"])
     if model.config.head != "segment":
@@ -383,9 +371,10 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
     try:
+        seed = None if args.seed is None else parse_value(NONNEG, args.seed, "--seed")
         cfg = load_config(args.config, args.command)
-        if args.seed is not None:
-            cfg["run"]["seed"] = parse_value(NONNEG, args.seed, "--seed")
+        if seed is not None:
+            cfg["run"]["seed"] = seed
         _COMMANDS[args.command][0](cfg, args.out)
         _write(args.out, "resolved_config.ini", resolved_ini(cfg))
         return 0

@@ -1,9 +1,9 @@
 """INI schema: each section is one table of ``Key`` rows (name, type, default).
 
-``read_ini`` turns INI text into typed values with defaults filled in;
-unknown sections and keys, and values that do not parse, raise a
-ConfigError naming ``section.key``. ``format_section`` writes typed values
-back as INI text that parses to the same values.
+``read_ini`` turns INI text into typed values with defaults filled in.
+Unknown sections and keys, values that do not parse, a needed key left
+unset and a set key that the run would not read raise a ConfigError that
+names the key. ``format_section`` writes them back as INI that reads the same.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class Key:
     type: ValueType
     default: Any = None  # None: unset
     field: Optional[str] = None
+    when: Optional[tuple[str, Any]] = None  # (key, value): read only if that earlier key is read and holds value
+    required: bool = False  # must be set whenever it is read
 
 
 def owned_by(cls, *keys: Key) -> tuple[Key, ...]:
@@ -102,6 +104,16 @@ def read_ini(text: str, schema: dict[str, tuple[Key, ...]]) -> dict[str, dict[st
                 values[key.name] = key.default
                 continue
             values[key.name] = parse_value(key.type, items[key.name], f"{section}.{key.name}")
+        unread: dict[str, str] = {}  # key -> the "selector = value" that leaves it unread
+        for key in keys:
+            sel, want = key.when or (None, None)
+            if sel in unread or (sel and values[sel] != want):
+                unread[key.name] = unread.get(sel, f"{sel} = {values[sel]}")
+                if values[key.name] != key.default:
+                    raise ConfigError(f"[{section}] {key.name} is not read with {unread[key.name]}")
+            elif key.required and values[key.name] is None:
+                cond = "" if not sel else f" with {sel} unset" if want is None else f" with {sel} = {want}"
+                raise ConfigError(f"[{section}] needs {key.name}{cond}")
     return out
 
 

@@ -74,6 +74,8 @@ class ModelConfig:
             raise ConfigError("num_classes must be >= 2")
         if self.mlp_ratio < 1:
             raise ConfigError("mlp_ratio must be >= 1")
+        if not 0.0 <= self.stochastic_depth_max < 1.0:
+            raise ConfigError(f"stochastic_depth must be in [0, 1), got {self.stochastic_depth_max!r}")
         if min(self.stage_channels + self.input_hw) < 1 or self.decoder_dim < 1 or min(self.stage_depths) < 0:
             raise ConfigError("channels, input size and decoder_dim must be positive, depths non-negative")
         for c, spec in zip(self.stage_channels, self.signature):

@@ -216,6 +216,22 @@ n = 24
         assert capsys.readouterr().err == f"config error: [data] {key} is not read with kind = synthetic\n"
         assert not (out / "resolved_config.ini").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_images_not_of_the_model_input_size_are_data_error(self, tmp_path, capsys, command):
+        cfg, labels = image_dir_config(tmp_path, ["c0.ppm,0", "c1.ppm,1"])  # 32x32 images
+        model_64 = TINY_MODEL.replace("input = 32x32", "input = 64x64")
+        if command == "train":
+            cfg.write_text(cfg.read_text().replace(TINY_MODEL, model_64))
+        else:
+            ckpt_path = tmp_path / "c64.mxlc"
+            save_model(str(ckpt_path), MetaFormer(ModelConfig.from_ini(model_64), seed=1))
+            cfg.write_text(f"[eval]\ncheckpoint = {ckpt_path}\n"
+                           f"[data]\nkind = image_dir\nimage_dir = {tmp_path}\nlabels_csv = {labels}\n")
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path}: images are 32x32, [model] input is 64x64\n"
+        assert not out.exists()
+
     def test_data_keys_at_their_defaults_are_accepted_with_image_dir(self, tmp_path):
         cfg, _ = image_dir_config(tmp_path, ["c0.ppm,0", "c1.ppm,1"])
         cfg.write_text(cfg.read_text() + "n = 128\nval_n = 0\n")
@@ -350,8 +366,8 @@ class TestRankCommand:
                 (scores_dir / name).write_bytes((newline.join(rows) + newline).encode())
             cfg = tmp_path / f"rank{len(newline)}.ini"
             cfg.write_text(
-                f"[rank]\nmode = scores\nscores_dir = {scores_dir}\n"
-                f"comparator = {comparator}\nrepeats = 100\n"
+                f"[rank]\nmode = scores\nscores_dir = {scores_dir}\ncomparator = {comparator}\n"
+                + ("repeats = 100\n" if comparator == "bootstrap" else "")  # the Wilcoxon test reads no repeats
             )
             out = tmp_path / f"out{len(newline)}"
             assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 0
@@ -726,8 +742,9 @@ def test_commands_run_with_scipy_blocked(tmp_path):
             values = enumerate(rng.random(n).tolist())
             rows = [f"c{i},{i % 2},{v!r},{1 - v!r}" if n == 20 else f"c{i},{v!r}" for i, v in values]
             (scores / f"ds__{sub}.csv").write_text("\n".join([f"case_id,{header}"] + rows) + "\n")
+        repeats = "repeats = 100\n" if comparator == "bootstrap" else ""  # the Wilcoxon test reads no repeats
         (tmp_path / f"{comparator}.ini").write_text(
-            f"[rank]\nmode = scores\nscores_dir = {scores}\ncomparator = {comparator}\nrepeats = 100\n")
+            f"[rank]\nmode = scores\nscores_dir = {scores}\ncomparator = {comparator}\n{repeats}")
     runs = [[cmd, "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / f"out_{name}")]
             for cmd, name in (("train", "train"), ("infer", "infer"), ("rank", "bootstrap"), ("rank", "wilcoxon"))]
     code = ("import json, sys\n"
@@ -817,6 +834,55 @@ BAD_CONFIGS = {
     "train_warmup_negative": ("train", b"[train]\nwarmup_epochs = -3\n[data]\nkind = image_dir\n",
                               "train.warmup_epochs = '-3'"),
     "data_val_n_negative": ("train", b"[data]\nval_n = -1\nkind = image_dir\n", "data.val_n = '-1'"),
+    "model_stochastic_depth": ("flops", b"[model]\nstochastic_depth = 1.0\n", "stochastic_depth must be in [0, 1)"),
+}
+
+# One rule for every section: a key the run needs must be set, and a key it
+# would not read must stay at its default. case: (command, config with {tmp}
+# for the directory of the inputs, the message)
+WINS = "[rank]\nwins_csv = {tmp}/w.csv\n"
+WILCOXON = "[rank]\nmode = scores\nscores_dir = {tmp}/dsc\ncomparator = wilcoxon\n"
+EVAL_SCORES = "[eval]\nscores_csv = {tmp}/s.csv\n"
+KEY_RULE_REFUSALS = {
+    "rank_scores_dir_with_wins": ("rank", WINS + "scores_dir = {tmp}/dsc\n",
+                                  "[rank] scores_dir is not read with mode = wins"),
+    "rank_comparator_with_wins": ("rank", WINS + "comparator = wilcoxon\n",
+                                  "[rank] comparator is not read with mode = wins"),
+    "rank_repeats_with_wins": ("rank", WINS + "repeats = 7\n", "[rank] repeats is not read with mode = wins"),
+    "rank_alpha_with_wins": ("rank", WINS + "alpha = 0.1\n", "[rank] alpha is not read with mode = wins"),
+    "rank_wins_csv_with_scores": ("rank", WILCOXON + "wins_csv = {tmp}/w.csv\n",
+                                  "[rank] wins_csv is not read with mode = scores"),
+    "rank_repeats_with_wilcoxon": ("rank", WILCOXON + "repeats = 100\n",
+                                   "[rank] repeats is not read with comparator = wilcoxon"),
+    "eval_checkpoint_with_scores_csv": ("eval", EVAL_SCORES + "checkpoint = {tmp}/nope.mxlc\n",
+                                        "[eval] checkpoint is not read with scores_csv = {tmp}/s.csv"),
+    "eval_data_kind_with_scores_csv": (
+        "eval", EVAL_SCORES + "[data]\nkind = image_dir\nimage_dir = {tmp}\nlabels_csv = {tmp}/l.csv\n",
+        "[data] kind is not read with [eval] scores_csv set"),
+    "eval_data_n_with_scores_csv": ("eval", EVAL_SCORES + "[data]\nn = 16\n",
+                                    "[data] n is not read with [eval] scores_csv set"),
+    "eval_data_val_n_with_scores_csv": ("eval", EVAL_SCORES + "[data]\nval_n = 4\n",
+                                        "[data] val_n is not read with [eval] scores_csv set"),
+    "eval_data_image_dir_with_scores_csv": ("eval", EVAL_SCORES + "[data]\nimage_dir = {tmp}\n",
+                                            "[data] image_dir is not read with kind = synthetic"),
+    "eval_data_labels_csv_with_scores_csv": ("eval", EVAL_SCORES + "[data]\nlabels_csv = {tmp}/l.csv\n",
+                                             "[data] labels_csv is not read with kind = synthetic"),
+    "params_needs_signatures": ("params", "", "[params] needs signatures"),
+    "infer_needs_checkpoint": ("infer", "[infer]\nimage = {tmp}/i.ppm\n", "[infer] needs checkpoint"),
+    "infer_needs_image": ("infer", "[infer]\ncheckpoint = {tmp}/c.mxlc\n", "[infer] needs image"),
+    "eval_needs_checkpoint": ("eval", "[eval]\nmetric = f1\n", "[eval] needs checkpoint with scores_csv unset"),
+    "rank_needs_wins_csv": ("rank", "", "[rank] needs wins_csv with mode = wins"),
+    "rank_needs_scores_dir": ("rank", "[rank]\nmode = scores\n", "[rank] needs scores_dir with mode = scores"),
+    "train_needs_image_dir": ("train", "[data]\nkind = image_dir\nlabels_csv = {tmp}/l.csv\n",
+                              "[data] needs image_dir with kind = image_dir"),
+    "train_needs_labels_csv": ("train", "[data]\nkind = image_dir\nimage_dir = {tmp}\n",
+                               "[data] needs labels_csv with kind = image_dir"),
+}
+# a key that is not read, set to its default, changes nothing: (command, config, the keys added)
+KEYS_AT_DEFAULT = {
+    "rank_scores_keys_with_wins": ("rank", WINS, "comparator = bootstrap\nrepeats = 5000\nalpha = 0.05\n"),
+    "rank_repeats_with_wilcoxon": ("rank", WILCOXON, "repeats = 5000\n"),
+    "eval_data_with_scores_csv": ("eval", EVAL_SCORES, "[data]\nkind = synthetic\nn = 128\nval_n = 0\n"),
 }
 
 
@@ -835,6 +901,46 @@ class TestInputBoundary:
         assert err.startswith("config error:")
         assert err.count("\n") == 1
         assert named in err
+
+    @pytest.fixture
+    def key_rule_inputs(self, tmp_path):
+        """A wins CSV, a case scores CSV and a directory of two DSC files,
+        which each config of the key rule tables reads."""
+        (tmp_path / "w.csv").write_bytes(VALID_WINS)
+        (tmp_path / "s.csv").write_bytes(VALID_SCORES)
+        (tmp_path / "dsc").mkdir()
+        for sub, dsc in (("a", 0.5), ("b", 0.25)):
+            rows = "".join(f"c{i},{dsc + i / 100!r}\n" for i in range(8))
+            (tmp_path / "dsc" / f"ds__{sub}.csv").write_text("case_id,dsc\n" + rows)
+        return tmp_path
+
+    @pytest.mark.parametrize("case", sorted(KEY_RULE_REFUSALS))
+    def test_key_rule_refusal_is_one_exact_line(self, key_rule_inputs, capsys, case):
+        command, text, message = (part.replace("{tmp}", str(key_rule_inputs)) for part in KEY_RULE_REFUSALS[case])
+        cfg = key_rule_inputs / "cfg.ini"
+        cfg.write_text(text)
+        out = key_rule_inputs / "o"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "resolved_config.ini").exists()
+
+    @pytest.mark.parametrize("case", sorted(KEYS_AT_DEFAULT))
+    def test_unread_keys_at_their_defaults_change_nothing(self, key_rule_inputs, case):
+        command, text, added = (part.replace("{tmp}", str(key_rule_inputs)) for part in KEYS_AT_DEFAULT[case])
+        resolved = []
+        for name, config in (("plain", text), ("added", text + added)):
+            cfg = key_rule_inputs / f"{name}.ini"
+            cfg.write_text(config)
+            assert run_cli(command, "--config", str(cfg), "--out", str(key_rule_inputs / name)) == 0
+            resolved.append((key_rule_inputs / name / "resolved_config.ini").read_bytes())
+        assert resolved[0] == resolved[1]
+
+    def test_each_selector_comes_earlier_in_its_section(self):
+        # read_ini decides whether a key is read from the keys before it
+        for section, keys in SCHEMA.items():
+            names = [k.name for k in keys]
+            for i, key in enumerate(keys):
+                assert key.when is None or key.when[0] in names[:i], (section, key.name)
 
     def test_resolved_config_lists_defaults(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

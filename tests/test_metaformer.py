@@ -95,6 +95,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig.from_ini("[model]\nchannles = 1,2,3,4\n")
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1])
+    def test_stochastic_depth_outside_0_1_rejected(self, p):
+        # at p = 1 the drop path divides 0 by 0, and a negative p is no probability
+        with pytest.raises(ConfigError, match=r"stochastic_depth must be in \[0, 1\)"):
+            ModelConfig(stochastic_depth_max=p)
+
 
 class TestBlock:
     def test_zero_layerscale_is_identity(self):

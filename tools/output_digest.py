@@ -9,10 +9,11 @@ that ``perfbench/inputs.py`` (next to this script) writes, and prints one
 
 - ``train`` for each of perfbench's six mixer-kind configs;
 - ``infer`` on perfbench's S12 checkpoint, with its ``logits.f64``;
-- ``rank`` on perfbench's bootstrap and Wilcoxon configs;
+- ``rank`` on perfbench's bootstrap and Wilcoxon configs, and on a wins CSV;
 - ``flops`` at S12, and ``params`` for the six kinds and one mixed signature;
-- a synthetic ``train`` with validation and augmentation, and ``eval`` of
-  its checkpoint with ``f1`` and with ``auc``;
+- a synthetic ``train`` with validation and augmentation, ``eval`` of
+  its checkpoint with ``f1`` and with ``auc``, and ``eval`` of the
+  ``case_scores.csv`` that the second one writes, through ``scores_csv``;
 - the CRC-32 of every S12 parameter gradient, per perfbench ``s12``
   signature, as perfbench computes it.
 
@@ -55,6 +56,7 @@ kind = synthetic
 n = 32
 val_n = 8
 """
+WINS = "submission,dataset,wins\npooling,ds1,3\nconv,ds1,1\nglobal_attn,ds1,2\npooling,ds2,0\nconv,ds2,2\n"
 PARAMS = "[params]\nsignatures = identity; pooling:3; conv:3; grouped_conv:3; local_attn:7; global_attn; " \
          "pooling:3,pooling:3,local_attn:7,global_attn\n"
 
@@ -103,12 +105,16 @@ def run_program(root: str, tmp: str) -> list[str]:
         command("infer", "infer", _write(config, fh.read() + "save_logits = true\n"))
     for config in inputs.write_rank_inputs(os.path.join(tmp, "rank"), SEED):
         command(os.path.basename(config)[:-len(".ini")], "rank", config)
+    wins = _write(os.path.join(tmp, "wins.csv"), WINS)
+    command("rank_wins", "rank", _write(os.path.join(tmp, "rank_wins.ini"), f"[rank]\nwins_csv = {wins}\n"))
     command("flops", "flops", _write(os.path.join(tmp, "flops.ini"), "[flops]\nkernel = 3\n"))
     command("params", "params", _write(os.path.join(tmp, "params.ini"), PARAMS))
     trained = command("train_synthetic", "train", _write(os.path.join(tmp, "synthetic.ini"), SYNTHETIC_TRAIN))
     for metric in ("f1", "auc"):
         text = f"[eval]\nmetric = {metric}\ncheckpoint = {trained}/checkpoint.mxlc\n[data]\nn = 16\n"
-        command(f"eval_{metric}", "eval", _write(os.path.join(tmp, f"eval_{metric}.ini"), text))
+        evaluated = command(f"eval_{metric}", "eval", _write(os.path.join(tmp, f"eval_{metric}.ini"), text))
+    text = f"[eval]\nmetric = f1\nscores_csv = {evaluated}/case_scores.csv\n"
+    command("eval_scores_csv", "eval", _write(os.path.join(tmp, "eval_scores_csv.ini"), text))
 
     # perfbench's s12 pass, one signature at a time so that one S12 model is alive
     s12 = workloads.S12(os.path.join(tmp, "s12"), SEED)
