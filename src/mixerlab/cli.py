@@ -4,7 +4,7 @@ Every command is a pure function of (config file, seed, input files) and
 writes byte-identical outputs on re-runs. An INI config is read once,
 against one schema table per section: unknown sections or keys and values
 that do not parse are config errors, and every run that succeeds writes
-``resolved_config.ini`` with every effective value, defaults included.
+``resolved_config.ini`` with every value the run read, defaults included.
 Exit codes: 0 ok, 2 config error, 3 data error (including a file that
 cannot be read or written), 4 numeric abort.
 """

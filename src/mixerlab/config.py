@@ -3,7 +3,8 @@
 ``read_ini`` turns INI text into typed values with defaults filled in.
 Unknown sections and keys, values that do not parse, a needed key left
 unset and a set key that the run would not read raise a ConfigError that
-names the key. ``format_section`` writes them back as INI that reads the same.
+names the key; an unread key's value is None. ``format_section`` writes the
+values back as INI that reads the same.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def field_values(keys: tuple[Key, ...], values: dict[str, Any]) -> dict[str, Any
 
 
 def read_ini(text: str, schema: dict[str, tuple[Key, ...]]) -> dict[str, dict[str, Any]]:
-    """Typed values of every section in ``schema``; other sections are rejected."""
+    """Typed values of every section in ``schema``, None for an unread key; other sections are rejected."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -114,6 +115,7 @@ def read_ini(text: str, schema: dict[str, tuple[Key, ...]]) -> dict[str, dict[st
             elif key.required and values[key.name] is None:
                 cond = "" if not sel else f" with {sel} unset" if want is None else f" with {sel} = {want}"
                 raise ConfigError(f"[{section}] needs {key.name}{cond}")
+        values.update(dict.fromkeys(unread))  # None, so format_section leaves them out
     return out
 
 

@@ -93,7 +93,7 @@ def auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
     for cls in range(scores.shape[1]):
         if not (labels == cls).any():
             warnings.warn(f"class {cls} absent from labels; skipped in macro AUC")
-    return float(_auc_vector(scores, labels, np.arange(labels.shape[0])[None])[0])
+    return float(_auc_vector(scores, labels, np.ones((labels.shape[0], 1), dtype=np.int64))[0])
 
 
 def _mean_dice(pred: np.ndarray, true: np.ndarray, classes) -> float:
@@ -149,9 +149,9 @@ class BootstrapResult:
     used_repeats: int
 
 
-def _resample_indices(labels: np.ndarray, repeats: int, seed: int) -> np.ndarray:
-    """(R', n) case indices: resample r < repeats drawn from
-    ``default_rng(seed ^ r)``, less those whose labels collapse to one class."""
+def _resample_draws(labels: np.ndarray, repeats: int, seed: int) -> np.ndarray:
+    """(n, R') int counts of each case's draws by resample r < repeats, from
+    ``default_rng(seed ^ r)``, less the resamples whose labels collapse to one class."""
     if repeats < 100:
         raise ConfigError("bootstrap needs at least 100 repeats")
     n = labels.shape[0]
@@ -159,30 +159,51 @@ def _resample_indices(labels: np.ndarray, repeats: int, seed: int) -> np.ndarray
     idx = idx[(labels[idx] != labels[idx[:, :1]]).any(axis=1)]
     if idx.shape[0] == 0:
         raise DataError("every bootstrap resample was degenerate")
-    return idx
+    r = len(idx)
+    return np.bincount((idx * r + np.arange(r)[:, None]).ravel(), minlength=idx.size).reshape(n, r)
 
 
-def _auc_vector(scores: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row r is the macro AUC of resample ``idx[r]``: each present class's
-    Mann-Whitney U (from exact half-integer rank sums) over npos * nneg,
-    the kept classes averaged by ``np.mean``."""
-    drawn, n = labels[idx], idx.shape[1]
-    aucs = np.empty((idx.shape[0], scores.shape[1]))
+def _rank_sum(column: np.ndarray, pos: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """(R,) sum of the 1-based ranks of the positive draws in each resample
+    of the (n, R) draw counts, from one stable sort of the n scores: a tie
+    group's draws, after ``below`` lower ones up to draw ``upto``, share the
+    rank (below + 1 + upto) / 2. The sum is exact, as a sort per resample's."""
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    edges = np.r_[np.flatnonzero(new), column.size]  # group g (1-based) spans sorted [edges[g-1], edges[g])
+    upto = np.zeros((column.size + 1, draws.shape[1]), dtype=draws.dtype)
+    np.cumsum(draws[order], axis=0, out=upto[1:])  # upto[i]: the draws of the i lowest cases
+    g, cases = np.cumsum(new)[pos[order]], order[pos[order]]  # each positive case and its tie group
+    return (draws[cases] * (upto[edges[g - 1]] + 1 + upto[edges[g]])).sum(axis=0) / 2.0
+
+
+def _auc_vector(scores: np.ndarray, labels: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Entry r is the macro AUC of the resample that draws case c ``draws[c, r]``
+    times: each present class's Mann-Whitney U (``_rank_sum``) over npos * nneg,
+    the kept classes averaged in ``np.mean``'s summation order."""
+    n = draws.shape[0]
+    aucs = np.empty((draws.shape[1], scores.shape[1]))
     kept = np.empty(aucs.shape, dtype=bool)
     for cls in range(scores.shape[1]):
-        pos = drawn == cls
-        npos = pos.sum(axis=1)
+        pos = labels == cls
+        npos = draws[pos].sum(axis=0)
         kept[:, cls] = npos > 0  # a resample keeps two classes, so npos < n
-        u = np.where(pos, _ranks(scores[idx, cls]), 0.0).sum(axis=1)
+        u = _rank_sum(scores[:, cls], pos, draws)
         aucs[:, cls] = (u - npos * (npos + 1) / 2.0) / np.maximum(npos * (n - npos), 1)
-    return np.array([np.mean(row[keep]) for row, keep in zip(aucs, kept)])
+    out = np.empty(aucs.shape[0])
+    for keep in np.unique(kept, axis=0):  # a C-contiguous row adds in np.mean(row[keep])'s order
+        rows = (kept == keep).all(axis=1)
+        out[rows] = np.ascontiguousarray(aucs[rows][:, keep]).mean(axis=1)
+    return out
 
 
 def _bootstrap_pairs(
     subs: Sequence[CaseScores], repeats: int = 5000, alpha: float = 0.05, seed: int = 0
 ) -> Callable[[int, int], BootstrapResult]:
-    """Check every submission once, compute each one's macro AUCs over one
-    shared set of resamples, and return the CI of AUC(i) - AUC(j) by (i, j)."""
+    """Check every submission once, compute each one's macro AUCs from one
+    shared (n, R) matrix of resample draw counts, one sort per class column,
+    and return the CI of AUC(i) - AUC(j) by (i, j)."""
     first = subs[0]
     for sub in subs:
         name = f"submission {sub.submission!r} on {sub.dataset!r}"
@@ -190,13 +211,12 @@ def _bootstrap_pairs(
             raise DataError(f"{name}: bootstrap comparison needs labels and (n, k) scores")
         if not np.array_equal(sub.labels, first.labels):
             raise DataError(f"{name} disagrees with {first.submission!r} on case labels")
-    idx = _resample_indices(first.labels, repeats, seed)
-    aucs = [_auc_vector(sub.scores, first.labels, idx) for sub in subs]
+    draws = _resample_draws(first.labels, repeats, seed)
+    aucs = [_auc_vector(sub.scores, first.labels, draws) for sub in subs]
 
     def pair(i: int, j: int) -> BootstrapResult:
         diffs = aucs[i] - aucs[j]
-        lo = float(np.percentile(diffs, 100 * alpha / 2))
-        hi = float(np.percentile(diffs, 100 * (1 - alpha / 2)))
+        lo, hi = (float(q) for q in np.percentile(diffs, [100 * alpha / 2, 100 * (1 - alpha / 2)]))
         return BootstrapResult(A_WINS if lo > 0 else B_WINS if hi < 0 else TIE, lo, hi, diffs.size)
 
     return pair

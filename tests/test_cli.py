@@ -949,10 +949,7 @@ class TestInputBoundary:
         cfg.write_text("[rank]\nwins_csv = w.csv\n")
         assert run_cli("rank", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
         text = (tmp_path / "o" / "resolved_config.ini").read_text()
-        assert text == (
-            "[rank]\nmode = wins\nwins_csv = w.csv\ncomparator = bootstrap\n"
-            "repeats = 5000\nalpha = 0.05\n\n[run]\nseed = 0\n"
-        )
+        assert text == "[rank]\nmode = wins\nwins_csv = w.csv\n\n[run]\nseed = 0\n"  # no key the run did not read
 
     def infer_files(self, tmp_path):
         _, ckpt_path = seg_checkpoint(tmp_path)

@@ -4,7 +4,6 @@ published ranking fixtures, and sliding-window blending."""
 import itertools
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import ranking_fixtures as fx
+from mixerlab import evalrank
 from mixerlab.errors import ConfigError, DataError
 from mixerlab.evalrank import (
     A_WINS,
@@ -20,7 +20,9 @@ from mixerlab.evalrank import (
     TIE,
     WILCOXON_EXACT_CASES,
     CaseScores,
+    _auc_vector,
     _ranks,
+    _resample_draws,
     aggregate_geomean,
     auc_macro,
     bootstrap_auc_win,
@@ -82,20 +84,38 @@ def wilcoxon_enumeration_oracle(diffs, two_sided=True):
     return p_ge if w_obs >= ranks.sum() / 2 else p_le
 
 
+def auc_vector_oracle(scores, labels, idx):
+    """Row r is the macro AUC of resample ``idx[r]`` (case indices), with a
+    sort of every resample's scores: each present class's Mann-Whitney U
+    from ``_ranks`` over npos * nneg, the kept classes averaged by ``np.mean``."""
+    drawn, n = labels[idx], idx.shape[1]
+    aucs = np.empty((idx.shape[0], scores.shape[1]))
+    kept = np.empty(aucs.shape, dtype=bool)
+    for cls in range(scores.shape[1]):
+        pos = drawn == cls
+        npos = pos.sum(axis=1)
+        kept[:, cls] = npos > 0
+        u = np.where(pos, _ranks(scores[idx, cls]), 0.0).sum(axis=1)
+        aucs[:, cls] = (u - npos * (npos + 1) / 2.0) / np.maximum(npos * (n - npos), 1)
+    return np.array([np.mean(row[keep]) for row, keep in zip(aucs, kept)])
+
+
+def resample_indices_oracle(labels, repeats, seed):
+    """(R', n) case indices: resample r drawn from ``default_rng(seed ^ r)``,
+    less those whose labels collapse to one class."""
+    n = labels.shape[0]
+    idx = [np.random.default_rng(seed ^ r).integers(0, n, size=n) for r in range(repeats)]
+    return np.array([i for i in idx if np.unique(labels[i]).size > 1]).reshape(-1, n)
+
+
 def bootstrap_oracle(a, b, repeats=5000, alpha=0.05, seed=0):
     """One resample at a time: draw from ``default_rng(seed ^ r)``, skip a
-    resample whose labels collapse to one class, take two ``auc_macro``
-    calls, then the percentile CI of the differences."""
-    n = len(a.case_ids)
+    resample whose labels collapse to one class, take the two submissions'
+    ``auc_vector_oracle``, then the percentile CI of the differences."""
     diffs = []
-    for r in range(repeats):
-        idx = np.random.default_rng(seed ^ r).integers(0, n, size=n)
-        labels = a.labels[idx]
-        if np.unique(labels).size < 2:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            diffs.append(auc_macro(a.scores[idx], labels) - auc_macro(b.scores[idx], labels))
+    for idx in resample_indices_oracle(a.labels, repeats, seed):
+        auc_a, auc_b = (auc_vector_oracle(sub.scores, a.labels, idx[None])[0] for sub in (a, b))
+        diffs.append(auc_a - auc_b)
     if not diffs:
         raise DataError("every bootstrap resample was degenerate")
     lo = float(np.percentile(diffs, 100 * alpha / 2))
@@ -163,6 +183,15 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             auc_macro(np.ones((3, 2)), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    def test_identity_resample_equals_sort_oracle(self, k):
+        rng = np.random.default_rng(k)
+        for decimals in (1, 3):
+            labels = np.r_[np.arange(k), rng.integers(0, k, size=5 * k)]
+            scores = rng.random((labels.size, k)).round(decimals)
+            want = auc_vector_oracle(scores, labels, np.arange(labels.size)[None])[0]
+            assert auc_macro(scores, labels) == want
 
 
 def f1_macro_oracle(pred, true):
@@ -371,16 +400,52 @@ class TestBootstrapMatchesOracle:
 
     @pytest.mark.parametrize("repeats", [100, 400])
     def test_tournament_ranks_each_class_column_once(self, monkeypatch, repeats):
-        calls = []
+        # one _rank_sum, which sorts a class column once, per submission and class
+        calls, rank_sum = [], evalrank._rank_sum
 
-        def counting_ranks(values):
-            calls.append(1)
-            return _ranks(values)
+        def counting_rank_sum(column, pos, draws):
+            calls.append(draws.shape)
+            return rank_sum(column, pos, draws)
 
-        monkeypatch.setattr("mixerlab.evalrank._ranks", counting_ranks)
+        monkeypatch.setattr(evalrank, "_rank_sum", counting_rank_sum)
         subs = random_submissions(np.random.default_rng(22), 5, k=3)
         pairwise_wins(subs, repeats=repeats, seed=1)
         assert len(calls) == 5 * 3
+        assert len(set(calls)) == 1  # every column reads the one shared draw count matrix
+
+
+class TestAucVectorMatchesSortOracle:
+    """The draw-count AUCs against ``auc_vector_oracle``, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(scores, labels, repeats, seed):
+        idx = resample_indices_oracle(labels, repeats, seed)
+        draws = _resample_draws(labels, repeats, seed)
+        r = np.arange(idx.shape[0])
+        want_draws = np.zeros(draws.shape, dtype=np.int64)
+        np.add.at(want_draws, (idx, r[:, None]), 1)
+        assert draws.dtype == np.int64 and np.array_equal(draws, want_draws)
+        got, want = _auc_vector(scores, labels, draws), auc_vector_oracle(scores, labels, idx)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return idx
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    @pytest.mark.parametrize("repeats", [100, 1000])
+    def test_ties_and_absent_classes(self, k, repeats):
+        rng = np.random.default_rng([k, repeats])
+        for decimals in (1, 6):  # one decimal: heavy ties
+            n = int(rng.integers(3 * k, 8 * k))
+            labels = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 0.7)))
+            labels[:2] = [0, 1]
+            scores = rng.random((n, k)).round(decimals)
+            idx = self.assert_bit_equal(scores, labels, repeats, int(rng.integers(0, 2**16)))
+            kept = np.stack([(labels[idx] == c).any(axis=1) for c in range(k)], axis=1)
+            assert k == 2 or not kept.all()  # from three classes on, some resample misses one
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    def test_one_case_per_class(self, k):
+        scores = np.random.default_rng(k).random((k, k)).round(1)
+        self.assert_bit_equal(scores, np.arange(k), 100, 5)
 
 
 # ---------------------------------------------------------------------------

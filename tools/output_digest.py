@@ -9,7 +9,9 @@ that ``perfbench/inputs.py`` (next to this script) writes, and prints one
 
 - ``train`` for each of perfbench's six mixer-kind configs;
 - ``infer`` on perfbench's S12 checkpoint, with its ``logits.f64``;
-- ``rank`` on perfbench's bootstrap and Wilcoxon configs, and on a wins CSV;
+- ``rank`` on perfbench's bootstrap and Wilcoxon configs, on a wins CSV,
+  and at the default 5,000 bootstrap repeats on tied ten-class scores that
+  this script writes;
 - ``flops`` at S12, and ``params`` for the six kinds and one mixed signature;
 - a synthetic ``train`` with validation and augmentation, ``eval`` of
   its checkpoint with ``f1`` and with ``auc``, and ``eval`` of the
@@ -35,6 +37,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SEED = 1
@@ -75,6 +79,23 @@ def _write(path: str, text: str) -> str:
     return path
 
 
+def _write_tied_scores(root: str) -> str:
+    """Four submissions of rising skill over 60 cases and ten classes, some
+    classes rare, so that resamples miss them; scores have one decimal, so
+    that ranks tie. Returns the scores directory."""
+    rng = np.random.default_rng(SEED)
+    labels = np.r_[np.arange(10), rng.choice(10, size=50, p=rng.dirichlet(np.full(10, 0.7)))]
+    ids = [f"case{i}" for i in range(labels.size)]
+    os.makedirs(root)
+    for s, skill in enumerate((0.0, 0.1, 0.2, 0.6)):
+        scores = (skill * np.eye(10)[labels] + rng.random((labels.size, 10))).round(1)
+        lines = ["case_id,label," + ",".join(f"score_{k}" for k in range(10))]
+        for cid, label, row in zip(ids, labels, scores):
+            lines.append(f"{cid},{label}," + ",".join(map(repr, row.tolist())))
+        _write(os.path.join(root, f"tied__s{s}.csv"), "\n".join(lines) + "\n")
+    return root
+
+
 def run_program(root: str, tmp: str) -> list[str]:
     """Every output of the checkout at ``root``, as ``name digest`` lines."""
     src = os.path.join(os.path.abspath(root), "src")
@@ -107,6 +128,9 @@ def run_program(root: str, tmp: str) -> list[str]:
         command(os.path.basename(config)[:-len(".ini")], "rank", config)
     wins = _write(os.path.join(tmp, "wins.csv"), WINS)
     command("rank_wins", "rank", _write(os.path.join(tmp, "rank_wins.ini"), f"[rank]\nwins_csv = {wins}\n"))
+    tied = _write_tied_scores(os.path.join(tmp, "tied_scores"))
+    text = f"[rank]\nmode = scores\nscores_dir = {tied}\n"  # the default bootstrap and repeats
+    command("rank_tied", "rank", _write(os.path.join(tmp, "rank_tied.ini"), text))
     command("flops", "flops", _write(os.path.join(tmp, "flops.ini"), "[flops]\nkernel = 3\n"))
     command("params", "params", _write(os.path.join(tmp, "params.ini"), PARAMS))
     trained = command("train_synthetic", "train", _write(os.path.join(tmp, "synthetic.ini"), SYNTHETIC_TRAIN))
