@@ -252,6 +252,7 @@ def cmd_eval(cfg: Config, out_dir: str):
         for key in SCHEMA["data"]:
             if cfg["data"][key.name] != key.default:
                 raise ConfigError(f"[data] {key.name} is not read with [eval] scores_csv set")
+        cfg.pop("data")  # so resolved_config.ini lists no [data]
         text = _read_text(sec["scores_csv"])
         cs = read_case_scores_csv(text, sec["submission"], sec["dataset"])
         if cs.scores is None:
@@ -283,13 +284,15 @@ def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
             per_dataset[ds][sub] = int(wins)
     except ValueError:
         raise DataError(f"{path}: wins must be integers") from None
+    if any(w < 0 for wins in per_dataset.values() for w in wins.values()):
+        raise DataError(f"{path}: wins must not be negative")
     return per_dataset
 
 
 def cmd_rank(cfg: Config, out_dir: str):
     sec = cfg["rank"]
     if sec["mode"] == "wins":
-        wins_per_dataset = _read_wins_csv(sec["wins_csv"])
+        grouped = wins_per_dataset = _read_wins_csv(sec["wins_csv"])
     else:
         scores_dir = sec["scores_dir"]
         comparator = sec["comparator"]
@@ -308,6 +311,10 @@ def cmd_rank(cfg: Config, out_dir: str):
             grouped.setdefault(ds, []).append(read_case_scores_csv(text, sub, ds))
         if not grouped:
             raise DataError(f"{scores_dir}: no score files")
+    for ds, subs in grouped.items():
+        if len(subs) < 2:
+            raise DataError(f"dataset {ds!r} has one submission; ranking needs at least two")
+    if sec["mode"] == "scores":
         wins_per_dataset = {
             ds: pairwise_wins(subs, comparator=comparator, **kwargs)
             for ds, subs in grouped.items()

@@ -58,23 +58,16 @@ class CaseScores:
 # ---------------------------------------------------------------------------
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks along the last axis, ties sharing the mean of their
-    positions: each sorted value gets (first + last) / 2 + 1 over its
-    tie group's first and last sorted positions."""
-    order = np.argsort(values, axis=-1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=-1)
-    n = ordered.shape[-1]
-    pos = np.broadcast_to(np.arange(n), ordered.shape)
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends = np.ones(ordered.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(ordered.shape)
-    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
-    return ranks
+def _tie_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one tie rule of every rank here, from one stable sort of 1-D
+    ``values``: the sort ``order``, each sorted value's 1-based tie group
+    ``g`` and the group ``edges``. Group g spans sorted positions
+    [edges[g-1], edges[g]), and its values share the mean of their 1-based
+    positions, the rank (edges[g-1] + 1 + edges[g]) / 2."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    return order, np.cumsum(new), np.r_[np.flatnonzero(new), values.size]
 
 
 def auc_macro(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -165,16 +158,13 @@ def _resample_draws(labels: np.ndarray, repeats: int, seed: int) -> np.ndarray:
 
 def _rank_sum(column: np.ndarray, pos: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """(R,) sum of the 1-based ranks of the positive draws in each resample
-    of the (n, R) draw counts, from one stable sort of the n scores: a tie
-    group's draws, after ``below`` lower ones up to draw ``upto``, share the
-    rank (below + 1 + upto) / 2. The sum is exact, as a sort per resample's."""
-    order = np.argsort(column, kind="stable")
-    ordered = column[order]
-    new = np.r_[True, ordered[1:] != ordered[:-1]]
-    edges = np.r_[np.flatnonzero(new), column.size]  # group g (1-based) spans sorted [edges[g-1], edges[g])
+    of the (n, R) draw counts, from the ``_tie_groups`` of the n scores: a
+    tie group's draws, after ``below`` lower ones up to draw ``upto``, share
+    the rank (below + 1 + upto) / 2. The sum is exact, as a sort per resample's."""
+    order, g, edges = _tie_groups(column)
     upto = np.zeros((column.size + 1, draws.shape[1]), dtype=draws.dtype)
     np.cumsum(draws[order], axis=0, out=upto[1:])  # upto[i]: the draws of the i lowest cases
-    g, cases = np.cumsum(new)[pos[order]], order[pos[order]]  # each positive case and its tie group
+    g, cases = g[pos[order]], order[pos[order]]  # each positive case and its tie group
     return (draws[cases] * (upto[edges[g - 1]] + 1 + upto[edges[g]])).sum(axis=0) / 2.0
 
 
@@ -256,13 +246,13 @@ class WilcoxonResult:
 WILCOXON_EXACT_CASES = 25
 
 
-def _wilcoxon_exact_tail(doubled_ranks: list[int], w2: int) -> tuple[float, float]:
+def _wilcoxon_exact_tail(doubled_ranks: np.ndarray, w2: int) -> tuple[float, float]:
     """P(W+ <= w) and P(W+ >= w) over all 2^n sign assignments, exact.
 
     Works on ranks doubled into integers so tie-averaged half ranks stay
     exact; the counts sum to 2^n, which fits in int64 for n <= 62.
     """
-    total = sum(doubled_ranks)
+    total = int(doubled_ranks.sum())
     counts = np.zeros(total + 1, dtype=np.int64)
     counts[0] = 1
     for dr in doubled_ranks:
@@ -281,9 +271,10 @@ def wilcoxon_signed_rank(
     """Two-sided paired signed-rank test on per-case values (zero
     differences dropped).
 
-    Exact sign-assignment distribution up to ``WILCOXON_EXACT_CASES``
-    cases, normal approximation with tie correction beyond. The verdict
-    combines significance with the direction of the rank sums.
+    The ranks of |d| are ``_tie_groups``'s, doubled into integers. Exact
+    sign-assignment distribution up to ``WILCOXON_EXACT_CASES`` cases,
+    normal approximation with tie correction beyond. The verdict combines
+    significance with the direction of the rank sums.
     """
     a = np.asarray(a_values, dtype=np.float64)
     b = np.asarray(b_values, dtype=np.float64)
@@ -294,18 +285,18 @@ def wilcoxon_signed_rank(
     n = d.size
     if n == 0:
         return WilcoxonResult(TIE, 1.0, 0.0, 0.0, 0)
-    ranks = _ranks(np.abs(d))
-    w_pos = float(ranks[d > 0].sum())
-    w_neg = float(ranks[d < 0].sum())
+    order, g, edges = _tie_groups(np.abs(d))
+    doubled = np.empty(n, dtype=np.int64)
+    doubled[order] = edges[g - 1] + 1 + edges[g]
+    w2 = int(doubled[d > 0].sum())
+    w_pos, w_neg = w2 / 2.0, int(doubled[d < 0].sum()) / 2.0
 
     if n <= WILCOXON_EXACT_CASES:
-        doubled = [int(round(2 * r)) for r in ranks]
-        w2 = int(round(2 * w_pos))
         p = min(1.0, 2.0 * min(_wilcoxon_exact_tail(doubled, w2)))
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(ranks, return_counts=True)
+        tie_counts = np.diff(edges)
         var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
         if var <= 0:
             return WilcoxonResult(TIE, 1.0, w_pos, w_neg, n)
@@ -367,25 +358,17 @@ def pairwise_wins(
 
 def normalize_ranks(wins: dict[str, int]) -> dict[str, float]:
     """Positional scores on [0.1, 1]: ascending win order, the 1-indexed
-    position p scores 0.1 + (p-1) * 0.9/(n-1), equal win counts share the
-    arithmetic mean of their positions' scores."""
+    position p scores 0.1 + (p-1) * 0.9/(n-1), equal win counts (a
+    ``_tie_groups`` group) share the arithmetic mean of their positions' scores."""
     n = len(wins)
     if n < 2:
         raise ConfigError("ranking needs at least two submissions")
-    by_wins = sorted(wins.items(), key=lambda kv: kv[1])
+    names = list(wins)
+    order, g, edges = _tie_groups(np.array(list(wins.values())))
     step = 0.9 / (n - 1)
     scores = [0.1 + p * step for p in range(n)]
-    out: dict[str, float] = {}
-    i = 0
-    while i < n:
-        j = i
-        while j < n and by_wins[j][1] == by_wins[i][1]:
-            j += 1
-        shared = float(np.mean(scores[i:j]))
-        for name, _ in by_wins[i:j]:
-            out[name] = shared
-        i = j
-    return out
+    shared = [float(np.mean(scores[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
+    return {names[i]: shared[k - 1] for i, k in zip(order, g)}
 
 
 def aggregate_geomean(per_dataset: dict[str, dict[str, Optional[float]]]) -> dict[str, float]:

@@ -276,6 +276,14 @@ n = 24
         assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 0
         assert (out / "metrics.csv").read_text().strip().split("\n")[1] == "auc,1.0"
 
+    def test_scores_csv_eval_lists_no_data_section(self, tmp_path):
+        (tmp_path / "s.csv").write_text("case_id,label,score_0,score_1\nc0,0,0.9,0.1\nc1,1,0.2,0.8\nc2,1,0.4,0.6\n")
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\nscores_csv = {tmp_path / 's.csv'}\n")
+        out = tmp_path / "out"
+        assert run_cli("eval", "--config", str(cfg), "--out", str(out)) == 0
+        assert "[data]" not in (out / "resolved_config.ini").read_text()  # the run reads no [data] key
+
 
 class TestRankCommand:
     def write_wins_csv(self, path, table):
@@ -415,6 +423,32 @@ class TestRankCommand:
         out = tmp_path / "o"
         assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
         assert capsys.readouterr().err == f"data error: {wins_csv}: row ',ds,1' has an empty field\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["wins", "scores"])
+    def test_dataset_with_one_submission_is_data_error(self, tmp_path, capsys, mode):
+        if mode == "wins":
+            (tmp_path / "wins.csv").write_text("submission,dataset,wins\na,ds1,0\nb,ds2,1\nc,ds2,0\n")
+            config = f"[rank]\nwins_csv = {tmp_path / 'wins.csv'}\n"
+        else:
+            (tmp_path / "scores").mkdir()
+            (tmp_path / "scores" / "ds1__a.csv").write_text("case_id,dsc\nc0,0.5\nc1,0.7\n")
+            config = f"[rank]\nmode = scores\nscores_dir = {tmp_path / 'scores'}\ncomparator = wilcoxon\n"
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == "data error: dataset 'ds1' has one submission; ranking needs at least two\n"
+        assert not out.exists()
+
+    def test_negative_wins_is_data_error(self, tmp_path, capsys):
+        wins_csv = tmp_path / "wins.csv"
+        wins_csv.write_text("submission,dataset,wins\na,ds1,-3\nb,ds1,2\n")
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nwins_csv = {wins_csv}\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {wins_csv}: wins must not be negative\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["ds__.csv", "__a.csv", "ds.csv"])

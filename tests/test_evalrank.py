@@ -21,8 +21,9 @@ from mixerlab.evalrank import (
     WILCOXON_EXACT_CASES,
     CaseScores,
     _auc_vector,
-    _ranks,
     _resample_draws,
+    _tie_groups,
+    _wilcoxon_exact_tail,
     aggregate_geomean,
     auc_macro,
     bootstrap_auc_win,
@@ -87,7 +88,7 @@ def wilcoxon_enumeration_oracle(diffs, two_sided=True):
 def auc_vector_oracle(scores, labels, idx):
     """Row r is the macro AUC of resample ``idx[r]`` (case indices), with a
     sort of every resample's scores: each present class's Mann-Whitney U
-    from ``_ranks`` over npos * nneg, the kept classes averaged by ``np.mean``."""
+    from ``rankdata`` over npos * nneg, the kept classes averaged by ``np.mean``."""
     drawn, n = labels[idx], idx.shape[1]
     aucs = np.empty((idx.shape[0], scores.shape[1]))
     kept = np.empty(aucs.shape, dtype=bool)
@@ -95,9 +96,56 @@ def auc_vector_oracle(scores, labels, idx):
         pos = drawn == cls
         npos = pos.sum(axis=1)
         kept[:, cls] = npos > 0
-        u = np.where(pos, _ranks(scores[idx, cls]), 0.0).sum(axis=1)
+        u = np.where(pos, rankdata(scores[idx, cls], axis=-1), 0.0).sum(axis=1)
         aucs[:, cls] = (u - npos * (npos + 1) / 2.0) / np.maximum(npos * (n - npos), 1)
     return np.array([np.mean(row[keep]) for row, keep in zip(aucs, kept)])
+
+
+def wilcoxon_oracle(a_values, b_values, alpha=0.05):
+    """``wilcoxon_signed_rank`` as it stood before ``_tie_groups``, with
+    ``rankdata`` for its float ranks: the doubled ranks rounded back from
+    them, the tie counts from ``np.unique`` of the ranks."""
+    d = np.asarray(a_values, dtype=np.float64) - np.asarray(b_values, dtype=np.float64)
+    d = d[d != 0.0]
+    n = d.size
+    if n == 0:
+        return evalrank.WilcoxonResult(TIE, 1.0, 0.0, 0.0, 0)
+    ranks = rankdata(np.abs(d))
+    w_pos = float(ranks[d > 0].sum())
+    w_neg = float(ranks[d < 0].sum())
+    if n <= WILCOXON_EXACT_CASES:
+        doubled = np.array([int(round(2 * r)) for r in ranks])
+        p = min(1.0, 2.0 * min(_wilcoxon_exact_tail(doubled, int(round(2 * w_pos)))))
+    else:
+        mu = n * (n + 1) / 4.0
+        var = n * (n + 1) * (2 * n + 1) / 24.0
+        _, tie_counts = np.unique(ranks, return_counts=True)
+        var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
+        if var <= 0:
+            return evalrank.WilcoxonResult(TIE, 1.0, w_pos, w_neg, n)
+        p = math.erfc(abs((w_pos - mu) / math.sqrt(var)) / math.sqrt(2.0))
+    verdict = TIE if p >= alpha or w_pos == w_neg else A_WINS if w_pos > w_neg else B_WINS
+    return evalrank.WilcoxonResult(verdict, p, w_pos, w_neg, n)
+
+
+def normalize_ranks_oracle(wins):
+    """``normalize_ranks`` as it stood before ``_tie_groups``: a stable sort
+    by wins, then a walk over each run of equal counts."""
+    n = len(wins)
+    by_wins = sorted(wins.items(), key=lambda kv: kv[1])
+    step = 0.9 / (n - 1)
+    scores = [0.1 + p * step for p in range(n)]
+    out = {}
+    i = 0
+    while i < n:
+        j = i
+        while j < n and by_wins[j][1] == by_wins[i][1]:
+            j += 1
+        shared = float(np.mean(scores[i:j]))
+        for name, _ in by_wins[i:j]:
+            out[name] = shared
+        i = j
+    return out
 
 
 def resample_indices_oracle(labels, repeats, seed):
@@ -131,15 +179,17 @@ def bootstrap_oracle(a, b, repeats=5000, alpha=0.05, seed=0):
 
 class TestRanks:
     def test_bit_for_bit_with_rankdata(self):
+        # the 1-D ranks that _tie_groups implies: group g's (edges[g-1] + 1 + edges[g]) / 2
         rng = np.random.default_rng(3)
         for trial in range(40):
             n = int(rng.integers(1, 30))
-            shape = (n,) if trial % 2 else (int(rng.integers(1, 6)), n)
-            untied = rng.standard_normal(shape)
-            tied = rng.choice([-1.0, 0.0, 0.25, 0.25, 3.0], size=shape)
+            untied = rng.standard_normal(n)
+            tied = rng.choice([-1.0, 0.0, 0.25, 0.25, 3.0], size=n)
             for values in (untied, tied):
-                want = rankdata(values, axis=-1)
-                got = _ranks(values)
+                order, g, edges = _tie_groups(values)
+                got = np.empty(n)
+                got[order] = (edges[g - 1] + 1 + edges[g]) / 2.0
+                want = rankdata(values)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), values
 
 
@@ -532,6 +582,32 @@ class TestWilcoxon:
         assert res.p_value == pytest.approx(float(ref.pvalue), rel=1e-12)
 
 
+class TestWilcoxonMatchesRankdataOracle:
+    """Every field of the result, bit for bit, against the ranks of ``rankdata``."""
+
+    def assert_same(self, a, b):
+        got, want = wilcoxon_signed_rank(a, b), wilcoxon_oracle(a, b)
+        assert got == want, (got, want)
+        assert all(type(getattr(got, f)) is type(getattr(want, f)) for f in vars(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 25, 26, 40, 60])
+    def test_tied_untied_and_zero_differences(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            a = rng.random(n).round(2)  # two decimals, so |d| ties
+            b = (a + rng.normal(0.03 * (trial % 3 - 1), 0.05, n)).round(2 if trial % 2 else 17)
+            b[: trial % 4] = a[: trial % 4]  # some zero differences
+            self.assert_same(a, b)
+
+    @pytest.mark.parametrize("n", [25, 26])
+    def test_every_difference_tied_or_zero(self, n):
+        a = np.zeros(n)
+        self.assert_same(a, np.full(n, 0.5))
+        self.assert_same(a, np.r_[np.full(n // 2, 0.5), np.full(n - n // 2, -0.5)])
+        self.assert_same(a, np.r_[np.zeros(n - 3), 0.25, -0.25, 0.25])
+        self.assert_same(a, a.copy())
+
+
 # ---------------------------------------------------------------------------
 # round robin, normalization, aggregation
 # ---------------------------------------------------------------------------
@@ -635,6 +711,31 @@ class TestNormalizeRanks:
         if wins.count(lo) == 1:
             worst = names[wins.index(lo)]
             assert out[worst] == pytest.approx(0.1)
+
+
+class TestNormalizeRanksMatchesWalkOracle:
+    @staticmethod
+    def assert_same(wins):
+        got, want = normalize_ranks(wins), normalize_ranks_oracle(wins)
+        assert list(got.items()) == list(want.items()), (wins, got, want)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_integer_and_float_wins_with_many_ties(self, n):
+        rng = np.random.default_rng(n)
+        names = [f"s{i}" for i in range(n)]
+        for high in (1, 3, n):
+            wins = rng.integers(0, high, n).tolist()
+            self.assert_same(dict(zip(names, wins)))
+            self.assert_same(dict(zip(names, (rng.integers(0, high, n) / 2.0).tolist())))
+            self.assert_same(dict(zip(names, [w if i % 2 else float(w) for i, w in enumerate(wins)])))
+        self.assert_same(dict(zip(names, range(n))))
+
+    def test_33_submissions_bottom_two_tied(self):
+        wins = {f"s{i}": max(i, 1) for i in range(33)}
+        self.assert_same(wins)
+        # the mean of the two scores lands just above the 6-decimal boundary that
+        # the mean rank's score 0.1140625 sits on, so rank_table.csv shows 0.114063
+        assert round(normalize_ranks(wins)["s0"], 6) == 0.114063 != round(0.1140625, 6)
 
 
 class TestPublishedRankingTables:

@@ -10,8 +10,10 @@ that ``perfbench/inputs.py`` (next to this script) writes, and prints one
 - ``train`` for each of perfbench's six mixer-kind configs;
 - ``infer`` on perfbench's S12 checkpoint, with its ``logits.f64``;
 - ``rank`` on perfbench's bootstrap and Wilcoxon configs, on a wins CSV,
-  and at the default 5,000 bootstrap repeats on tied ten-class scores that
-  this script writes;
+  at the default 5,000 bootstrap repeats on tied ten-class scores that
+  this script writes, with Wilcoxon on 40 tied two-decimal Dice cases
+  (the normal approximation and its tie correction; two submissions are
+  identical), and on a wins CSV of 33 submissions whose bottom two tie;
 - ``flops`` at S12, and ``params`` for the six kinds and one mixed signature;
 - a synthetic ``train`` with validation and augmentation, ``eval`` of
   its checkpoint with ``f1`` and with ``auc``, and ``eval`` of the
@@ -96,6 +98,20 @@ def _write_tied_scores(root: str) -> str:
     return root
 
 
+def _write_tied_dice(root: str) -> str:
+    """Four submissions over 40 cases, Dice at two decimals, so that |d|
+    ties; ``s1`` repeats ``s0``, so that pair's differences are all zero.
+    Returns the scores directory."""
+    rng = np.random.default_rng(SEED)
+    base = rng.random(40) * 0.5 + 0.3
+    dice = [base, base] + [base + shift + rng.normal(0.0, 0.03, 40) for shift in (0.02, 0.06)]
+    os.makedirs(root)
+    for s, values in enumerate(dice):
+        rows = "".join(f"c{i},{v!r}\n" for i, v in enumerate(values.round(2).tolist()))
+        _write(os.path.join(root, f"dice__s{s}.csv"), "case_id,dsc\n" + rows)
+    return root
+
+
 def run_program(root: str, tmp: str) -> list[str]:
     """Every output of the checkout at ``root``, as ``name digest`` lines."""
     src = os.path.join(os.path.abspath(root), "src")
@@ -131,6 +147,12 @@ def run_program(root: str, tmp: str) -> list[str]:
     tied = _write_tied_scores(os.path.join(tmp, "tied_scores"))
     text = f"[rank]\nmode = scores\nscores_dir = {tied}\n"  # the default bootstrap and repeats
     command("rank_tied", "rank", _write(os.path.join(tmp, "rank_tied.ini"), text))
+    dice = _write_tied_dice(os.path.join(tmp, "tied_dice"))
+    text = f"[rank]\nmode = scores\nscores_dir = {dice}\ncomparator = wilcoxon\n"
+    command("rank_wilcoxon_tied", "rank", _write(os.path.join(tmp, "rank_wilcoxon_tied.ini"), text))
+    wins = _write(os.path.join(tmp, "wins_tied.csv"), "submission,dataset,wins\n" + "".join(
+        f"s{i},ds1,{max(i, 1)}\n" for i in range(33)))  # s0 and s1 tie at the bottom
+    command("rank_wins_tied", "rank", _write(os.path.join(tmp, "rank_wins_tied.ini"), f"[rank]\nwins_csv = {wins}\n"))
     command("flops", "flops", _write(os.path.join(tmp, "flops.ini"), "[flops]\nkernel = 3\n"))
     command("params", "params", _write(os.path.join(tmp, "params.ini"), PARAMS))
     trained = command("train_synthetic", "train", _write(os.path.join(tmp, "synthetic.ini"), SYNTHETIC_TRAIN))
