@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -286,6 +287,11 @@ def _read_wins_csv(path: str) -> dict[str, dict[str, int]]:
         raise DataError(f"{path}: wins must be integers") from None
     if any(w < 0 for wins in per_dataset.values() for w in wins.values()):
         raise DataError(f"{path}: wins must not be negative")
+    for ds, wins in per_dataset.items():  # the k best of s win at most C(k, 2) + k(s - k) games
+        for k, top in enumerate(accumulate(sorted(wins.values(), reverse=True)), 1):
+            if top > k * (2 * len(wins) - k - 1) // 2:
+                raise DataError(f"{path}: on dataset {ds!r} the {k} largest win counts sum to {top}, "
+                                f"more than a round robin of {len(wins)} submissions gives them")
     return per_dataset
 
 
@@ -395,7 +401,7 @@ def main(argv=None) -> int:
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 3
-    except (NumericsError, CapacityError) as exc:
+    except (NumericsError, CapacityError, MemoryError) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 4
     except MixerlabError as exc:

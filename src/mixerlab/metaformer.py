@@ -18,7 +18,7 @@ import numpy as np
 from .config import FLOAT, HW, INT, INTS, TEXT, Key, ValueType
 from .config import field_values, format_section, owned_by, read_ini
 from .errors import ConfigError, ShapeError
-from .mixers import MixerSpec, apply_mixer, head_count, init_mixer_params
+from .mixers import MIXER_KINDS, MixerSpec, apply_mixer, head_count, init_mixer_params
 from .tensor import (
     Registry,
     Tensor,
@@ -186,13 +186,11 @@ class Block:
     """
 
     def __init__(self, params: Registry, prefix: str, c: int, spec: MixerSpec, mlp_ratio: int,
-                 layerscale_init: float, droppath_p: float, pos_emb: Optional[Tensor] = None):
+                 layerscale_init: float, droppath_p: float, shared: Optional[dict[str, Tensor]] = None):
         self.channels = c
         self.spec = spec
         self.norm1 = Norm(params, f"{prefix}.norm1", c)
-        self.mixer_params = init_mixer_params(spec, c, params, f"{prefix}.mixer")
-        if pos_emb is not None:  # shared by the blocks of a stage, which makes it
-            self.mixer_params["pos_emb"] = pos_emb
+        self.mixer_params = {**init_mixer_params(spec, c, params, f"{prefix}.mixer"), **(shared or {})}
         self.ls1 = params.new(f"{prefix}.layerscale1", (c,), layerscale_init)
         self.norm2 = Norm(params, f"{prefix}.norm2", c)
         self.mlp = ChannelMlp(params, f"{prefix}.mlp", c, mlp_ratio)
@@ -264,14 +262,13 @@ class MetaFormer:
         block_index = 0
         for i in range(4):
             spec = config.signature[i]
-            pos = None
-            if spec.kind == "global_attn":
-                pos = params.new(f"stage{i}.pos_emb", (chans[i],) + stage_hw[i])
+            shared = {name: params.new(f"stage{i}.{name}", shape)
+                      for name, shape in MIXER_KINDS[spec.kind].stage_weights(chans[i], stage_hw[i]).items()}
             blocks = []
             for j in range(config.stage_depths[i]):
                 p = config.stochastic_depth_max * block_index / max(total_blocks - 1, 1)
                 blocks.append(Block(params, f"stage{i}.block{j}", chans[i], spec, config.mlp_ratio,
-                                    config.layerscale_init, p, pos_emb=pos))
+                                    config.layerscale_init, p, shared))
                 block_index += 1
             self.stages.append(blocks)
 

@@ -5,7 +5,8 @@ or channel count; everything else in a block (norms, channel MLP,
 residuals) stays fixed. Kernel-based mixers run stride 1 with padding
 (K-1)/2 and no bias. ``MIXER_KINDS`` holds every fact about a kind:
 kernel use, attention or not, its weights (name -> shape), whose total
-size is its parameter count, and the published FLOPs term.
+size is its parameter count, the published FLOPs term, how it mixes
+(``mix``) and the weights its stage shares (``stage_weights``).
 """
 
 from __future__ import annotations
@@ -36,15 +37,19 @@ from .tensor import (
 class MixerKind:
     """One row of the paper's cost table: whether the mixer takes a kernel
     K, whether it is attention, its trainable weights as a function of
-    (C, K) (name -> shape, in creation order), and its FLOPs mixer term (the
+    (C, K) (name -> shape, in creation order), its FLOPs mixer term (the
     published FLOPs expression without the NC^2 channel-MLP share) as a
-    function of (C, N, K). The functions accept any K; only MixerSpec
-    validates it."""
+    function of (C, N, K), the mixer as (x, weights, K) -> output (it looks
+    its ``mix_*`` up by name when it runs, so a profiler may rebind that),
+    and the weights a stage's blocks share as a function of (C, (H, W)).
+    The functions accept any K; only MixerSpec validates it."""
 
     uses_kernel: bool
     is_attention: bool
     weights: Callable[[int, Optional[int]], dict[str, tuple[int, ...]]]
     flops: Callable[[int, int, Optional[int]], int]
+    mix: Callable[[Tensor, dict, Optional[int]], Tensor]
+    stage_weights: Callable[[int, tuple[int, int]], dict[str, tuple[int, ...]]] = lambda c, hw: {}
 
     def params(self, c: int, k: Optional[int]) -> int:
         """Trainable parameter count: the total size of the weights."""
@@ -60,16 +65,18 @@ def _projections(c: int, k: Optional[int]) -> dict[str, tuple[int, ...]]:
 
 # every fact about a mixer kind, in the paper's cost order
 MIXER_KINDS = {
-    "identity": MixerKind(False, False, lambda c, k: {}, lambda c, n, k: 0),
-    "pooling": MixerKind(True, False, lambda c, k: {}, lambda c, n, k: n * k * k * c),
+    "identity": MixerKind(False, False, lambda c, k: {}, lambda c, n, k: 0, lambda x, p, k: mix_identity(x)),
+    "pooling": MixerKind(True, False, lambda c, k: {}, lambda c, n, k: n * k * k * c, lambda x, p, k: mix_pool(x, k)),
     "grouped_conv": MixerKind(True, False, lambda c, k: {"kernel": (c, 1, k, k)},
-                              lambda c, n, k: n * 2 * k * k * c),
+                              lambda c, n, k: n * 2 * k * k * c, lambda x, p, k: mix_grouped_conv(x, p, k)),
     "local_attn": MixerKind(True, True, _projections,
-                            lambda c, n, k: 4 * n * c * c + n * k * k * c + n + 2 * n * k * k),
+                            lambda c, n, k: 4 * n * c * c + n * k * k * c + n + 2 * n * k * k,
+                            lambda x, p, k: mix_local_attn(x, p, k)),
     "conv": MixerKind(True, False, lambda c, k: {"kernel": (c, c, k, k)},
-                      lambda c, n, k: n * 2 * k * k * c * c),
+                      lambda c, n, k: n * 2 * k * k * c * c, lambda x, p, k: mix_conv(x, p, k)),
     "global_attn": MixerKind(False, True, _projections,
-                             lambda c, n, k: 4 * n * c * c + n * n * c + n + 2 * n * n),
+                             lambda c, n, k: 4 * n * c * c + n * n * c + n + 2 * n * n,
+                             lambda x, p, k: mix_global_attn(x, p), lambda c, hw: {"pos_emb": (c,) + hw}),
 }
 
 # largest allowed score matrix (B*M*N*N float64 elements) before a mixer
@@ -157,8 +164,8 @@ def build_neighborhood_mask(height: int, width: int, kernel: int) -> Neighborhoo
 
 def init_mixer_params(spec: MixerSpec, channels: int, registry: Registry, prefix: str = "mixer"):
     """The kind's weights for one mixer placement, made in ``registry`` under
-    ``prefix`` and keyed by short name. Global attention's positional
-    embedding is shared by the blocks of a stage, so the stage makes it."""
+    ``prefix`` and keyed by short name. The stage makes the weights its
+    blocks share (the row's ``stage_weights``)."""
     shapes = MIXER_KINDS[spec.kind].weights(channels, spec.kernel)
     return {name: registry.new(f"{prefix}.{name}", shape) for name, shape in shapes.items()}
 
@@ -251,20 +258,8 @@ def mix_local_attn(x: Tensor, params: dict[str, Tensor], kernel: int) -> Tensor:
 
 
 def apply_mixer(spec: MixerSpec, params, x: Tensor) -> Tensor:
-    """Dispatch to the mixer named by spec.kind."""
-    if spec.kind == "identity":
-        return mix_identity(x)
-    if spec.kind == "pooling":
-        return mix_pool(x, spec.kernel)
-    if spec.kind == "conv":
-        return mix_conv(x, params, spec.kernel)
-    if spec.kind == "grouped_conv":
-        return mix_grouped_conv(x, params, spec.kernel)
-    if spec.kind == "local_attn":
-        return mix_local_attn(x, params, spec.kernel)
-    if spec.kind == "global_attn":
-        return mix_global_attn(x, params)
-    raise ConfigError(f"unknown mixer kind {spec.kind!r}")
+    """Run the mixer named by spec.kind on x."""
+    return MIXER_KINDS[spec.kind].mix(x, params, spec.kernel)
 
 
 def warm_start_remap(source: dict[str, Tensor], target: dict[str, Tensor]) -> dict[str, Tensor]:

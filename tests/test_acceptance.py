@@ -226,7 +226,8 @@ def test_criterion_5_block_gradients():
                 else None
             )
             registry = Registry(rng)
-            block = Block(registry, "blk", c, MixerSpec(kind, 3), 4, 0.7, 0.0, pos_emb=pos)
+            block = Block(registry, "blk", c, MixerSpec(kind, 3), 4, 0.7, 0.0,
+                          None if pos is None else {"pos_emb": pos})
             x0 = rng.standard_normal((1, c, h, w)) * 0.5
             probe = rng.standard_normal((1, c, h, w))
             params = dict(registry.tensors)

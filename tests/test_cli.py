@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -312,7 +313,7 @@ class TestRankCommand:
 
     def test_single_dataset_global_equals_rank(self, tmp_path):
         wins_csv = tmp_path / "wins.csv"
-        wins_csv.write_text("submission,dataset,wins\na,ds,3\nb,ds,1\nc,ds,0\n")
+        wins_csv.write_text("submission,dataset,wins\na,ds,2\nb,ds,1\nc,ds,0\n")
         cfg = tmp_path / "rank.ini"
         cfg.write_text(f"[rank]\nmode = wins\nwins_csv = {wins_csv}\n")
         out = tmp_path / "out"
@@ -323,8 +324,8 @@ class TestRankCommand:
             assert float(cells[2]) == float(cells[3])  # ds_rank == global
 
     def test_row_order_invariant_to_input_permutation(self, tmp_path):
-        rows = ["submission,dataset,wins", "a,ds,3", "b,ds,1", "c,ds,0"]
-        perm = ["submission,dataset,wins", "c,ds,0", "a,ds,3", "b,ds,1"]
+        rows = ["submission,dataset,wins", "a,ds,2", "b,ds,1", "c,ds,0"]
+        perm = ["submission,dataset,wins", "c,ds,0", "a,ds,2", "b,ds,1"]
         outs = []
         for i, content in enumerate((rows, perm)):
             wins_csv = tmp_path / f"wins{i}.csv"
@@ -450,6 +451,32 @@ class TestRankCommand:
         assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
         assert capsys.readouterr().err == f"data error: {wins_csv}: wins must not be negative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows,k,top,s", [
+        ("a,ds1,99\nb,ds1,0\n", 1, 99, 2),  # above S - 1
+        ("a,ds1,2\nb,ds1,1\nc,ds1,1\n", 3, 4, 3),  # each at most S - 1, the sum above C(S, 2)
+        ("a,ds1,3\nb,ds1,3\nc,ds1,0\nd,ds1,0\n", 2, 6, 4),  # within both, yet a and b meet once
+    ])
+    def test_wins_no_round_robin_gives_is_data_error(self, tmp_path, capsys, rows, k, top, s):
+        wins_csv = tmp_path / "wins.csv"
+        wins_csv.write_text("submission,dataset,wins\nx,ds2,0\ny,ds2,0\n" + rows)
+        cfg = tmp_path / "rank.ini"
+        cfg.write_text(f"[rank]\nwins_csv = {wins_csv}\n")
+        out = tmp_path / "o"
+        assert run_cli("rank", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (f"data error: {wins_csv}: on dataset 'ds1' the {k} largest win counts "
+                                           f"sum to {top}, more than a round robin of {s} submissions gives them\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table", range(len(fx.ALL_TABLES)))
+    def test_published_and_extreme_round_robins_are_read(self, tmp_path, table):
+        wins_csv = tmp_path / "wins.csv"
+        self.write_wins_csv(wins_csv, fx.ALL_TABLES[table])
+        assert cli._read_wins_csv(str(wins_csv))
+        # every game decided, in a strict order and in a cycle
+        wins_csv.write_text("submission,dataset,wins\na,o,3\nb,o,2\nc,o,1\nd,o,0\na,c,1\nb,c,1\nc,c,1\n")
+        assert cli._read_wins_csv(str(wins_csv)) == {"o": {"a": 3, "b": 2, "c": 1, "d": 0},
+                                                     "c": {"a": 1, "b": 1, "c": 1}}
 
     @pytest.mark.parametrize("name", ["ds__.csv", "__a.csv", "ds.csv"])
     def test_scores_file_without_both_names_is_data_error(self, tmp_path, capsys, name):
@@ -757,6 +784,24 @@ seed = 1
         err = capsys.readouterr().err
         assert "numeric abort" in err
         assert "gradient norms" in err
+
+
+@pytest.mark.parametrize("model", ["channels = 8,16,24,4000000000\n",  # a 6.29 TiB patch-embed kernel
+                                   "input = 100000x100000\n"])  # a 3.49 TiB batch
+def test_allocation_that_cannot_succeed_exits_4(tmp_path, model):
+    """numpy refuses either allocation at once, and main reports it in one
+    line. The child's address space is capped, so that a host which
+    overcommits memory refuses it too, before a page is touched."""
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(f"[model]\n{model}depths = 1,1,1,1\n[train]\nmax_steps = 1\n[data]\nkind = synthetic\nn = 16\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "mixerlab", "train", "--config", str(cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9)))
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("numeric abort: ") and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
 
 
 def test_commands_run_with_scipy_blocked(tmp_path):

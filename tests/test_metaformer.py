@@ -124,7 +124,8 @@ class TestBlock:
         rng = np.random.default_rng(2)
         for kind in ("identity", "pooling", "conv", "grouped_conv", "local_attn", "global_attn"):
             pos = Tensor(rng.standard_normal((16, 4, 4)), requires_grad=True) if kind == "global_attn" else None
-            block = Block(Registry(rng), "b", 16, MixerSpec(kind, 3), 4, 0.5, 0.0, pos_emb=pos)
+            block = Block(Registry(rng), "b", 16, MixerSpec(kind, 3), 4, 0.5, 0.0,
+                          None if pos is None else {"pos_emb": pos})
             x = Tensor(rng.standard_normal((2, 16, 4, 4)))
             assert block.forward(x).shape == x.shape
 
@@ -534,6 +535,25 @@ class TestParameterRegistry:
         assert list(params)[:2] == ["patch_embed0.kernel", "patch_embed0.bias"]
         assert (len(params), zlib.crc32(manifest.encode()), crc) == (count, manifest_crc, state_crc)
         assert zlib.crc32(path.read_bytes()) == file_crc
+
+    @pytest.mark.parametrize("kind", list(MIXER_KINDS))
+    def test_stage_weights_come_from_the_row(self, kind):
+        """A stage makes exactly the weights its kind's row names in
+        ``stage_weights``, before its first block, and every block of the
+        stage holds the same Tensor."""
+        cfg = tiny_config(kind, stage_depths=(2, 1, 2, 3))
+        model = MetaFormer(cfg, seed=0)
+        params = model.named_parameters()
+        names = list(params)
+        for i, (c, hw, blocks) in enumerate(zip(cfg.stage_channels, cfg.stage_hw(), model.stages)):
+            want = MIXER_KINDS[kind].stage_weights(c, hw)
+            stage_level = [n for n in names if n.startswith(f"stage{i}.") and n.count(".") == 1]
+            made = {n.split(".")[1]: params[n].shape for n in stage_level}
+            assert made == want
+            first_block = names.index(f"stage{i}.block0.norm1.gamma")
+            for name in want:
+                assert names.index(f"stage{i}.{name}") < first_block
+                assert all(block.mixer_params[name] is params[f"stage{i}.{name}"] for block in blocks)
 
     def test_load_model_draws_nothing(self, tmp_path, monkeypatch):
         signature = parse_signature("conv:3,grouped_conv:3,local_attn:3,global_attn")

@@ -62,7 +62,7 @@ kind = synthetic
 n = 32
 val_n = 8
 """
-WINS = "submission,dataset,wins\npooling,ds1,3\nconv,ds1,1\nglobal_attn,ds1,2\npooling,ds2,0\nconv,ds2,2\n"
+WINS = "submission,dataset,wins\npooling,ds1,2\nconv,ds1,0\nglobal_attn,ds1,1\npooling,ds2,0\nconv,ds2,1\n"
 PARAMS = "[params]\nsignatures = identity; pooling:3; conv:3; grouped_conv:3; local_attn:7; global_attn; " \
          "pooling:3,pooling:3,local_attn:7,global_attn\n"
 
@@ -151,7 +151,7 @@ def run_program(root: str, tmp: str) -> list[str]:
     text = f"[rank]\nmode = scores\nscores_dir = {dice}\ncomparator = wilcoxon\n"
     command("rank_wilcoxon_tied", "rank", _write(os.path.join(tmp, "rank_wilcoxon_tied.ini"), text))
     wins = _write(os.path.join(tmp, "wins_tied.csv"), "submission,dataset,wins\n" + "".join(
-        f"s{i},ds1,{max(i, 1)}\n" for i in range(33)))  # s0 and s1 tie at the bottom
+        f"s{i},ds1,{max(i - 1, 0)}\n" for i in range(33)))  # s0 and s1 tie at the bottom
     command("rank_wins_tied", "rank", _write(os.path.join(tmp, "rank_wins_tied.ini"), f"[rank]\nwins_csv = {wins}\n"))
     command("flops", "flops", _write(os.path.join(tmp, "flops.ini"), "[flops]\nkernel = 3\n"))
     command("params", "params", _write(os.path.join(tmp, "params.ini"), PARAMS))
