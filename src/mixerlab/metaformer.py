@@ -26,6 +26,7 @@ from .tensor import (
     bilinear_resize,
     conv2d,
     gelu,
+    gelu_linear,
     global_avg_pool,
     layer_norm,
     linear,
@@ -147,8 +148,7 @@ class ChannelMlp:
     def __call__(self, x: Tensor) -> Tensor:
         t = transpose(x, (0, 2, 3, 1))
         t = linear(t, self.fc1_w, self.fc1_b)
-        t = gelu(t)
-        t = linear(t, self.fc2_w, self.fc2_b)
+        t = gelu_linear(t, self.fc2_w, self.fc2_b)
         return transpose(t, (0, 3, 1, 2))
 
 

@@ -21,6 +21,8 @@ im2col column blocks of at most ``_COLUMN_BYTES``. Both add the
 multiply-accumulates they execute to a thread-local count while one is open.
 ``bilinear_resize`` multiplies each (sample, channel) slice by two cached
 one-axis interpolation matrices (``_interp``), forward and backward.
+``gelu_linear`` runs ``linear(gelu(x), w, b)`` as one op that keeps x and GELU's
+cdf but not their product, and makes the product again for the weight gradient.
 """
 
 from __future__ import annotations
@@ -377,21 +379,25 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + _erf(x * _INV_SQRT2))  # numpy adds and scales the erf temporary in place
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's input gradient g * (cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi))), in one buffer."""
+    d = np.multiply(x, -0.5) * x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    return np.multiply(d, g, out=d)
+
+
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth everywhere, so finite differences apply."""
     a = _as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))  # numpy adds and scales the erf temporary in place
-
-    def grad_x(g):  # g * (cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi))) in one buffer
-        d = np.multiply(x, -0.5) * x
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= x
-        d += cdf
-        return np.multiply(d, g, out=d)
-
-    return _op("gelu", x * cdf, [(a, grad_x)])
+    x, cdf = a.data, _gelu_cdf(a.data)
+    return _op("gelu", x * cdf, [(a, lambda g: _gelu_grad(x, cdf, g))])
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +472,35 @@ def linear(x, weight, bias=None) -> Tensor:
     own, so a sample's output (and its input gradient) does not depend on its
     position in the batch or on the batch size.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
+    return _linear("linear", _as_tensor(x), weight, bias, None)
+
+
+def gelu_linear(x, weight, bias=None) -> Tensor:
+    """``linear(gelu(x), weight, bias)`` bit for bit. It holds x and GELU's cdf,
+    not their product, which it makes again for the weight gradient."""
+    x = _as_tensor(x)
+    return _linear("gelu_linear", x, weight, bias, _gelu_cdf(x.data))
+
+
+def _linear(name: str, x: Tensor, weight, bias, cdf: Optional[np.ndarray]) -> Tensor:
+    weight = _as_tensor(weight)
     cout, cin = weight.shape
     if x.shape[-1] != cin:
-        raise ShapeError(f"linear expects last axis {cin}, got input shape {x.shape}")
-    # one (M, Cin) matrix per sample
+        raise ShapeError(f"{name} expects last axis {cin}, got input shape {x.shape}")
+    # one (M, Cin) matrix per sample: x's rows, or with GELU's cdf those of x * cdf
     bsz, m = (x.shape[0], math.prod(x.shape[1:-1])) if x.ndim > 1 else (1, 1)
-    xs = x.data.reshape(bsz, m, cin)
-    y = (xs @ weight.data.T).reshape(x.shape[:-1] + (cout,))
+    xd = x.data
+    rows = lambda: (xd if cdf is None else xd * cdf).reshape(bsz, m, cin)
+    rows_grad = lambda g, w=weight.data, s=x.shape: (g.reshape(bsz, m, cout) @ w).reshape(s)
+    y = (rows() @ weight.data.T).reshape(x.shape[:-1] + (cout,))
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (cout,):
-            raise ShapeError(f"linear bias shape {bias.shape} != ({cout},)")
+            raise ShapeError(f"{name} bias shape {bias.shape} != ({cout},)")
         y = y + bias.data
-    return _op("linear", y, [
-        (x, lambda g, w=weight.data, s=x.shape: (g.reshape(bsz, m, cout) @ w).reshape(s)),
-        (weight, lambda g: g.reshape(bsz, m, cout).reshape(-1, cout).T @ xs.reshape(-1, cin)),
+    return _op(name, y, [
+        (x, rows_grad if cdf is None else lambda g: _gelu_grad(xd, cdf, rows_grad(g))),
+        (weight, lambda g: g.reshape(-1, cout).T @ rows().reshape(-1, cin)),
         (bias, lambda g: g.reshape(-1, cout).sum(axis=0)),
     ])
 

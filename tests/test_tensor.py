@@ -14,7 +14,7 @@ from scipy.special import erf as scipy_erf
 from conftest import fd_grad, rel_err, tape_grads
 from mixerlab import metaformer, tensor
 from mixerlab.errors import ConfigError, NumericsError, ShapeError
-from mixerlab.metaformer import MetaFormer, ModelConfig, parse_signature
+from mixerlab.metaformer import ChannelMlp, MetaFormer, ModelConfig, parse_signature
 from mixerlab.mixers import MixerSpec, apply_mixer, head_count, init_mixer_params
 from mixerlab.tensor import (
     Registry,
@@ -29,6 +29,7 @@ from mixerlab.tensor import (
     div,
     exp,
     gelu,
+    gelu_linear,
     global_avg_pool,
     layer_norm,
     linear,
@@ -518,6 +519,39 @@ class TestLinear:
             assert rel_err(a, e) < 1e-6
 
 
+class TestGeluLinear:
+    """``gelu_linear`` against its definition, ``linear(gelu(x), w, b)``, bit for bit."""
+
+    @staticmethod
+    def run(op, xv, wv, bv, probe):
+        ts = [Tensor(v, requires_grad=True) if v is not None else None for v in (xv, wv, bv)]
+        with Tape() as tape:
+            y = op(*ts)
+            loss = tsum(mul(y, probe))
+        tape.backward(loss)
+        return [y.data.tobytes()] + [t.grad.tobytes() for t in ts if t is not None]
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 24), (3, 24), (1, 5, 6, 24), (3, 5, 6, 24)])
+    def test_equals_gelu_then_linear(self, shape, bias):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        xv, wv = rng.standard_normal(shape) * 2.0, rng.standard_normal((7, 24))
+        bv = rng.standard_normal(7) if bias else None
+        probe = rng.standard_normal(shape[:-1] + (7,))
+        want = self.run(lambda x, w, b: linear(gelu(x), w, b), xv, wv, bv, probe)
+        assert self.run(gelu_linear, xv, wv, bv, probe) == want
+
+    @pytest.mark.parametrize("shape", [(16, 32), (16, 5, 6, 32)])
+    def test_batch_invariant(self, shape):
+        rng = np.random.default_rng(len(shape) + 10)
+        w, b = Tensor(rng.standard_normal((48, 32))), Tensor(rng.standard_normal(48))
+        assert_rows_match_single_runs(lambda t: gelu_linear(t, w, b), rng.standard_normal(shape))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError, match="gelu_linear"):
+            gelu_linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+
+
 # ---------------------------------------------------------------------------
 # softmax / log_softmax
 # ---------------------------------------------------------------------------
@@ -767,6 +801,7 @@ OP_CASES = {
     "tmean": ("sum", tmean, [(2, 3)]),
     "matmul": ("matmul", matmul, [(2, 3, 4), (2, 4, 2)]),
     "linear": ("linear", linear, [(2, 5, 3), (4, 3), (4,)]),
+    "gelu_linear": ("gelu_linear", gelu_linear, [(2, 5, 3), (4, 3), (4,)]),
     "softmax": ("softmax", softmax, [(2, 3)]),
     "log_softmax": ("log_softmax", log_softmax, [(2, 3)]),
     "layer_norm": ("layer_norm", layer_norm, [(2, 3, 4, 4), (3,), (3,)]),
@@ -1094,6 +1129,24 @@ class TestTapeRelease:
         finally:
             tracemalloc.stop()
         assert held < 2 * score_bytes, f"{held / score_bytes:.2f} score matrices held by {out}"
+
+    def test_channel_mlp_forward_holds_two_hidden_arrays(self, no_cyclic_gc):
+        c, ratio, hw = 16, 4, 16
+        mlp = ChannelMlp(Registry(np.random.default_rng(0)), "mlp", c, ratio)
+        x = Tensor(np.random.default_rng(1).standard_normal((1, c, hw, hw)), requires_grad=True)
+        token_bytes = hw * hw * c * 8  # one C-wide array; a hidden array is ratio times that
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = mlp(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # fc1's input and the output are C wide; the rest is fc1's output and
+        # GELU's cdf, not also their product
+        hidden = (held - 2 * token_bytes) / (ratio * token_bytes)
+        assert hidden < 2.25, f"{hidden:.2f} hidden-width arrays held by {out}"
 
 
 class TestNumericsPolicy:

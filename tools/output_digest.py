@@ -19,7 +19,10 @@ that ``perfbench/inputs.py`` (next to this script) writes, and prints one
   its checkpoint with ``f1`` and with ``auc``, and ``eval`` of the
   ``case_scores.csv`` that the second one writes, through ``scores_csv``;
 - the CRC-32 of every S12 parameter gradient, per perfbench ``s12``
-  signature, as perfbench computes it.
+  signature, as perfbench computes it;
+- the CRC-32 of every parameter gradient of a small seeded segmentation
+  model after one training-mode ``forward_segment``, cross-entropy plus
+  Dice loss and backward: the one line that covers the decoder's backward.
 
 A digest is the first 16 hex digits of the file's SHA-256; in
 ``resolved_config.ini`` the temporary directory is replaced by ``<tmp>``
@@ -39,6 +42,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import numpy as np
 
@@ -65,6 +69,27 @@ val_n = 8
 WINS = "submission,dataset,wins\npooling,ds1,2\nconv,ds1,0\nglobal_attn,ds1,1\npooling,ds2,0\nconv,ds2,1\n"
 PARAMS = "[params]\nsignatures = identity; pooling:3; conv:3; grouped_conv:3; local_attn:7; global_attn; " \
          "pooling:3,pooling:3,local_attn:7,global_attn\n"
+
+
+def _segment_grads_crc(mixerlab) -> str:
+    """One training-mode segmentation step's loss and parameter gradients,
+    chained into one CRC-32 the way perfbench's ``s12`` chains them."""
+    mf, tensor, trainer = mixerlab.metaformer, mixerlab.tensor, mixerlab.trainer
+    cfg = mf.ModelConfig(stage_channels=(8, 16, 24, 32), stage_depths=(1, 1, 2, 1), head="segment",
+                         num_classes=3, decoder_dim=16, input_hw=(32, 32),
+                         signature=mf.parse_signature("pooling:3,conv:3,local_attn:3,global_attn"))
+    model = mf.MetaFormer(cfg, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    image, mask = rng.uniform(0.0, 1.0, (2, 3, 32, 32)), rng.integers(0, 3, (2, 32, 32))
+    with tensor.Tape() as tape:
+        logits = model.forward_segment(tensor.Tensor(image), training=True, rng=rng)
+        loss = tensor.add(trainer.ce_loss(logits, mask), trainer.dice_loss(logits, mask))
+    tape.backward(loss)
+    crc = zlib.crc32(np.asarray(loss.data).tobytes())
+    for name, p in model.named_parameters().items():
+        if p.grad is not None:
+            crc = zlib.crc32(np.ascontiguousarray(p.grad).data, zlib.crc32(name.encode(), crc))
+    return f"{crc:08x}"
 
 
 def _digest(path: str, tmp: str) -> str:
@@ -161,6 +186,8 @@ def run_program(root: str, tmp: str) -> list[str]:
         evaluated = command(f"eval_{metric}", "eval", _write(os.path.join(tmp, f"eval_{metric}.ini"), text))
     text = f"[eval]\nmetric = f1\nscores_csv = {evaluated}/case_scores.csv\n"
     command("eval_scores_csv", "eval", _write(os.path.join(tmp, "eval_scores_csv.ini"), text))
+
+    lines.append(f"segment_grads {_segment_grads_crc(mixerlab)}")
 
     # perfbench's s12 pass, one signature at a time so that one S12 model is alive
     s12 = workloads.S12(os.path.join(tmp, "s12"), SEED)
