@@ -27,6 +27,7 @@ from .tensor import (
     linear,
     matmul,
     mul,
+    neighborhood_attention,
     reshape,
     softmax,
     transpose,
@@ -79,9 +80,9 @@ MIXER_KINDS = {
                              lambda x, p, k: mix_global_attn(x, p), lambda c, hw: {"pos_emb": (c,) + hw}),
 }
 
-# largest allowed score matrix (B*M*N*N float64 elements) before a mixer
-# refuses to materialize attention; mirrors running out of accelerator
-# memory on huge inputs, but as an explicit error
+# largest allowed attention score array before a mixer refuses to make any, in float64
+# elements: B*M*N*K^2 window scores for local attention above N = 4 K^2, else B*M*N*N;
+# mirrors running out of accelerator memory on huge inputs, but as an explicit error
 SCORE_BUDGET = 2**26
 
 HEADS_DIVISOR = 16
@@ -123,22 +124,15 @@ def head_count(channels: int) -> int:
 
 @dataclass
 class NeighborhoodMask:
-    """Allowed (query, key) pairs for local attention on an H x W grid.
+    """Allowed (query, key) pairs of local attention's dense path on an H x W grid: allowed[r, s]
+    is True iff the unraveled coordinates satisfy |i - h| < K/2 and |j - w| < K/2. The matrix is
+    symmetric and every row contains at least the pixel itself."""
 
-    allowed[r, s] is True iff the unraveled coordinates satisfy
-    |i - h| < K/2 and |j - w| < K/2 in both axes. The matrix is symmetric
-    and every row contains at least the pixel itself.
-    """
-
-    kernel: int
-    height: int
-    width: int
     allowed: np.ndarray = field(repr=False)
 
     def to_additive(self) -> np.ndarray:
         """0 where allowed, -inf where masked; broadcastable over heads."""
-        out = np.where(self.allowed, 0.0, -np.inf)
-        return out
+        return np.where(self.allowed, 0.0, -np.inf)
 
 
 def build_neighborhood_mask(height: int, width: int, kernel: int) -> NeighborhoodMask:
@@ -153,8 +147,7 @@ def build_neighborhood_mask(height: int, width: int, kernel: int) -> Neighborhoo
 
     # allowed[(i, j), (h, w)] = band_H[i, h] & band_W[j, w]: one outer product
     allowed = band(height)[:, None, :, None] & band(width)[None, :, None, :]
-    n = height * width
-    return NeighborhoodMask(kernel=kernel, height=height, width=width, allowed=allowed.reshape(n, n))
+    return NeighborhoodMask(allowed.reshape(height * width, height * width))
 
 
 # ---------------------------------------------------------------------------
@@ -192,42 +185,32 @@ def mix_grouped_conv(x: Tensor, params: dict[str, Tensor], kernel: int) -> Tenso
     return conv2d(x, params["kernel"], stride=1, padding=(kernel - 1) // 2, groups=c)
 
 
-def _budgeted_heads(x: Tensor) -> int:
-    """Head count for x, refusing attention over budget before anything
-    N x N is allocated."""
+def _budgeted_heads(x: Tensor, keys: int) -> int:
+    """Head count for x, refusing before any score is made if B*M*N*``keys`` exceeds the budget."""
     b, c, h, w = x.shape
     m, n = head_count(c), h * w
-    if b * m * n * n > SCORE_BUDGET:
-        raise CapacityError(
-            f"attention score matrix of {b}x{m}x{n}x{n} elements exceeds the budget of {SCORE_BUDGET}"
-        )
+    if b * m * n * keys > SCORE_BUDGET:
+        raise CapacityError(f"attention scores of {b}x{m}x{n}x{keys} elements exceed the budget of {SCORE_BUDGET}")
     return m
 
 
-def _attention(x: Tensor, params: dict[str, Tensor], heads: int,
-               additive_mask: Optional[np.ndarray]) -> Tensor:
+def _attention(x: Tensor, params: dict[str, Tensor], heads: int, window: Optional[int] = None,
+               additive_mask: Optional[np.ndarray] = None) -> Tensor:
+    """Project x's (B, H, W, C) tokens (q prescaled by 1/sqrt(D): better conditioned), attend over
+    ``window`` x ``window`` windows if given, else over all N keys plus ``additive_mask``, merge heads."""
     b, c, h, w = x.shape
-    n = h * w
-    m = heads
-    d = c // m
-    tokens = reshape(transpose(x, (0, 2, 3, 1)), (b, n, c))
-    q = linear(tokens, params["wq"])
-    k = linear(tokens, params["wk"])
-    v = linear(tokens, params["wv"])
-
-    def split_heads(t):
-        return transpose(reshape(t, (b, n, m, d)), (0, 2, 1, 3))
-
-    # prescale q by 1/sqrt(D): same math as scaling the scores, better conditioned
-    q = mul(split_heads(q), 1.0 / np.sqrt(d))
-    k = split_heads(k)
-    v = split_heads(v)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    attn = softmax(scores, axis=-1, additive_mask=additive_mask)
-    ctx = matmul(attn, v)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, c))
-    out_tokens = linear(merged, params["wu"])
-    return transpose(reshape(out_tokens, (b, h, w, c)), (0, 3, 1, 2))
+    n, d = h * w, c // heads
+    tokens = transpose(x, (0, 2, 3, 1))
+    q = mul(linear(tokens, params["wq"]), 1.0 / np.sqrt(d))
+    k, v = linear(tokens, params["wk"]), linear(tokens, params["wv"])
+    if window:
+        ctx = neighborhood_attention(q, k, v, window, heads)
+    else:
+        split = lambda t: transpose(reshape(t, (b, n, heads, d)), (0, 2, 1, 3))
+        scores = matmul(split(q), transpose(split(k), (0, 1, 3, 2)))
+        ctx = matmul(softmax(scores, axis=-1, additive_mask=additive_mask), split(v))
+        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, h, w, c))
+    return transpose(linear(ctx, params["wu"]), (0, 3, 1, 2))
 
 
 def mix_global_attn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -242,19 +225,19 @@ def mix_global_attn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
         if pos_emb.shape != (c, h, w):
             raise ShapeError(f"positional embedding shape {pos_emb.shape} does not match input {(c, h, w)}")
         x = add(x, reshape(pos_emb, (1, c, h, w)))
-    return _attention(x, params, _budgeted_heads(x), None)
+    return _attention(x, params, _budgeted_heads(x, h * w))
 
 
 def mix_local_attn(x: Tensor, params: dict[str, Tensor], kernel: int) -> Tensor:
-    """Attention restricted to the K x K neighborhood via an additive -inf
-    mask, built for x's grid once the score budget admits it.
-
-    No positional term: the restriction itself encodes locality, and the
-    parameter count stays at the four projection matrices.
-    """
-    heads = _budgeted_heads(x)
-    mask = build_neighborhood_mask(x.shape[2], x.shape[3], kernel)
-    return _attention(x, params, heads, mask.to_additive())
+    """Attention of each position over the K x K window centred on it, truncated at the image edges,
+    once the score budget admits it: ``neighborhood_attention`` (B*M*N*K^2 scores) above N = 4 K^2
+    positions, below it the faster N x N score matrix masked to the windows. No positional term: the
+    restriction itself encodes locality, and the parameters are the four projection matrices."""
+    h, w = x.shape[2:]
+    if h * w > 4 * kernel * kernel:
+        return _attention(x, params, _budgeted_heads(x, kernel * kernel), window=kernel)
+    heads = _budgeted_heads(x, h * w)
+    return _attention(x, params, heads, additive_mask=build_neighborhood_mask(h, w, kernel).to_additive())
 
 
 def apply_mixer(spec: MixerSpec, params, x: Tensor) -> Tensor:

@@ -14,11 +14,10 @@ weakly, and gradient functions keep arrays, not tensors, so an array lives
 as long as the forward code or a gradient function references it. A
 consumed or aborted tape releases every record and detaches its surviving
 outputs, so reference counting, not the cyclic GC, frees a pass's
-activations. ``conv2d`` and ``avg_pool2d`` read every K x K window through
-one strided view of the padded input and send window gradients back through
-its adjoint (``_windows``, ``_add_windows``); ``conv2d`` copies the view into
-im2col column blocks of at most ``_COLUMN_BYTES``. Both add the
-multiply-accumulates they execute to a thread-local count while one is open.
+activations. ``conv2d``, ``avg_pool2d`` and ``neighborhood_attention`` read every K x K window
+through one strided view of the padded input and send window gradients back through its
+adjoint (``_windows``, ``_add_windows``); ``conv2d`` copies the view into im2col column blocks of
+at most ``_COLUMN_BYTES``. The first two add the MACs they execute to a thread-local count while one is open.
 ``bilinear_resize`` multiplies each (sample, channel) slice by two cached
 one-axis interpolation matrices (``_interp``), forward and backward.
 ``gelu_linear`` runs ``linear(gelu(x), w, b)`` as one op that keeps x and GELU's
@@ -530,6 +529,59 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
     return _op("softmax", y, [(x, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)))])
 
 
+def neighborhood_attention(q, k, v, kernel: int, heads: int) -> Tensor:
+    """Attention of each position of (B, H, W, C) grids over the K x K window of keys centred on it (odd K),
+    in ``heads`` heads of D = C / heads channels; window taps outside the grid score -inf. The (B, M, K, K,
+    H, W) scores and the context read the zero-padded key and value grids through ``_windows`` tap by tap,
+    and the gradients go back through ``_add_windows``: no N x N array is made."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 4 or not q.shape == k.shape == v.shape or q.shape[3] % heads:
+        raise ShapeError(f"neighborhood_attention needs q, k, v of one (B, H, W, C) shape, C divisible by {heads} "
+                         f"heads; got {q.shape}, {k.shape}, {v.shape}")
+    (b, h, w, c), r = q.shape, kernel // 2
+    zeros = lambda pad=0: np.moveaxis(np.zeros((c // heads, h + 2 * pad, w + 2 * pad, b, heads)), (3, 4), (0, 1))
+    merge = lambda a: a.transpose(0, 3, 4, 1, 2).reshape(b, h, w, c)  # (B, M, D, H, W) to (B, H, W, C)
+
+    def grid(a, pad=0):  # (B, H, W, C) to (B, M, D, H, W), pad zeros around; stored (D, H, W, B, M): long tap rows
+        out = zeros(pad)
+        out[..., pad : pad + h, pad : pad + w] = a.reshape(b, h, w, heads, -1).transpose(0, 3, 4, 1, 2)
+        return out
+
+    def tap_dots(a, padded):  # (B, M, K, K, H, W) dot products over D of a with each tap
+        out, win = np.moveaxis(np.empty((kernel, kernel, h, w, b, heads)), (4, 5), (0, 1)), _windows(padded, kernel, 1)
+        for ky, kx in np.ndindex(kernel, kernel):
+            np.einsum("bmdhw,bmdhw->bmhw", a, win[:, :, :, ky, kx], out=out[:, :, ky, kx])
+        return out
+
+    def tap_sum(weights, padded):  # sum over taps of the weights times each tap
+        out, win = zeros(), _windows(padded, kernel, 1)
+        for ky, kx in np.ndindex(kernel, kernel):
+            out += weights[:, :, None, ky, kx] * win[:, :, :, ky, kx]
+        return merge(out)
+
+    def grid_grad(weights, factor):  # the adjoint of reading a padded grid through the windows
+        out = zeros(r)
+        _add_windows(out, weights[:, :, None], 1, factor)
+        return merge(out[..., r : r + h, r : r + w])
+
+    qh, kp, vp = grid(q.data), grid(k.data, r), grid(v.data, r)
+    s = tap_dots(qh, kp)
+    s[:, :, ~_windows(np.pad(np.ones((h, w), dtype=bool), r), kernel, 1)] = -np.inf
+    s -= s.max(axis=(2, 3), keepdims=True)
+    p = np.exp(s, out=s)
+    p /= p.sum(axis=(2, 3), keepdims=True)
+
+    def score_grad(g):  # the scores' gradient, for q's gradient and for k's
+        gp = tap_dots(grid(g), vp)
+        return p * (gp - (gp * p).sum(axis=(2, 3), keepdims=True))
+
+    return _op("neighborhood_attention", tap_sum(p, vp), [
+        (q, lambda g: tap_sum(score_grad(g), kp)),
+        (k, lambda g: grid_grad(score_grad(g), qh)),
+        (v, lambda g: grid_grad(p, grid(g))),
+    ])
+
+
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     m = np.max(x.data, axis=axis, keepdims=True)
@@ -609,13 +661,13 @@ def _windows(padded: np.ndarray, k: int, stride: int, writeable: bool = False) -
     return np.lib.stride_tricks.as_strided(padded, shape, strides, writeable=writeable)
 
 
-def _add_windows(out: np.ndarray, wgrad: np.ndarray, stride: int):
-    """The adjoint of ``_windows``: add each window gradient (..., K, K, Ho, Wo)
-    into the grid ``out`` that the windows were read from, tap after tap."""
+def _add_windows(out: np.ndarray, wgrad: np.ndarray, stride: int, factor: Optional[np.ndarray] = None):
+    """The adjoint of ``_windows``: add each window gradient (..., K, K, Ho, Wo), times ``factor``
+    (broadcast against one tap) if given, into the grid ``out`` the windows were read from, tap by tap."""
     k = wgrad.shape[-3]
     view = _windows(out, k, stride, writeable=True)
     for ky, kx in np.ndindex(k, k):
-        view[..., ky, kx, :, :] += wgrad[..., ky, kx, :, :]
+        view[..., ky, kx, :, :] += wgrad[..., ky, kx, :, :] if factor is None else wgrad[..., ky, kx, :, :] * factor
 
 
 def _column_blocks(bsz: int, groups: int, ho: int, row_bytes: int) -> list[tuple[slice, slice, slice]]:

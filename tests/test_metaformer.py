@@ -145,10 +145,12 @@ class TestBlock:
         built = []
         monkeypatch.setattr(mixers, "build_neighborhood_mask", lambda *a: built.append(a))
         rng = np.random.default_rng(6)
-        # 96x96: one head over N = 9216 positions exceeds the 2**26 budget
-        block = Block(Registry(rng), "b", 16, MixerSpec("local_attn", 3), 4, 0.5, 0.0)
-        with pytest.raises(CapacityError):
-            block.forward(Tensor(rng.standard_normal((1, 16, 96, 96))))
+        # one head, B*M*N*K^2 over the 2**26 budget: at 96x96 with K = 87 the
+        # dense path (N <= 4 K^2), at 131x131 with K = 65 the window path
+        for hw, kernel in (((96, 96), 87), ((131, 131), 65)):
+            block = Block(Registry(rng), "b", 16, MixerSpec("local_attn", kernel), 4, 0.5, 0.0)
+            with pytest.raises(CapacityError):
+                block.forward(Tensor(rng.standard_normal((1, 16) + hw)))
         assert built == []
 
     def test_block_gradcheck_pooling(self):

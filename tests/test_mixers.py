@@ -1,14 +1,17 @@
-"""Token mixers: contracts, parameter counts, the neighborhood mask, and
-attention against a direct two-loop oracle."""
+"""Token mixers: contracts, parameter counts, the neighborhood mask,
+attention against a direct two-loop oracle, and windowed local attention
+against the dense masked oracle."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import rel_err
 from mixerlab.errors import CapacityError, ConfigError, ShapeError
 from mixerlab.mixers import (
     MIXER_KINDS,
+    SCORE_BUDGET,
     MixerSpec,
     apply_mixer,
     build_neighborhood_mask,
@@ -22,7 +25,19 @@ from mixerlab.mixers import (
     mix_pool,
     warm_start_remap,
 )
-from mixerlab.tensor import Registry, Tensor
+from mixerlab.tensor import (
+    Registry,
+    Tape,
+    Tensor,
+    linear,
+    matmul,
+    mul,
+    neighborhood_attention,
+    reshape,
+    softmax,
+    transpose,
+    tsum,
+)
 
 
 def attention_oracle(x, wk, wv, wq, wu, heads, pos=None, allowed=None):
@@ -188,6 +203,51 @@ def meshgrid_mask_oracle(height, width, kernel):
     return dy & dx
 
 
+def projected_attention(x, params, heads, core):
+    """Shared frame of both local-attention paths below, from public ops:
+    (B, H, W, C) tokens, the q/k/v projections with q prescaled by 1/sqrt(D),
+    ``core(q, k, v)`` and the head-merging map."""
+    tokens = transpose(x, (0, 2, 3, 1))
+    q = mul(linear(tokens, params["wq"]), 1.0 / np.sqrt(x.shape[1] // heads))
+    ctx = core(q, linear(tokens, params["wk"]), linear(tokens, params["wv"]))
+    return transpose(linear(ctx, params["wu"]), (0, 3, 1, 2))
+
+
+def dense_local_attn(x, params, kernel):
+    """The dense masked oracle: the full (B, M, N, N) score matrix, with -inf
+    added outside each query's K x K window (``meshgrid_mask_oracle``)."""
+    b, c, h, w = x.shape
+    n, m = h * w, head_count(c)
+    additive = np.where(meshgrid_mask_oracle(h, w, kernel), 0.0, -np.inf)
+
+    def core(q, k, v):
+        split = lambda t: transpose(reshape(t, (b, n, m, c // m)), (0, 2, 1, 3))
+        attn = softmax(matmul(split(q), transpose(split(k), (0, 1, 3, 2))), axis=-1, additive_mask=additive)
+        return reshape(transpose(matmul(attn, split(v)), (0, 2, 1, 3)), (b, h, w, c))
+
+    return projected_attention(x, params, m, core)
+
+
+def window_local_attn(x, params, kernel):
+    """The window path on any grid: ``neighborhood_attention`` in the frame."""
+    m = head_count(x.shape[1])
+    return projected_attention(x, params, m, lambda q, k, v: neighborhood_attention(q, k, v, kernel, m))
+
+
+def output_and_grads(attn, xv, params, kernel, probe=None):
+    """attn's output and the gradients of x and the four projections for
+    ``probe`` (seeded if None) as the output's gradient."""
+    x = Tensor(xv, requires_grad=True)
+    for name in ("wk", "wv", "wq", "wu"):
+        params[name].grad = None
+    with Tape() as tape:
+        y = attn(x, params, kernel)
+        probe = np.random.default_rng(5).standard_normal(y.shape) if probe is None else probe
+        loss = tsum(mul(y, probe))
+    tape.backward(loss)
+    return [y.data, x.grad] + [params[name].grad for name in ("wk", "wv", "wq", "wu")]
+
+
 class TestNeighborhoodMask:
     @pytest.mark.parametrize("kernel", [1, 3, 5, 7, 9])
     @pytest.mark.parametrize("h,w", [(1, 1), (5, 5), (8, 8), (3, 7), (6, 4), (1, 9), (9, 1)])
@@ -290,12 +350,18 @@ class TestGlobalAttention:
             mix_global_attn(Tensor(np.zeros((1, 16, 3, 3))), params)
 
     def test_capacity_error(self):
-        # 96x96: one head over N = 9216 positions exceeds the 2**26 budget
+        # 96x96: one head over N = 9216 positions, N^2 scores, exceeds the 2**26
+        # budget; local attention there makes N K^2 window scores, within it,
+        # and at 131x131 with K = 65 its N K^2 = 72.5M exceeds the budget
         c = 16
         params = make_attn_params(c, hw=(96, 96), seed=13, with_pos=True)
         x = Tensor(np.zeros((1, c, 96, 96)))
         with pytest.raises(CapacityError):
             mix_global_attn(x, params)
+        assert mix_local_attn(x, params, 3).shape == x.shape
+        assert 131 * 131 > 4 * 65 * 65 and 131 * 131 * 65 * 65 > SCORE_BUDGET  # the window path, over budget
+        with pytest.raises(CapacityError):
+            mix_local_attn(Tensor(np.zeros((1, c, 131, 131))), params, 65)
 
 
 class TestLocalAttention:
@@ -357,25 +423,101 @@ class TestLocalAttention:
             assert np.array_equal(after[1], before[1]), seed
 
     def test_refusal_allocates_nothing_n_squared(self):
-        # 96x96: one head over N = 9216 positions exceeds the 2**26 budget;
-        # the bool mask alone would be N^2 bytes and its additive form 8 N^2
-        c, h, w = 16, 96, 96
-        n = h * w
+        # one head, B*M*N*K^2 over the 2**26 budget: at 131x131 (N > 4 K^2) the
+        # window path, at 96x96 (N <= 4 K^2) the dense one, whose bool mask alone
+        # would be N^2 bytes and its additive form 8 N^2; neither makes even one
+        # copy of the input before it refuses
+        c = 16
         params = make_attn_params(c, seed=43)
-        x = Tensor(np.random.default_rng(44).standard_normal((1, c, h, w)))
-        calls = (
-            lambda: apply_mixer(MixerSpec("local_attn", 3), params, x),
-            lambda: mix_local_attn(x, params, 3),
-        )
-        for call in calls:
-            tracemalloc.start()
-            try:
-                with pytest.raises(CapacityError):
-                    call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < n * n
+        for (h, w), kernel in (((131, 131), 65), ((96, 96), 87)):
+            assert h * w * kernel * kernel > SCORE_BUDGET
+            x = Tensor(np.random.default_rng(44).standard_normal((1, c, h, w)))
+            calls = (
+                lambda: apply_mixer(MixerSpec("local_attn", kernel), params, x),
+                lambda: mix_local_attn(x, params, kernel),
+            )
+            for call in calls:
+                tracemalloc.start()
+                try:
+                    with pytest.raises(CapacityError):
+                        call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < x.data.nbytes, (h, kernel)
+
+    def test_forward_and_backward_hold_less_than_one_n_by_n_matrix(self):
+        # local_attn:7 at C=16, 48x48: the dense path's one (1, 1, N, N) score
+        # matrix alone is 42 MB; the window path's scores are N K^2
+        c, h, w = 16, 48, 48
+        spec = MixerSpec("local_attn", 7)
+        params = init_mixer_params(spec, c, Registry(np.random.default_rng(0)))
+        x = Tensor(np.random.default_rng(1).standard_normal((1, c, h, w)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tsum(apply_mixer(spec, params, x))
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and peak < (h * w) ** 2 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestWindowedLocalAttention:
+    """``neighborhood_attention`` in the mixer frame against the dense masked
+    oracle, forward and every gradient, on grids of either side of the rule
+    that picks the path in ``mix_local_attn``. Errors are relative to the
+    larger magnitude of the two arrays (``rel_err``): the gradients reach
+    a few hundred."""
+
+    @pytest.mark.parametrize("kernel", [3, 5, 7, 9])
+    @pytest.mark.parametrize("hw", [(5, 5), (7, 7), (3, 7), (6, 4), (1, 9), (9, 1), (1, 1), (11, 9)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_window_path_equals_dense_oracle(self, kernel, hw, batch):
+        c = 32  # two heads
+        params = make_attn_params(c, seed=kernel)
+        xv = np.random.default_rng(hw[0] * 10 + hw[1]).standard_normal((batch, c) + hw)
+        got = output_and_grads(window_local_attn, xv, params, kernel)
+        want = output_and_grads(dense_local_attn, xv, params, kernel)
+        for name, a, b in zip(("output", "x", "wk", "wv", "wq", "wu"), got, want):
+            assert rel_err(a, b) < 1e-12, name
+
+    @pytest.mark.parametrize("kernel,hw", [(3, (6, 6)), (3, (6, 7)), (5, (10, 10)), (5, (1, 101)), (7, (15, 15))])
+    def test_mixer_equals_dense_oracle_on_both_sides_of_the_rule(self, kernel, hw):
+        c = 16
+        params = make_attn_params(c, seed=70)
+        xv = np.random.default_rng(71).standard_normal((2, c) + hw)
+        got = output_and_grads(mix_local_attn, xv, params, kernel)
+        want = output_and_grads(dense_local_attn, xv, params, kernel)
+        for name, a, b in zip(("output", "x", "wk", "wv", "wq", "wu"), got, want):
+            assert rel_err(a, b) < 1e-12, name
+
+    @pytest.mark.parametrize("hw", [(4, 5), (1, 6), (3, 3), (1, 1)])
+    def test_window_wider_than_the_grid_equals_global(self, hw):
+        c = 16
+        params = make_attn_params(c, hw=hw, seed=72, with_pos=True, zero_pos=True)
+        x = Tensor(np.random.default_rng(73).standard_normal((2, c) + hw))
+        local = window_local_attn(x, params, 2 * max(hw) + 1).data
+        assert np.abs(local - mix_global_attn(x, params).data).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "attn,hw,kernel",
+        [(window_local_attn, (5, 6), 3), (window_local_attn, (1, 1), 3), (window_local_attn, (1, 9), 5),
+         (mix_local_attn, (7, 8), 3), (mix_local_attn, (16, 16), 7)],
+    )
+    def test_rows_match_single_runs(self, attn, hw, kernel):
+        # row i of the output and of x's gradient for x[:B] equals that of
+        # x[i:i+1] bit for bit
+        c = 32
+        params = make_attn_params(c, seed=74)
+        xv, probe = np.random.default_rng(75).standard_normal((2, 4, c) + hw)
+        alone = [output_and_grads(attn, xv[i : i + 1], params, kernel, probe[i : i + 1])[:2] for i in range(4)]
+        for bsz in (1, 3, 4):
+            y, gx = output_and_grads(attn, xv[:bsz], params, kernel, probe[:bsz])[:2]
+            for i in range(bsz):
+                assert y[i : i + 1].tobytes() == alone[i][0].tobytes(), f"output, B={bsz}, row {i}"
+                assert gx[i : i + 1].tobytes() == alone[i][1].tobytes(), f"x gradient, B={bsz}, row {i}"
 
 
 class TestWarmStartRemap:

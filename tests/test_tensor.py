@@ -38,6 +38,7 @@ from mixerlab.tensor import (
     matmul,
     mul,
     neg,
+    neighborhood_attention,
     power,
     reshape,
     softmax,
@@ -475,6 +476,47 @@ class TestWindows:
             assert np.shares_memory(got, padded)
 
 
+    def test_add_windows_factor_equals_the_materialized_product(self):
+        rng = np.random.default_rng(20)
+        wgrad, factor = rng.standard_normal((2, 1, 3, 3, 4, 5)), rng.standard_normal((2, 3, 4, 5))
+        got, want = np.zeros((2, 3, 6, 7)), np.zeros((2, 3, 6, 7))
+        tensor._add_windows(got, wgrad, 1, factor)
+        tensor._add_windows(want, wgrad * factor[:, :, None, None], 1)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestNeighborhoodAttention:
+    def test_gradients_match_finite_differences(self):
+        # two heads of two channels on a 3x4 grid, so windows are cut at every edge
+        rng = np.random.default_rng(22)
+        arrays = [rng.standard_normal((2, 3, 4, 4)) for _ in range(3)]
+        probe = rng.standard_normal((2, 3, 4, 4))
+        run = lambda arrs: float((neighborhood_attention(*map(Tensor, arrs), 3, 2).data * probe).sum())
+        want = fd_grad(run, arrays)
+        got = tape_grads(lambda ts: tsum(mul(neighborhood_attention(*ts, 3, 2), probe)),
+                         [Tensor(a, requires_grad=True) for a in arrays])
+        for name, g, e in zip("qkv", got, want):
+            assert rel_err(g, e) < 1e-6, name
+
+    def test_inputs_of_another_shape_raise_shape_error(self):
+        # a k of q's size but another grid would otherwise be read as q's grid
+        q, k = Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 4, 3, 4)))
+        for args in ((q, k, q, 3, 2), (q, q, k, 3, 2), (q, q, q, 3, 3), (Tensor(np.zeros((3, 4, 4))),) * 3 + (3, 2)):
+            with pytest.raises(ShapeError, match="neighborhood_attention"):
+                neighborhood_attention(*args)
+
+    def test_single_tap_returns_the_values(self):
+        # K = 1: each query's only key is itself, so its softmax weight is 1
+        v = np.random.default_rng(23).standard_normal((2, 3, 5, 4))
+        q, k = (Tensor(np.random.default_rng(s).standard_normal(v.shape)) for s in (24, 25))
+        np.testing.assert_array_equal(neighborhood_attention(q, k, Tensor(v), 1, 2).data, v)
+
+    @pytest.mark.parametrize("shape", [(4, 6, 5, 8), (4, 1, 1, 8), (4, 1, 9, 2)])
+    def test_rows_match_single_runs(self, shape):
+        x = np.random.default_rng(26).standard_normal(shape)
+        assert_rows_match_single_runs(lambda t: neighborhood_attention(t, t, t, 3, 2), x)
+
+
 class TestLinear:
     def test_identity_weight(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -803,6 +845,11 @@ OP_CASES = {
     "linear": ("linear", linear, [(2, 5, 3), (4, 3), (4,)]),
     "gelu_linear": ("gelu_linear", gelu_linear, [(2, 5, 3), (4, 3), (4,)]),
     "softmax": ("softmax", softmax, [(2, 3)]),
+    "neighborhood_attention": (
+        "neighborhood_attention",
+        lambda q, k, v: neighborhood_attention(q, k, v, 3, 2),
+        [(2, 4, 5, 4), (2, 4, 5, 4), (2, 4, 5, 4)],
+    ),
     "log_softmax": ("log_softmax", log_softmax, [(2, 3)]),
     "layer_norm": ("layer_norm", layer_norm, [(2, 3, 4, 4), (3,), (3,)]),
     "conv2d": (

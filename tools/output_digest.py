@@ -22,7 +22,10 @@ that ``perfbench/inputs.py`` (next to this script) writes, and prints one
   signature, as perfbench computes it;
 - the CRC-32 of every parameter gradient of a small seeded segmentation
   model after one training-mode ``forward_segment``, cross-entropy plus
-  Dice loss and backward: the one line that covers the decoder's backward.
+  Dice loss and backward: the one line that covers the decoder's backward;
+- ``local_attn_stage0``: the CRC-32 of the output and of the input and
+  weight gradients of one ``local_attn:7`` mixer at S12's stage-0 size
+  (C=64, 56x56) and B=2, or ``refused <error>`` where the mixer refuses.
 
 A digest is the first 16 hex digits of the file's SHA-256; in
 ``resolved_config.ini`` the temporary directory is replaced by ``<tmp>``
@@ -89,6 +92,28 @@ def _segment_grads_crc(mixerlab) -> str:
     for name, p in model.named_parameters().items():
         if p.grad is not None:
             crc = zlib.crc32(np.ascontiguousarray(p.grad).data, zlib.crc32(name.encode(), crc))
+    return f"{crc:08x}"
+
+
+def _local_attn_stage0_crc(mixerlab) -> str:
+    """One ``local_attn:7`` mixer at C=64, 56x56, B=2 and a seeded probe of
+    its output: the output and the gradients of x and of the four weights,
+    chained into one CRC-32."""
+    mixers, tensor = mixerlab.mixers, mixerlab.tensor
+    spec = mixers.MixerSpec("local_attn", 7)
+    params = mixers.init_mixer_params(spec, 64, tensor.Registry(np.random.default_rng(SEED)))
+    rng = np.random.default_rng(SEED)
+    x = tensor.Tensor(rng.standard_normal((2, 64, 56, 56)), requires_grad=True)
+    try:
+        with tensor.Tape() as tape:
+            y = mixers.apply_mixer(spec, params, x)
+            loss = tensor.tsum(tensor.mul(y, rng.standard_normal(y.shape)))
+        tape.backward(loss)
+    except mixerlab.errors.MixerlabError as exc:
+        return f"refused {type(exc).__name__}"
+    crc = zlib.crc32(y.data.tobytes())
+    for name, grad in [("x", x.grad)] + [(name, p.grad) for name, p in params.items()]:
+        crc = zlib.crc32(np.ascontiguousarray(grad).data, zlib.crc32(name.encode(), crc))
     return f"{crc:08x}"
 
 
@@ -188,6 +213,7 @@ def run_program(root: str, tmp: str) -> list[str]:
     command("eval_scores_csv", "eval", _write(os.path.join(tmp, "eval_scores_csv.ini"), text))
 
     lines.append(f"segment_grads {_segment_grads_crc(mixerlab)}")
+    lines.append(f"local_attn_stage0 {_local_attn_stage0_crc(mixerlab)}")
 
     # perfbench's s12 pass, one signature at a time so that one S12 model is alive
     s12 = workloads.S12(os.path.join(tmp, "s12"), SEED)
