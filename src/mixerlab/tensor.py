@@ -5,13 +5,13 @@ Image tensors follow the (B, C, H, W) layout. Everything is computed in
 bit-identical outputs across runs. Any op whose output contains NaN/Inf
 raises NumericsError on the spot instead of propagating poison values.
 
-Recording: each op hands ``_op`` one (input, gradient function) pair per
-input. On the thread-local active ``Tape`` (entered via ``with Tape():``),
-the pairs whose input requires grad are recorded with the output, so a
-backward runs only the gradients it needs. Without an active tape, ops
-just compute. A record names tensors by identity nodes that refer to them
-weakly, and gradient functions keep arrays, not tensors, so an array lives
-as long as the forward code or a gradient function references it. A
+Recording: each op hands ``_op`` its inputs and one backward function that
+returns every input's gradient, told which inputs require grad: a backward
+computes only those, and what two of them share once. On the thread-local
+active ``Tape`` (entered via ``with Tape():``) it is recorded with the output;
+without one, ops just compute. A record names tensors by identity nodes that
+refer to them weakly, and backward functions keep arrays, not tensors, so an
+array lives as long as the forward code or a backward function references it. A
 consumed or aborted tape releases every record and detaches its surviving
 outputs, so reference counting, not the cyclic GC, frees a pass's
 activations. ``conv2d``, ``avg_pool2d`` and ``neighborhood_attention`` read every K x K window
@@ -27,6 +27,7 @@ cdf but not their product, and makes the product again for the weight gradient.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 import weakref
@@ -233,15 +234,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _op(name: str, data: np.ndarray, vjps: Sequence[tuple[Optional[Tensor], Callable]]) -> Tensor:
+def _op(name: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], bwd: Callable) -> Tensor:
     """The exit of every op: freeze ``data`` as the output and record it.
 
-    ``vjps`` pairs each input (None for an absent one, such as a missing
-    bias) with the function that maps the output's gradient to that input's.
-    Non-finite data raises NumericsError naming the op. The output owns a
-    C-contiguous array. On an active tape, only the pairs whose input
-    requires grad are kept, and the output is recorded with one closure over
-    them when any remain: no other input's gradient is ever computed.
+    ``inputs`` are the op's inputs (None for an absent one, such as a missing
+    bias). ``bwd(g, needs)`` maps the output's gradient to one gradient per
+    input, in input order; ``needs[i]`` is False for an input that is absent
+    or does not require grad, and ``bwd`` computes nothing for it: its entry
+    is never read. Non-finite data raises NumericsError naming the op. The
+    output owns a C-contiguous array. On an active tape, the output is
+    recorded with one closure over ``bwd`` when some input needs a gradient.
     """
     arr = np.asarray(data, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -257,10 +259,16 @@ def _op(name: str, data: np.ndarray, vjps: Sequence[tuple[Optional[Tensor], Call
     out._node = None
     tape = _active_tape()
     if tape is not None:
-        live = [(_node_of(t), vjp) for t, vjp in vjps if t is not None and t.requires_grad]
-        if live:
-            tape.record(out, lambda g: [(n, vjp(g)) for n, vjp in live])
+        needs = [t is not None and t.requires_grad for t in inputs]
+        if True in needs:
+            nodes = list(map(_node_of, itertools.compress(inputs, needs)))
+            tape.record(out, lambda g: zip(nodes, itertools.compress(bwd(g, needs), needs)))
     return out
+
+
+def _each(*vjps: Callable) -> Callable:
+    """``bwd`` for an op whose inputs' gradients share nothing: one function per input."""
+    return lambda g, needs: [need and vjp(g) for vjp, need in zip(vjps, needs)]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -280,65 +288,63 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _op("add", a.data + b.data,
-               [(a, lambda g, s=a.shape: _unbroadcast(g, s)), (b, lambda g, s=b.shape: _unbroadcast(g, s))])
+    return _op("add", a.data + b.data, [a, b],
+               _each(lambda g, s=a.shape: _unbroadcast(g, s), lambda g, s=b.shape: _unbroadcast(g, s)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _op("sub", a.data - b.data,
-               [(a, lambda g, s=a.shape: _unbroadcast(g, s)), (b, lambda g, s=b.shape: _unbroadcast(-g, s))])
+    return _op("sub", a.data - b.data, [a, b],
+               _each(lambda g, s=a.shape: _unbroadcast(g, s), lambda g, s=b.shape: _unbroadcast(-g, s)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _op("mul", a.data * b.data, [
-        (a, lambda g, s=a.shape, y=b.data: _unbroadcast(g * y, s)),
-        (b, lambda g, s=b.shape, x=a.data: _unbroadcast(g * x, s)),
-    ])
+    # only an operand that takes a gradient holds its partner's array: a constant factor frees the other's
+    x, y = a.data if b.requires_grad else None, b.data if a.requires_grad else None
+    return _op("mul", a.data * b.data, [a, b],
+               _each(lambda g, s=a.shape: _unbroadcast(g * y, s), lambda g, s=b.shape: _unbroadcast(g * x, s)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = a.data / b.data
-    return _op("div", y, [
-        (a, lambda g, s=a.shape, v=b.data: _unbroadcast(g / v, s)),
-        (b, lambda g, s=b.shape, u=a.data, v=b.data: _unbroadcast(-g * u / (v * v), s)),
-    ])
+    return _op("div", y, [a, b], _each(lambda g, s=a.shape, v=b.data: _unbroadcast(g / v, s),
+                                       lambda g, s=b.shape, u=a.data, v=b.data: _unbroadcast(-g * u / (v * v), s)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _op("neg", -a.data, [(a, lambda g: -g)])
+    return _op("neg", -a.data, [a], lambda g, _: [-g])
 
 
 def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore", over="ignore"):
         y = a.data**p
-    return _op("power", y, [(a, lambda g, x=a.data: g * p * x ** (p - 1.0))])
+    return _op("power", y, [a], lambda g, _, x=a.data: [g * p * x ** (p - 1.0)])
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         y = np.exp(a.data)
-    return _op("exp", y, [(a, lambda g: g * y)])
+    return _op("exp", y, [a], lambda g, _: [g * y])
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(a.data)
-    return _op("log", y, [(a, lambda g, x=a.data: g / x)])
+    return _op("log", y, [a], lambda g, _, x=a.data: [g / x])
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="ignore"):
         y = np.sqrt(a.data)
-    return _op("sqrt", y, [(a, lambda g: g * 0.5 / y)])
+    return _op("sqrt", y, [a], lambda g, _: [g * 0.5 / y])
 
 
 # Cephes ndtr.c (Moshier, after Cody 1969), as scipy.special.erf runs it: erf(x) = x T(x^2) / U(x^2)
@@ -396,7 +402,7 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth everywhere, so finite differences apply."""
     a = _as_tensor(a)
     x, cdf = a.data, _gelu_cdf(a.data)
-    return _op("gelu", x * cdf, [(a, lambda g: _gelu_grad(x, cdf, g))])
+    return _op("gelu", x * cdf, [a], lambda g, _: [_gelu_grad(x, cdf, g)])
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +412,21 @@ def gelu(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    return _op("reshape", a.data.reshape(shape), [(a, lambda g, s=a.shape: g.reshape(s))])
+    return _op("reshape", a.data.reshape(shape), [a], lambda g, _, s=a.shape: [g.reshape(s)])
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _op("transpose", np.transpose(a.data, axes), [(a, lambda g: np.transpose(g, inv))])
+    axes = tuple(ax % a.ndim for ax in axes)
+    inv = sorted(range(len(axes)), key=axes.__getitem__)  # argsort, without numpy's per-call cost
+    return _op("transpose", np.transpose(a.data, axes), [a], lambda g, _: [np.transpose(g, inv)])
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return _op("concat", np.concatenate([t.data for t in tensors], axis=axis),
-               [(t, lambda g, i=i: np.split(g, bounds, axis=axis)[i]) for i, t in enumerate(tensors)])
+    return _op("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors,
+               lambda g, _: np.split(g, bounds, axis=axis))
 
 
 def split(a, sections: int, axis: int) -> list[Tensor]:
@@ -431,15 +437,15 @@ def split(a, sections: int, axis: int) -> list[Tensor]:
         raise ShapeError(f"split: {sections} sections do not divide axis {axis} of shape {a.shape}")
     step = n // sections
     pads = [[(0, 0)] * ax + [(i, n - step - i)] + [(0, 0)] * (a.ndim - ax - 1) for i in range(0, n, step)]
-    return [_op("split", piece, [(a, lambda g, pad=pad: np.pad(g, pad))])
+    return [_op("split", piece, [a], lambda g, _, pad=pad: [np.pad(g, pad)])
             for piece, pad in zip(np.split(a.data, sections, axis=axis), pads)]
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     kept = keepdims or axis is None  # g broadcasts against a as it is
-    return _op("sum", a.data.sum(axis=axis, keepdims=keepdims),
-               [(a, lambda g, s=a.shape: np.broadcast_to(g if kept else np.expand_dims(g, axis), s).copy())])
+    return _op("sum", a.data.sum(axis=axis, keepdims=keepdims), [a],
+               lambda g, _, s=a.shape: [np.broadcast_to(g if kept else np.expand_dims(g, axis), s).copy()])
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -458,10 +464,8 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} vs {b.shape}")
-    return _op("matmul", a.data @ b.data, [
-        (a, lambda g, y=b.data: g @ np.swapaxes(y, -1, -2)),
-        (b, lambda g, x=a.data: np.swapaxes(x, -1, -2) @ g),
-    ])
+    return _op("matmul", a.data @ b.data, [a, b],
+               _each(lambda g, y=b.data: g @ np.swapaxes(y, -1, -2), lambda g, x=a.data: np.swapaxes(x, -1, -2) @ g))
 
 
 def linear(x, weight, bias=None) -> Tensor:
@@ -497,11 +501,11 @@ def _linear(name: str, x: Tensor, weight, bias, cdf: Optional[np.ndarray]) -> Te
         if bias.shape != (cout,):
             raise ShapeError(f"{name} bias shape {bias.shape} != ({cout},)")
         y = y + bias.data
-    return _op(name, y, [
-        (x, rows_grad if cdf is None else lambda g: _gelu_grad(xd, cdf, rows_grad(g))),
-        (weight, lambda g: g.reshape(-1, cout).T @ rows().reshape(-1, cin)),
-        (bias, lambda g: g.reshape(-1, cout).sum(axis=0)),
-    ])
+    return _op(name, y, [x, weight, bias], _each(
+        rows_grad if cdf is None else lambda g: _gelu_grad(xd, cdf, rows_grad(g)),
+        lambda g: g.reshape(-1, cout).T @ rows().reshape(-1, cin),
+        lambda g: g.reshape(-1, cout).sum(axis=0),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +530,7 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
         e = np.exp(s - m)
     denom = e.sum(axis=axis, keepdims=True)
     y = e / denom
-    return _op("softmax", y, [(x, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)))])
+    return _op("softmax", y, [x], lambda g, _: [y * (g - (g * y).sum(axis=axis, keepdims=True))])
 
 
 def neighborhood_attention(q, k, v, kernel: int, heads: int) -> Tensor:
@@ -571,15 +575,15 @@ def neighborhood_attention(q, k, v, kernel: int, heads: int) -> Tensor:
     p = np.exp(s, out=s)
     p /= p.sum(axis=(2, 3), keepdims=True)
 
-    def score_grad(g):  # the scores' gradient, for q's gradient and for k's
+    def score_grad(g):
         gp = tap_dots(grid(g), vp)
         return p * (gp - (gp * p).sum(axis=(2, 3), keepdims=True))
 
-    return _op("neighborhood_attention", tap_sum(p, vp), [
-        (q, lambda g: tap_sum(score_grad(g), kp)),
-        (k, lambda g: grid_grad(score_grad(g), qh)),
-        (v, lambda g: grid_grad(p, grid(g))),
-    ])
+    def bwd(g, needs):  # the scores' gradient is made once, for q's gradient and for k's
+        ds = (needs[0] or needs[1]) and score_grad(g)
+        return [needs[0] and tap_sum(ds, kp), needs[1] and grid_grad(ds, qh), needs[2] and grid_grad(p, grid(g))]
+
+    return _op("neighborhood_attention", tap_sum(p, vp), [q, k, v], bwd)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -587,7 +591,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     m = np.max(x.data, axis=axis, keepdims=True)
     lse = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
     y = x.data - lse
-    return _op("log_softmax", y, [(x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True))])
+    return _op("log_softmax", y, [x], lambda g, _: [g - np.exp(y) * g.sum(axis=axis, keepdims=True)])
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
@@ -610,19 +614,18 @@ def layer_norm(x, gamma, beta) -> Tensor:
     gsum_axes = tuple(i for i in range(x.ndim) if i != 1)
     xd, gd = x.data, gamma.data.reshape(bshape)
 
-    # each pair recomputes xhat = (x - mu) * inv rather than keep it
-    def grad_x(g):
-        xhat = (xd - mu) * inv
+    def grad_x(g, xhat):
         gy = g * gd
         mean_gy = gy.mean(axis=1, keepdims=True)
         mean_gyx = (gy * xhat).mean(axis=1, keepdims=True)
         return inv * (gy - mean_gy - xhat * mean_gyx)
 
-    return _op("layer_norm", y, [
-        (x, grad_x),
-        (gamma, lambda g: (g * ((xd - mu) * inv)).sum(axis=gsum_axes)),
-        (beta, lambda g: g.sum(axis=gsum_axes)),
-    ])
+    def bwd(g, needs):  # x's and gamma's gradients share xhat = (x - mu) * inv, made again here, not kept
+        xhat = (needs[0] or needs[1]) and (xd - mu) * inv
+        return [needs[0] and grad_x(g, xhat), needs[1] and (g * xhat).sum(axis=gsum_axes),
+                needs[2] and g.sum(axis=gsum_axes)]
+
+    return _op("layer_norm", y, [x, gamma, beta], bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +759,8 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0, groups: int 
             dw[gs] += part
         return dw.reshape(cout, cg, k, k)
 
-    return _op("conv2d", y, [
-        (x, grad_x),
-        (kernel, grad_kernel),
-        (bias, lambda g: g.reshape(bsz, groups, og, ho * wo).sum(axis=(0, 3)).reshape(cout)),
-    ])
+    return _op("conv2d", y, [x, kernel, bias], _each(
+        grad_x, grad_kernel, lambda g: g.reshape(bsz, groups, og, ho * wo).sum(axis=(0, 3)).reshape(cout)))
 
 
 def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
@@ -794,7 +794,7 @@ def avg_pool2d(x, k: int, stride: int = 1, padding: int = 0) -> Tensor:
         _add_windows(gxp, np.broadcast_to((g * scale)[:, :, None, None], (bsz, c, k, k, ho, wo)), stride)
         return gxp[:, :, padding : padding + h, padding : padding + w]
 
-    return _op("avg_pool2d", acc, [(x, grad_x)])
+    return _op("avg_pool2d", acc, [x], lambda g, _: [grad_x(g)])
 
 
 def global_avg_pool(x) -> Tensor:
@@ -803,8 +803,8 @@ def global_avg_pool(x) -> Tensor:
     if x.ndim != 4:
         raise ShapeError("global_avg_pool expects (B, C, H, W)")
     _, _, h, w = x.shape
-    return _op("global_avg_pool", x.data.mean(axis=(2, 3)),
-               [(x, lambda g, s=x.shape: np.broadcast_to(g[:, :, None, None] / (h * w), s).copy())])
+    return _op("global_avg_pool", x.data.mean(axis=(2, 3)), [x],
+               lambda g, _, s=x.shape: [np.broadcast_to(g[:, :, None, None] / (h * w), s).copy()])
 
 
 @functools.lru_cache(maxsize=64)
@@ -835,8 +835,8 @@ def bilinear_resize(x, out_h: int, out_w: int) -> Tensor:
     h, w = x.shape[2:]
     if (out_h, out_w) == (h, w):
         # a copy, so the output never shares (and freezes) the input's array
-        return _op("bilinear_resize", x.data.copy(), [(x, lambda g: g)])
+        return _op("bilinear_resize", x.data.copy(), [x], lambda g, _: [g])
     r_h, r_w = _interp(h, out_h), _interp(w, out_w)
     with np.errstate(invalid="ignore"):  # 0 * inf in a product is NaN, which _op reports
         y = r_h @ (x.data @ r_w.T)
-    return _op("bilinear_resize", y, [(x, lambda g: r_h.T @ (g @ r_w))])
+    return _op("bilinear_resize", y, [x], lambda g, _: [r_h.T @ (g @ r_w)])

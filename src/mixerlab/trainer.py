@@ -42,6 +42,8 @@ class TrainConfig:
             raise ConfigError("label smoothing must be in [0, 1)")
         if self.class_weight_clamp < 1.0:
             raise ConfigError("class weight clamp must be >= 1")
+        if self.weight_decay < 0.0 or self.augment_sigma < 0.0:
+            raise ConfigError("weight_decay and augment_sigma must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.max_steps is not None and self.max_steps < 1:

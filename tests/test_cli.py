@@ -886,6 +886,7 @@ class TestExitCodesAndConfig:
 
 
 # case: (command, config bytes, text the message must contain, extra arguments...)
+MISSING_IMAGES = b"[data]\nkind = image_dir\nimage_dir = no_such_dir\nlabels_csv = no_such.csv\n"
 BAD_CONFIGS = {
     "model_input": ("flops", b"[model]\ninput = 32\n", "model.input"),
     "flops_kernel": ("flops", b"[flops]\nkernel = x\n", "flops.kernel"),
@@ -913,6 +914,12 @@ BAD_CONFIGS = {
     "train_warmup_negative": ("train", b"[train]\nwarmup_epochs = -3\n[data]\nkind = image_dir\n",
                               "train.warmup_epochs = '-3'"),
     "data_val_n_negative": ("train", b"[data]\nval_n = -1\nkind = image_dir\n", "data.val_n = '-1'"),
+    # AdamW would grow the weights, and a negative sigma would turn augmentation off unsaid;
+    # the missing image directory stops code that accepts the value before training
+    "train_weight_decay_negative": ("train", b"[train]\nweight_decay = -0.1\n" + MISSING_IMAGES,
+                                    "weight_decay and augment_sigma must be >= 0"),
+    "train_augment_sigma_negative": ("train", b"[train]\naugment_sigma = -0.5\n" + MISSING_IMAGES,
+                                     "weight_decay and augment_sigma must be >= 0"),
     "model_stochastic_depth": ("flops", b"[model]\nstochastic_depth = 1.0\n", "stochastic_depth must be in [0, 1)"),
 }
 

@@ -968,12 +968,14 @@ class TestBackward:
 
 class TestOnlyNeededGradients:
     def test_constant_input_gradient_never_runs(self):
-        def refuse(g):
-            raise AssertionError("the gradient of an input that needs none was computed")
+        def bwd(g, needs):
+            if needs != [False, True]:
+                raise AssertionError(f"backward asked for the gradients {needs}, not only x's")
+            return [None, g * c.data]
 
         x, c = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0])
         with Tape() as tape:
-            loss = tsum(tensor._op("probe", x.data * c.data, [(c, refuse), (x, lambda g: g * c.data)]))
+            loss = tsum(tensor._op("probe", x.data * c.data, [c, x], bwd))
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
         assert c.grad is None
@@ -996,6 +998,20 @@ class TestOnlyNeededGradients:
         # with the image on the tape, one scatter of the input-gradient columns
         assert run(False) == (0, run(True)[1])
         assert run(True)[0] == 1
+
+    @pytest.mark.parametrize("needed,windows", [("qkv", 4), ("v", 1), ("q", 2)])
+    def test_neighborhood_attention_makes_the_scores_gradient_once(self, monkeypatch, needed, windows):
+        # the scores' gradient reads the value windows once (for q and k alike); q's gradient then
+        # reads the key windows, and k's and v's each scatter through one window view
+        rng = np.random.default_rng(29)
+        q, k, v = (Tensor(rng.standard_normal((2, 5, 6, 8)), requires_grad=n in needed) for n in "qkv")
+        with Tape() as tape:
+            loss = tsum(mul(neighborhood_attention(q, k, v, 3, 2), rng.standard_normal((2, 5, 6, 8))))
+        real, calls = tensor._windows, []
+        monkeypatch.setattr(tensor, "_windows", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        tape.backward(loss)
+        assert len(calls) == windows
+        assert [t.grad is not None for t in (q, k, v)] == [n in needed for n in "qkv"]
 
 
 # two four-stage signatures that between them place all six mixer kinds
@@ -1110,16 +1126,31 @@ class TestTapeRelease:
 
     @pytest.mark.parametrize("case", sorted(OP_CASES))
     def test_gradient_closures_hold_arrays_not_tensors(self, case):
-        def held(fn):
-            return [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+        def held(fn):  # what a function's closure and defaults hold, a tuple of functions unpacked
+            values = [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+            return values + [v for t in values if isinstance(t, tuple) for v in t]
 
         _, op, shapes = OP_CASES[case]
         with Tape() as tape:
             op(*[Tensor(t.data, requires_grad=True) for t in op_inputs(shapes)])
         assert tape._records
         for _, backward_fn in tape._records:
-            (live,) = [v for v in held(backward_fn) if isinstance(v, list)]
-            assert live and not [v for _, vjp in live for v in held(vjp) if isinstance(v, Tensor)]
+            # the record's one backward function, and each per-input function it wraps
+            (bwd,) = [v for v in held(backward_fn) if inspect.isfunction(v)]
+            fns = [bwd] + [v for v in held(bwd) if inspect.isfunction(v)]
+            assert not [v for fn in fns for v in held(fn) if isinstance(v, Tensor)]
+
+    def test_constant_factor_keeps_no_array_of_its_partner(self, no_cyclic_gc):
+        # the constant's gradient is never taken, so nothing holds the other operand's array
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = add(x, 1.0)
+            ref = weakref.ref(y.data)
+            loss = tsum(mul(y, Tensor([3.0, 4.0])))
+            del y
+            assert ref() is None
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
 
     def test_score_matrix_freed_during_the_forward(self, no_cyclic_gc):
         rng = np.random.default_rng(31)
@@ -1264,13 +1295,14 @@ class TestDeterminism:
 
 
 class TestShapeOps:
-    def test_reshape_transpose_concat_roundtrip(self):
+    @pytest.mark.parametrize("axes", [(2, 0, 1), (-1, 0, 1)])
+    def test_reshape_transpose_concat_roundtrip(self, axes):
         rng = np.random.default_rng(18)
         xv = rng.standard_normal((2, 3, 4))
         probe = rng.standard_normal((4, 2, 6))
 
         def run(arrs):
-            y = np.transpose(arrs[0], (2, 0, 1)).reshape(4, 2, 3)
+            y = np.transpose(arrs[0], axes).reshape(4, 2, 3)
             y = np.concatenate([y, y], axis=2)
             return float((y * probe).sum())
 
@@ -1278,7 +1310,7 @@ class TestShapeOps:
         x = Tensor(xv, True)
 
         def build(ts):
-            y = reshape(transpose(ts[0], (2, 0, 1)), (4, 2, 3))
+            y = reshape(transpose(ts[0], axes), (4, 2, 3))
             return tsum(mul(concat([y, y], axis=2), probe))
 
         got = tape_grads(build, [x])

@@ -469,6 +469,7 @@ class TestTrainingLoop:
             TrainConfig(class_weight_clamp=0.5)
         with pytest.raises(ConfigError):
             TrainConfig(max_steps=0)
+        TrainConfig(weight_decay=0.0, augment_sigma=0.0)  # zero turns either off; below zero is refused
 
 
 class TestPrediction:
