@@ -212,12 +212,17 @@ def _load_dataset(data: dict[str, Any], config: ModelConfig, seed: int):
     if len(set(paths)) < len(paths):
         repeated = next(p for i, p in enumerate(paths) if p in paths[:i])
         raise DataError(f"{labels_csv}: image {repeated!r} repeats")
-    images = [read_image_as_float(os.path.join(image_dir, rel)) for rel, _ in rows]
-    if len({im.shape for im in images}) > 1:
-        raise DataError(f"{image_dir}: images differ in size")
-    if (hw := images[0].shape[1:]) != config.input_hw:
+    images = None  # filled in place, sized by the first image, so the set is held once
+    for i, (rel, _) in enumerate(rows):
+        image = read_image_as_float(os.path.join(image_dir, rel))
+        if images is None:
+            images = np.empty((len(rows), *image.shape))
+        if image.shape != images.shape[1:]:
+            raise DataError(f"{image_dir}: images differ in size")
+        images[i] = image
+    if (hw := images.shape[2:]) != config.input_hw:
         raise DataError(f"{image_dir}: images are {HW.format(hw)}, [model] input is {HW.format(config.input_hw)}")
-    return np.stack(images), labels, None
+    return images, labels, None
 
 
 def cmd_train(cfg: Config, out_dir: str):

@@ -336,7 +336,8 @@ def train_classifier(
     """The classification recipe: AdamW, warmup+cosine, smoothed weighted CE.
 
     Keeps the state with the highest validation macro-F1 when a validation
-    split is provided. Deterministic for a fixed config seed.
+    split is provided. Deterministic for a fixed config seed. The validation
+    and final-accuracy passes predict ``cfg.batch_size`` images per forward.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -391,7 +392,7 @@ def train_classifier(
                 "max_grad_norm": max(norms.values(), default=0.0),
             }
             if epoch_end and val is not None:
-                vf1 = f1_macro(predict_labels(model, val[0]), np.asarray(val[1]))
+                vf1 = f1_macro(predict_labels(model, val[0], cfg.batch_size), np.asarray(val[1]))
                 row["val_f1"] = vf1
                 if best_f1 is None or vf1 > best_f1:
                     best_f1 = vf1
@@ -400,7 +401,7 @@ def train_classifier(
             if log_fh:
                 log_fh.write(csv_text([row.values()]))
 
-    acc = float((predict_labels(model, images) == labels).mean())
+    acc = float((predict_labels(model, images, cfg.batch_size) == labels).mean())
     return TrainResult(history, acc, best_f1, best_state)
 
 
@@ -412,11 +413,13 @@ def _logits(model: MetaFormer, images: np.ndarray, batch_size: int) -> np.ndarra
     return np.concatenate(out)
 
 
-def predict_labels(model: MetaFormer, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def predict_labels(model: MetaFormer, images: np.ndarray, batch_size: int = TrainConfig.batch_size) -> np.ndarray:
+    """Class ids of ``images``, one ``batch_size`` chunk (default: one training batch) per forward."""
     return _logits(model, images, batch_size).argmax(axis=1)
 
 
-def predict_scores(model: MetaFormer, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def predict_scores(model: MetaFormer, images: np.ndarray, batch_size: int = TrainConfig.batch_size) -> np.ndarray:
+    """Class probabilities of ``images``, one ``batch_size`` chunk (default: one training batch) per forward."""
     return softmax(Tensor(_logits(model, images, batch_size)), axis=1).data
 
 

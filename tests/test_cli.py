@@ -19,7 +19,9 @@ from mixerlab.checkpoint import load_arrays, load_model, save_arrays, save_model
 from mixerlab import cli
 from mixerlab.cli import SCHEMA, load_config, main, resolved_ini
 from mixerlab.errors import DataError
-from mixerlab.imageio import read_pgm, read_ppm, read_raw_f64, write_pgm, write_ppm, write_raw_f64
+from mixerlab.imageio import (
+    read_image_as_float, read_pgm, read_ppm, read_raw_f64, write_pgm, write_ppm, write_raw_f64,
+)
 from mixerlab.metaformer import MetaFormer, ModelConfig
 from mixerlab.mixers import MixerSpec
 from mixerlab.tensor import Tensor
@@ -231,6 +233,25 @@ n = 24
         out = tmp_path / "o"
         assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 3
         assert capsys.readouterr().err == f"data error: {tmp_path}: images are 32x32, [model] input is 64x64\n"
+        assert not out.exists()
+
+    def test_image_dir_dataset_loads_as_the_stacked_images(self, tmp_path):
+        rows = ["c1.ppm,1", "g.pgm,0", "c0.ppm,0"]  # a grayscale image is replicated to 3 channels
+        _, labels = image_dir_config(tmp_path, rows)
+        write_pgm(str(tmp_path / "g.pgm"), (np.arange(32 * 32).reshape(32, 32) % 256).astype(np.uint8))
+        data = {"kind": "image_dir", "image_dir": str(tmp_path), "labels_csv": str(labels)}
+        images, got_labels, val = cli._load_dataset(data, ModelConfig.from_ini(TINY_MODEL), seed=0)
+        want = np.stack([read_image_as_float(str(tmp_path / row.split(",")[0])) for row in rows])
+        assert images.tobytes() == want.tobytes() and images.shape == (3, 3, 32, 32)
+        assert got_labels.tolist() == [1, 0, 0] and val is None
+
+    @pytest.mark.parametrize("rows", [["c0.ppm,0", "c1.ppm,1", "c2.ppm,0"], ["c2.ppm,0", "c0.ppm,1"]])
+    def test_images_of_two_sizes_are_data_error(self, tmp_path, capsys, rows):
+        cfg, _ = image_dir_config(tmp_path, rows)
+        write_ppm(str(tmp_path / "c2.ppm"), np.zeros((3, 16, 32), dtype=np.uint8))
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path}: images differ in size\n"
         assert not out.exists()
 
     def test_data_keys_at_their_defaults_are_accepted_with_image_dir(self, tmp_path):

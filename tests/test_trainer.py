@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_grad, rel_err, tape_grads
+from mixerlab import cli
 from mixerlab.errors import ConfigError, DataError, NumericsError
 from mixerlab.metaformer import MetaFormer, ModelConfig
 from mixerlab.mixers import MixerSpec
-from mixerlab.tensor import Tensor, add, div, mul, softmax, sub, tsum
+from mixerlab.tensor import Tensor, _active_tape, add, div, mul, softmax, sub, tsum
 from mixerlab.trainer import (
     DICE_SMOOTH,
     AdamW,
@@ -491,3 +492,29 @@ class TestPrediction:
         assert chunked.tobytes() == single.tobytes()
         labels = predict_labels(model, images, batch_size=64)
         assert labels.tobytes() == predict_labels(model, images, batch_size=1).tobytes()
+        assert predict_scores(model, images).tobytes() == single.tobytes()  # the default chunk
+
+    def test_no_prediction_pass_holds_more_than_one_training_batch(self, tmp_path, monkeypatch):
+        seen = []  # the batch of every forward made with no active tape
+        forward = MetaFormer.forward_classify
+
+        def recording(self, x, *args, **kwargs):
+            if _active_tape() is None:
+                seen.append(x.shape[0])
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(MetaFormer, "forward_classify", recording)
+        train_ini = tmp_path / "train.ini"
+        train_ini.write_text(
+            "[model]\nchannels = 8,16,24,32\ndepths = 1,1,1,1\nsignature = identity,identity,identity,identity\n"
+            "input = 32x32\nclasses = 2\n[train]\nepochs = 1\nbatch_size = 8\nwarmup_epochs = 0\n"
+            "[data]\nn = 40\nval_n = 24\n"
+        )
+        assert cli.main(["train", "--config", str(train_ini), "--out", str(tmp_path / "run")]) == 0
+        assert sum(seen) == 24 + 40 and max(seen) == 8  # the validation pass, then the final accuracy
+
+        seen.clear()
+        eval_ini = tmp_path / "eval.ini"
+        eval_ini.write_text(f"[eval]\ncheckpoint = {tmp_path / 'run' / 'checkpoint.mxlc'}\n[data]\nn = 40\n")
+        assert cli.main(["eval", "--config", str(eval_ini), "--out", str(tmp_path / "eval")]) == 0
+        assert sum(seen) == 40 and max(seen) == TrainConfig.batch_size
